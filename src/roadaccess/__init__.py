@@ -7,67 +7,4 @@ grid, classifies cells into low/medium/high road access deprivation, and
 scores outputs against community-sourced validation votes.
 """
 
-from .classify import (
-    ClassifiedCell,
-    LevelDistribution,
-    classify_all,
-    classify_cell,
-    distribution,
-)
-from .errors import ConfigurationError, DataError, EvaluationError, PipelineError
-from .evaluate import (
-    ConfusionMatrix3,
-    ConsensusCell,
-    accuracy,
-    build_confusion,
-    consensus,
-    consensus_cells,
-    evaluation_report,
-    f1_per_class,
-    flow_counts,
-    ternary_proportions,
-)
-from .geometry import (
-    PlanePoint,
-    Polygon,
-    Polyline,
-    Segment,
-    nearest_point_on_polyline,
-    nearest_point_on_segment,
-    polygon_centroid,
-    segment_intersects_polygon,
-)
-from .grid import CellAggregate, CellId, aggregate, cell_of, enumerate_empty_cells
-from .ingest import (
-    Boundary,
-    Building,
-    RoadSegment,
-    ValidationRecord,
-    clip_to_boundary,
-    filter_motorable,
-    load_boundary,
-    load_buildings,
-    load_roads,
-    load_validations,
-)
-from .levels import DeprivationLevel, Surface
-from .metrics import (
-    BuildingMetrics,
-    ConnectorLine,
-    assign_surface,
-    build_connector,
-    compute_all,
-    count_obstructions,
-)
-from .projection import GeoPoint, project_forward, project_inverse
-from .spatial_index import (
-    PolygonIndex,
-    SegmentIndex,
-    build_polygon_index,
-    build_segment_index,
-    candidates_for_segment,
-    nearest_road,
-)
-from .synth import SceneSpec, generate
-
 __version__ = "0.1.0"

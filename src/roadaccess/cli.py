@@ -55,14 +55,6 @@ def _load_inputs(config: PipelineConfig, counts: dict) -> tuple:
     return buildings, motorable, boundary
 
 
-def _compute_metrics(config: PipelineConfig, buildings, motorable):
-    road_index = SegmentIndex(motorable)
-    building_index = PolygonIndex(buildings)
-    return metrics.compute_all(
-        buildings, road_index, building_index, motorable, workers=config.workers
-    )
-
-
 def cmd_run(config: PipelineConfig) -> int:
     config.validate()
     out_dir = Path(config.output_dir)
@@ -70,7 +62,9 @@ def cmd_run(config: PipelineConfig) -> int:
     counts: dict = {}
     buildings, motorable, boundary = _load_inputs(config, counts)
 
-    building_metrics = _compute_metrics(config, buildings, motorable)
+    building_metrics = metrics.compute_all(
+        buildings, SegmentIndex(motorable), PolygonIndex(buildings), motorable, config.workers
+    )
     log.info("computed metrics for %d buildings", len(building_metrics))
 
     aggregates = aggregate(building_metrics, buildings, config.cell_size)
@@ -145,8 +139,10 @@ def cmd_export_connectors(config: PipelineConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     counts: dict = {}
     buildings, motorable, _ = _load_inputs(config, counts)
-    building_metrics = _compute_metrics(config, buildings, motorable)
     road_index = SegmentIndex(motorable)
+    building_metrics = metrics.compute_all(
+        buildings, road_index, PolygonIndex(buildings), motorable, config.workers
+    )
     connectors = metrics.connectors_for(buildings, road_index)
     by_id = {m.building_id: m for m in building_metrics}
     outputs.write_connectors_geojson(out_dir / "connectors.geojson", connectors, by_id)

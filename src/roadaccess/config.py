@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -25,16 +26,29 @@ class PipelineConfig:
     workers: int | None = None
 
     def validate(self, require_validations: bool = False) -> None:
-        if self.threshold <= 0:
-            raise ConfigurationError(f"threshold must be positive, got {self.threshold}")
-        if self.cell_size <= 0:
-            raise ConfigurationError(f"cell_size must be positive, got {self.cell_size}")
-        if self.workers is not None and self.workers < 1:
-            raise ConfigurationError(f"workers must be at least 1, got {self.workers}")
-        if self.min_confidence is not None and not 0.0 <= self.min_confidence <= 1.0:
+        for name in ("threshold", "cell_size"):
+            value = getattr(self, name)
+            if not (_is_finite_number(value) and value > 0):
+                raise ConfigurationError(f"{name} must be a finite number > 0, got {value!r}")
+        if self.min_confidence is not None and not (
+            _is_finite_number(self.min_confidence) and 0.0 <= self.min_confidence <= 1.0
+        ):
             raise ConfigurationError(
-                f"min_confidence must be a fraction in [0, 1], got {self.min_confidence}"
+                f"min_confidence must be a fraction in [0, 1], got {self.min_confidence!r}"
             )
+        if self.workers is not None and not (
+            type(self.workers) is int and self.workers >= 1
+        ):
+            raise ConfigurationError(f"workers must be an integer >= 1, got {self.workers!r}")
+        if not isinstance(self.include_empty_in_distribution, bool):
+            raise ConfigurationError(
+                "include_empty_in_distribution must be true or false, "
+                f"got {self.include_empty_in_distribution!r}"
+            )
+        for name in ("class_property", "surface_property"):
+            value = getattr(self, name)
+            if not (isinstance(value, str) and value):
+                raise ConfigurationError(f"{name} must be a non-empty string, got {value!r}")
         for name in ("buildings", "roads", "boundary"):
             path = getattr(self, name)
             if not Path(path).exists():
@@ -55,6 +69,16 @@ class PipelineConfig:
             "cell_size": self.cell_size,
             "include_empty_in_distribution": self.include_empty_in_distribution,
         }
+
+
+def _is_finite_number(value: object) -> bool:
+    """An int or a finite float; JSON true/false are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 _PATH_KEYS = ("buildings", "roads", "boundary", "output_dir", "validations")
@@ -82,6 +106,8 @@ def load_config(path: Path | str) -> PipelineConfig:
     kwargs = dict(raw)
     for key in _PATH_KEYS:
         if kwargs.get(key) is not None:
+            if not isinstance(kwargs[key], str):
+                raise ConfigurationError(f"{key} must be a path string, got {kwargs[key]!r}")
             p = Path(kwargs[key])
             kwargs[key] = p if p.is_absolute() else base / p
     try:

@@ -105,33 +105,22 @@ def consensus_cells(
     return agreed, tied
 
 
-def _matched_pairs(
+def build_confusion(
     model: Iterable[ClassifiedCell], refs: Iterable[ConsensusCell]
-) -> tuple[list[tuple[DeprivationLevel, DeprivationLevel]], list[CellId]]:
-    """(ref_level, model_level) pairs for matched cells, plus unmatched ids."""
+) -> tuple[ConfusionMatrix3, list[CellId]]:
+    """Confusion matrix over matched cells; reference cells absent from the
+    model output are excluded and returned for reporting."""
     model_by_cell = {c.cell: c.level for c in model}
-    pairs: list[tuple[DeprivationLevel, DeprivationLevel]] = []
+    cm = ConfusionMatrix3()
     unmatched: list[CellId] = []
     for ref in refs:
         model_level = model_by_cell.get(ref.cell)
         if model_level is None:
             unmatched.append(ref.cell)
         else:
-            pairs.append((ref.level, model_level))
-    return pairs, unmatched
-
-
-def build_confusion(
-    model: Iterable[ClassifiedCell], refs: Iterable[ConsensusCell]
-) -> tuple[ConfusionMatrix3, list[CellId]]:
-    """Confusion matrix over matched cells; reference cells absent from the
-    model output are excluded and returned for reporting."""
-    pairs, unmatched = _matched_pairs(model, refs)
-    if not pairs:
+            cm.add(ref.level, model_level)
+    if cm.total() == 0:
         raise EvaluationError("no validated cells match the model output")
-    cm = ConfusionMatrix3()
-    for ref_level, model_level in pairs:
-        cm.add(ref_level, model_level)
     return cm, unmatched
 
 
@@ -156,21 +145,6 @@ def f1_per_class(cm: ConfusionMatrix3) -> tuple[float, float, float]:
         denom = tp + 0.5 * (fp + fn)
         scores.append(tp / denom if denom > 0 else 0.0)
     return scores[0], scores[1], scores[2]
-
-
-def flow_counts(
-    model: Iterable[ClassifiedCell], refs: Iterable[ConsensusCell]
-) -> list[tuple[DeprivationLevel, DeprivationLevel, int]]:
-    """All nine (model_level, ref_level, count) flows, zero counts included."""
-    pairs, _ = _matched_pairs(model, refs)
-    tally: dict[tuple[DeprivationLevel, DeprivationLevel], int] = defaultdict(int)
-    for ref_level, model_level in pairs:
-        tally[(model_level, ref_level)] += 1
-    return [
-        (m, r, tally[(m, r)])
-        for m in LEVELS
-        for r in LEVELS
-    ]
 
 
 @dataclass(frozen=True)
@@ -214,8 +188,9 @@ def evaluation_report(
         "confusion": [list(row) for row in cm.counts],
         "confusion_axes": {"rows": "reference", "columns": "model"},
         "flows": [
-            {"model": m.label, "ref": r.label, "count": count}
-            for m, r, count in flow_counts(model, refs)
+            {"model": m.label, "ref": r.label, "count": cm[r][m.value]}
+            for m in LEVELS
+            for r in LEVELS
         ],
         "excluded": {"no_consensus": len(no_consensus), "unmatched": len(unmatched)},
     }

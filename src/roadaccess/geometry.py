@@ -36,9 +36,6 @@ class Segment:
     a: PlanePoint
     b: PlanePoint
 
-    def length(self) -> float:
-        return math.hypot(self.b.x - self.a.x, self.b.y - self.a.y)
-
     def bounds(self) -> Bounds:
         return (
             min(self.a.x, self.b.x),
@@ -139,14 +136,6 @@ def bounds_of_points(points: Sequence[PlanePoint]) -> Bounds:
 
 def bounds_intersect(a: Bounds, b: Bounds) -> bool:
     return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
-
-
-def expand_bounds(b: Bounds, margin: float) -> Bounds:
-    return (b[0] - margin, b[1] - margin, b[2] + margin, b[3] + margin)
-
-
-def union_bounds(a: Bounds, b: Bounds) -> Bounds:
-    return (min(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), max(a[3], b[3]))
 
 
 def point_bounds_distance(p: PlanePoint, b: Bounds) -> float:
@@ -317,26 +306,6 @@ def nearest_point_on_segment(p: PlanePoint, s: Segment) -> tuple[PlanePoint, flo
         else:
             q = PlanePoint(ax + t * dx, ay + t * dy)
     return q, math.hypot(p.x - q.x, p.y - q.y)
-
-
-def nearest_point_on_polyline(
-    p: PlanePoint, line: Polyline
-) -> tuple[PlanePoint, float, int]:
-    """Closest point over all constituent segments.
-
-    Returns (point, distance, segment start vertex index); exact distance
-    ties resolve to the lowest vertex index.
-    """
-    vs = line.vertices
-    best_q = None
-    best_d = math.inf
-    best_i = 0
-    for i in range(len(vs) - 1):
-        q, d = nearest_point_on_segment(p, Segment(vs[i], vs[i + 1]))
-        if d < best_d:
-            best_q, best_d, best_i = q, d, i
-    assert best_q is not None
-    return best_q, best_d, best_i
 
 
 def segment_distance(s1: Segment, s2: Segment) -> float:

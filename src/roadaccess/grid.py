@@ -53,7 +53,7 @@ def aggregate(
     """
     centroids = {b.building_id: b.centroid for b in buildings}
     groups: dict[CellId, list["BuildingMetrics"]] = defaultdict(list)
-    for m in sorted(metrics, key=lambda m: m.building_id):
+    for m in metrics:
         groups[cell_of(centroids[m.building_id], cell_size)].append(m)
     out: dict[CellId, CellAggregate] = {}
     for cell in sorted(groups):

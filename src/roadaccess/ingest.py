@@ -113,14 +113,33 @@ def _read_geojson_features(path: Path | str) -> list[dict]:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read GeoJSON {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: GeoJSON top level is not an object")
     if doc.get("type") == "FeatureCollection":
-        return list(doc.get("features") or [])
+        features = doc.get("features")
+        if not isinstance(features, list):
+            raise DataError(f"{path}: FeatureCollection 'features' is not a list")
+        return features
     if doc.get("type") == "Feature":
         return [doc]
     # bare geometry object
     if "type" in doc and "coordinates" in doc:
         return [{"type": "Feature", "geometry": doc, "properties": {}}]
     raise DataError(f"{path}: not a GeoJSON FeatureCollection, Feature, or geometry")
+
+
+def _feature_parts(feature: object) -> tuple[dict, dict]:
+    """(geometry, properties) of a feature, each {} when absent.
+
+    Raises ValueError when the feature or either member is not an object.
+    """
+    if not isinstance(feature, dict):
+        raise ValueError("feature is not an object")
+    geom = feature.get("geometry") or {}
+    props = feature.get("properties") or {}
+    if not isinstance(geom, dict) or not isinstance(props, dict):
+        raise ValueError("feature geometry or properties is not an object")
+    return geom, props
 
 
 def _project_position(pos: Sequence[float]) -> PlanePoint:
@@ -159,12 +178,11 @@ def load_roads(
     stats.total = len(features)
     roads: list[RoadSegment] = []
     for n, feature in enumerate(features):
-        geom = feature.get("geometry") or {}
-        props = feature.get("properties") or {}
-        raw_class = props.get(class_property)
-        road_class = str(raw_class).strip().lower() if raw_class not in (None, "") else "unknown"
-        surface = normalize_surface(props.get(surface_property))
         try:
+            geom, props = _feature_parts(feature)
+            raw_class = props.get(class_property)
+            road_class = str(raw_class).strip().lower() if raw_class not in (None, "") else "unknown"
+            surface = normalize_surface(props.get(surface_property))
             gtype = geom.get("type")
             if gtype == "LineString":
                 parts = [geom["coordinates"]]
@@ -235,8 +253,7 @@ def parse_wkt_polygons(text: str) -> list[list[list[list[float]]]]:
     raise ValueError(f"unsupported WKT geometry: {text[:30]!r}")
 
 
-def _building_polygons_from_feature(feature: dict) -> list[Polygon]:
-    geom = feature.get("geometry") or {}
+def _building_polygons(geom: dict) -> list[Polygon]:
     gtype = geom.get("type")
     if gtype == "Polygon":
         return [_polygon_from_rings(geom["coordinates"])]
@@ -259,21 +276,20 @@ def load_buildings(
     """
     stats = stats if stats is not None else LoadStats()
     if str(path).lower().endswith(".csv"):
-        rows = _read_building_csv_rows(path)
+        features = _read_building_csv_features(path)
     else:
-        rows = [
-            (feature, (feature.get("properties") or {}).get("confidence"))
-            for feature in _read_geojson_features(path)
-        ]
-    stats.total = len(rows)
+        features = _read_geojson_features(path)
+    stats.total = len(features)
     buildings: list[Building] = []
-    for n, (feature, raw_conf) in enumerate(rows):
+    for n, feature in enumerate(features):
         try:
+            geom, props = _feature_parts(feature)
+            raw_conf = props.get("confidence")
             confidence = None if raw_conf in (None, "") else float(raw_conf)
             if confidence is not None and min_confidence is not None and confidence < min_confidence:
                 stats.loaded += 1  # valid feature, filtered by choice
                 continue
-            polygons = _building_polygons_from_feature(feature)
+            polygons = _building_polygons(geom)
         except (ValueError, TypeError, KeyError, IndexError) as exc:
             stats.skipped += 1
             log.warning("skipping building feature %d in %s: %s", n, path, exc)
@@ -289,7 +305,8 @@ def load_buildings(
     return buildings
 
 
-def _read_building_csv_rows(path: Path | str) -> list[tuple[dict, object]]:
+def _read_building_csv_features(path: Path | str) -> list[dict]:
+    """One GeoJSON-style feature per CSV row, carrying only its confidence."""
     try:
         with open(path, newline="", encoding="utf-8") as f:
             reader = csv.DictReader(f)
@@ -304,10 +321,13 @@ def _read_building_csv_rows(path: Path | str) -> list[tuple[dict, object]]:
             conf_col = None
             if "confidence" in fieldnames:
                 conf_col = (reader.fieldnames or [])[fieldnames.index("confidence")]
-            rows = []
+            features = []
             for row in reader:
                 wkt = row.get(geom_col) or ""
-                feature: dict = {"type": "Feature", "properties": dict(row)}
+                feature: dict = {
+                    "type": "Feature",
+                    "properties": {"confidence": row.get(conf_col) if conf_col else None},
+                }
                 try:
                     polys = parse_wkt_polygons(wkt)
                     if len(polys) == 1:
@@ -316,8 +336,8 @@ def _read_building_csv_rows(path: Path | str) -> list[tuple[dict, object]]:
                         feature["geometry"] = {"type": "MultiPolygon", "coordinates": polys}
                 except ValueError:
                     feature["geometry"] = {"type": "Invalid"}
-                rows.append((feature, row.get(conf_col) if conf_col else None))
-            return rows
+                features.append(feature)
+            return features
     except OSError as exc:
         raise DataError(f"cannot read buildings CSV {path}: {exc}") from exc
 
@@ -326,7 +346,10 @@ def load_boundary(path: Path | str) -> Boundary:
     """Load the analysis boundary polygon (single Polygon feature)."""
     features = _read_geojson_features(path)
     for feature in features:
-        geom = feature.get("geometry") or {}
+        try:
+            geom, _ = _feature_parts(feature)
+        except ValueError:
+            continue
         gtype = geom.get("type")
         try:
             if gtype == "Polygon":

@@ -61,13 +61,6 @@ def count_obstructions(
     return count
 
 
-def assign_surface(
-    connector: ConnectorLine, roads_by_id: Mapping[int, RoadSegment]
-) -> Surface:
-    """Surface type of the connector's road."""
-    return roads_by_id[connector.road_id].surface
-
-
 def _metrics_for_building(
     building: Building,
     road_index: SegmentIndex,
@@ -79,7 +72,7 @@ def _metrics_for_building(
     return BuildingMetrics(
         building_id=building.building_id,
         obstruction_count=count_obstructions(connector, building_index, footprints),
-        nearest_surface=assign_surface(connector, roads_by_id),
+        nearest_surface=roads_by_id[connector.road_id].surface,
         road_distance=connector.road_distance,
         road_id=connector.road_id,
     )

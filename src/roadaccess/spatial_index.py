@@ -122,13 +122,6 @@ class SegmentIndex:
     def __len__(self) -> int:
         return self._size
 
-    def query_bounds(self, query: Bounds) -> list[tuple[int, int]]:
-        """(road_id, segment_id) pairs whose segment bbox overlaps the query."""
-        found: list[tuple[int, int, Segment]] = []
-        if self._root is not None:
-            _collect_overlapping(self._root, query, found)
-        return [(road_id, seg_id) for road_id, seg_id, _ in found]
-
     def nearest(self, p: PlanePoint) -> tuple[int, PlanePoint, float]:
         """Globally nearest (road_id, point on road, distance) for p.
 
@@ -177,18 +170,3 @@ class PolygonIndex:
             _collect_overlapping(self._root, s.bounds(), found)
         return set(found)
 
-
-def build_segment_index(roads: Sequence["RoadSegment"]) -> SegmentIndex:
-    return SegmentIndex(roads)
-
-
-def nearest_road(idx: SegmentIndex, p: PlanePoint) -> tuple[int, PlanePoint, float]:
-    return idx.nearest(p)
-
-
-def build_polygon_index(buildings: Iterable["Building"]) -> PolygonIndex:
-    return PolygonIndex(buildings)
-
-
-def candidates_for_segment(idx: PolygonIndex, s: Segment) -> set[int]:
-    return idx.candidates_for_segment(s)

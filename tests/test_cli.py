@@ -149,6 +149,39 @@ def test_unknown_config_key_exits_with_configuration_error(tmp_path, formal_fixt
     assert main(["run", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize(
+    "extra, flags",
+    [
+        pytest.param({"threshold": float("nan")}, [], id="threshold-nan"),
+        pytest.param({}, ["--threshold", "nan"], id="threshold-flag-nan"),
+        pytest.param({"threshold": "1"}, [], id="threshold-string"),
+        pytest.param({"threshold": True}, [], id="threshold-bool"),
+        pytest.param({"threshold": 0}, [], id="threshold-zero"),
+        pytest.param({"cell_size": float("inf")}, [], id="cell_size-inf"),
+        pytest.param({"cell_size": -100.0}, [], id="cell_size-negative"),
+        pytest.param({"min_confidence": float("nan")}, [], id="min_confidence-nan"),
+        pytest.param({"min_confidence": 1.5}, [], id="min_confidence-above-1"),
+        pytest.param({"min_confidence": "0.5"}, [], id="min_confidence-string"),
+        pytest.param({"workers": 2.5}, [], id="workers-float"),
+        pytest.param({"workers": True}, [], id="workers-bool"),
+        pytest.param({"workers": 0}, [], id="workers-zero"),
+        pytest.param({"include_empty_in_distribution": "no"}, [], id="include_empty-string"),
+        pytest.param({"class_property": ""}, [], id="class_property-empty"),
+        pytest.param({"surface_property": 3}, [], id="surface_property-int"),
+        pytest.param({"roads": 5}, [], id="roads-int"),
+    ],
+)
+def test_mistyped_config_value_exits_with_configuration_error(
+    tmp_path, formal_fixture, capsys, extra, flags
+):
+    _, files = formal_fixture
+    cfg = write_config(tmp_path, files, **extra)
+    assert main(["run", "--config", str(cfg), *flags]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration-error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_evaluate_before_run_exits_with_configuration_error(tmp_path, formal_fixture):
     _, files = formal_fixture
     validations = tmp_path / "v.csv"

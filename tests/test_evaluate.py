@@ -14,7 +14,6 @@ from roadaccess.evaluate import (
     consensus_cells,
     evaluation_report,
     f1_per_class,
-    flow_counts,
     ternary_proportions,
     votes_by_cell,
 )
@@ -186,20 +185,29 @@ def test_f1_equals_one_iff_mass_is_diagonal():
                 assert scores[k] == 1.0
 
 
-def test_flow_counts_consistent_with_confusion():
+def report_flows(report):
+    return [
+        (DeprivationLevel.from_label(f["model"]), DeprivationLevel.from_label(f["ref"]), f["count"])
+        for f in report["flows"]
+    ]
+
+
+def test_flows_consistent_with_confusion():
     rng = random.Random(14)
     model = [model_cell(i, 0, rng.choice(LEVELS)) for i in range(60)]
-    refs = [ref_cell(i, 0, rng.choice(LEVELS)) for i in range(60)]
-    cm, _ = build_confusion(model, refs)
-    flows = flow_counts(model, refs)
-    assert len(flows) == 9  # all ordered pairs, zero counts included
+    records = [record(i, 0, "a", rng.choice(LEVELS)) for i in range(60)]
+    report = evaluation_report(model, records)
+    flows = report_flows(report)
+    # all ordered pairs, zero counts included, model level outermost
+    assert [(m, r) for m, r, _ in flows] == [(m, r) for m in LEVELS for r in LEVELS]
     for m, r, count in flows:
-        assert cm.counts[r.value][m.value] == count
-    assert sum(count for _, _, count in flows) == cm.total()
+        assert report["confusion"][r.value][m.value] == count
+    assert sum(count for _, _, count in flows) == report["matched_cells"] == 60
 
 
-def test_flow_counts_single_cell():
-    flows = flow_counts([model_cell(0, 0, LOW)], [ref_cell(0, 0, MEDIUM)])
+def test_flows_single_cell():
+    report = evaluation_report([model_cell(0, 0, LOW)], [record(0, 0, "a", MEDIUM)])
+    flows = report_flows(report)
     assert (LOW, MEDIUM, 1) in flows
     assert sum(c for _, _, c in flows) == 1
 

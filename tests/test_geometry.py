@@ -9,7 +9,6 @@ from roadaccess.geometry import (
     Polygon,
     Polyline,
     Segment,
-    nearest_point_on_polyline,
     nearest_point_on_segment,
     point_in_polygon,
     polygon_area,
@@ -122,31 +121,6 @@ def test_nearest_point_on_degenerate_segment():
     s = Segment(PlanePoint(2, 2), PlanePoint(2, 2))
     q, d = nearest_point_on_segment(PlanePoint(2, 5), s)
     assert q == PlanePoint(2, 2) and d == 3.0
-
-
-def test_nearest_point_on_polyline_matches_per_segment_minimum():
-    rng = random.Random(7)
-    for _ in range(300):
-        line = Polyline(
-            [PlanePoint(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(rng.randint(2, 6))]
-        )
-        p = PlanePoint(rng.uniform(-50, 150), rng.uniform(-50, 150))
-        q, d, idx = nearest_point_on_polyline(p, line)
-        per_segment = [
-            nearest_point_on_segment(p, seg) for seg in line.segments()
-        ]
-        best = min(range(len(per_segment)), key=lambda i: (per_segment[i][1], i))
-        assert d == per_segment[best][1]
-        assert idx == best
-        assert q == per_segment[best][0]
-
-
-def test_nearest_point_on_polyline_tie_takes_lowest_index():
-    # p is equidistant from both segments of an L-shaped polyline
-    line = Polyline([PlanePoint(0, 0), PlanePoint(1, 0), PlanePoint(1, 1)])
-    _, d, idx = nearest_point_on_polyline(PlanePoint(0.5, 0.5), line)
-    assert d == 0.5
-    assert idx == 0
 
 
 def test_segments_intersect_touching_counts():

@@ -117,6 +117,31 @@ def test_load_roads_missing_file_is_data_error(tmp_path):
         load_roads(tmp_path / "missing.geojson")
 
 
+@pytest.mark.parametrize("doc", [[], "roads", {"type": "FeatureCollection", "features": 7}])
+def test_load_roads_malformed_geojson_shape_is_data_error(tmp_path, doc):
+    path = tmp_path / "roads.geojson"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError):
+        load_roads(path)
+
+
+def test_non_object_features_are_skipped_with_conservation(tmp_path):
+    good_road = line_feature([[0.0, 0.0], [0.001, 0.0]])
+    good_building = polygon_feature([tiny_square(0.0, 0.0)])
+    bad = [1, "x", None, [], {"type": "Feature", "geometry": [1], "properties": {}}]
+    bad.append({"type": "Feature", "geometry": good_road["geometry"], "properties": [1]})
+    stats = LoadStats()
+    roads = load_roads(geojson(tmp_path, "r.geojson", bad + [good_road]), stats=stats)
+    assert len(roads) == 1
+    assert (stats.total, stats.loaded, stats.skipped) == (7, 1, 6)
+    stats = LoadStats()
+    buildings = load_buildings(geojson(tmp_path, "b.geojson", bad + [good_building]), stats=stats)
+    assert len(buildings) == 1
+    assert (stats.total, stats.loaded, stats.skipped) == (7, 1, 6)
+    boundary = polygon_feature([tiny_square(0.0, 0.0, d=0.01)])
+    assert load_boundary(geojson(tmp_path, "a.geojson", bad + [boundary])).polygon
+
+
 def test_filter_motorable_class_list():
     def mk(cls):
         return RoadSegment(0, Polyline([PlanePoint(0, 0), PlanePoint(1, 0)]), cls)

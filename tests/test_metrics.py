@@ -4,21 +4,10 @@ import random
 import pytest
 
 from roadaccess.errors import ConfigurationError
-from roadaccess.geometry import (
-    PlanePoint,
-    Polygon,
-    Polyline,
-    nearest_point_on_polyline,
-    union_bounds,
-)
+from roadaccess.geometry import PlanePoint, Polygon, Polyline, nearest_point_on_segment
 from roadaccess.ingest import Building, RoadSegment
 from roadaccess.levels import Surface
-from roadaccess.metrics import (
-    assign_surface,
-    build_connector,
-    compute_all,
-    count_obstructions,
-)
+from roadaccess.metrics import build_connector, compute_all, count_obstructions
 from roadaccess.spatial_index import PolygonIndex, SegmentIndex
 
 from _scenes import brute_metrics, random_scene
@@ -125,18 +114,25 @@ def test_connector_end_lies_on_road_geometry():
     by_id = {r.road_id: r for r in roads}
     for b in buildings:
         c = build_connector(b, road_index)
-        _, gap, _ = nearest_point_on_polyline(c.end, by_id[c.road_id].geometry)
+        gap = min(
+            nearest_point_on_segment(c.end, seg)[1]
+            for seg in by_id[c.road_id].geometry.segments()
+        )
         assert gap < 1e-6
         assert c.road_distance == math.hypot(
             c.start.x - c.end.x, c.start.y - c.end.y
         )
 
 
-def test_assign_surface_comes_from_nearest_road():
+def test_surface_comes_from_closest_road():
     b = plane_square(0, 0, 50)
-    roads = [horizontal_road(0, 0, surface=Surface.UNPAVED)]
-    c = build_connector(b, SegmentIndex(roads))
-    assert assign_surface(c, {r.road_id: r for r in roads}) is Surface.UNPAVED
+    roads = [
+        horizontal_road(0, 0, surface=Surface.UNPAVED),
+        horizontal_road(1, 200, surface=Surface.PAVED),
+    ]
+    (m,) = run_pipeline([b], roads)
+    assert m.road_id == 0
+    assert m.nearest_surface is Surface.UNPAVED
 
 
 def formal_scene():
@@ -285,17 +281,10 @@ def test_building_outside_connector_bounds_changes_nothing():
     buildings, roads = random_scene(rng, 50, 6)
     metrics = run_pipeline(buildings, roads)
     road_index = SegmentIndex(roads)
-    bounds = None
-    for b in buildings:
-        c = build_connector(b, road_index)
-        seg_bounds = (
-            min(c.start.x, c.end.x),
-            min(c.start.y, c.end.y),
-            max(c.start.x, c.end.x),
-            max(c.start.y, c.end.y),
-        )
-        bounds = seg_bounds if bounds is None else union_bounds(bounds, seg_bounds)
-    far = plane_square(len(buildings), bounds[2] + 500.0, bounds[3] + 500.0)
+    connectors = [build_connector(b, road_index) for b in buildings]
+    max_x = max(max(c.start.x, c.end.x) for c in connectors)
+    max_y = max(max(c.start.y, c.end.y) for c in connectors)
+    far = plane_square(len(buildings), max_x + 500.0, max_y + 500.0)
     extended = run_pipeline(buildings + [far], roads)
     assert [m for m in extended if m.building_id != far.building_id] == metrics
 

@@ -3,16 +3,16 @@ import random
 import pytest
 
 from roadaccess.errors import ConfigurationError
-from roadaccess.geometry import PlanePoint, Polygon, Polyline, Segment, segment_intersects_polygon
-from roadaccess.ingest import Building, RoadSegment
-from roadaccess.spatial_index import (
-    PolygonIndex,
-    SegmentIndex,
-    build_polygon_index,
-    build_segment_index,
-    candidates_for_segment,
-    nearest_road,
+from roadaccess.geometry import (
+    PlanePoint,
+    Polygon,
+    Polyline,
+    Segment,
+    nearest_point_on_segment,
+    segment_intersects_polygon,
 )
+from roadaccess.ingest import Building, RoadSegment
+from roadaccess.spatial_index import PolygonIndex, SegmentIndex
 
 from _scenes import brute_nearest, random_roads, random_scene
 
@@ -23,37 +23,42 @@ def road(road_id, *xy, cls="residential"):
 
 def test_empty_road_set_is_a_configuration_error():
     with pytest.raises(ConfigurationError):
-        build_segment_index([])
+        SegmentIndex([])
 
 
 def test_three_vertex_road_yields_two_entries():
-    idx = build_segment_index([road(0, (0, 0), (10, 0), (10, 10))])
+    idx = SegmentIndex([road(0, (0, 0), (10, 0), (10, 10))])
     assert len(idx) == 2
 
 
 def test_every_segment_retrievable_by_its_own_bbox():
     rng = random.Random(3)
     roads = random_roads(rng, 10_000)
-    idx = build_segment_index(roads)
+    idx = SegmentIndex(roads)
     assert len(idx) == 10_000
-    seg_id = 0
     for r in roads:
         for seg in r.geometry.segments():
-            assert (r.road_id, seg_id) in idx.query_bounds(seg.bounds())
-            seg_id += 1
+            # a point on the segment: its own bbox is at distance 0, so a
+            # segment lost from the tree would leave a farther road as nearest
+            mid = PlanePoint((seg.a.x + seg.b.x) / 2, (seg.a.y + seg.b.y) / 2)
+            road_id, _, dist = idx.nearest(mid)
+            assert road_id == r.road_id
+            assert dist <= nearest_point_on_segment(mid, seg)[1]
 
 
 def test_duplicate_geometry_distinct_ids_both_present():
     r0 = road(0, (0, 0), (10, 0))
     r1 = road(1, (0, 0), (10, 0))
-    idx = build_segment_index([r0, r1])
-    found = idx.query_bounds((0, 0, 10, 0))
-    assert (0, 0) in found and (1, 1) in found
+    # neither input order may drop a duplicate: the tie goes to road 0 both times
+    for roads in ([r0, r1], [r1, r0]):
+        idx = SegmentIndex(roads)
+        assert len(idx) == 2
+        assert idx.nearest(PlanePoint(5, 3)) == (0, PlanePoint(5, 0), 3.0)
 
 
 def test_nearest_perpendicular_foot():
-    idx = build_segment_index([road(0, (-10, 0), (10, 0))])
-    road_id, point, dist = nearest_road(idx, PlanePoint(0, 5))
+    idx = SegmentIndex([road(0, (-10, 0), (10, 0))])
+    road_id, point, dist = idx.nearest(PlanePoint(0, 5))
     assert road_id == 0
     assert point == PlanePoint(0, 0)
     assert dist == 5.0
@@ -61,22 +66,22 @@ def test_nearest_perpendicular_foot():
 
 def test_nearest_tie_breaks_to_lowest_road_id():
     roads = [road(0, (-10, 1), (10, 1)), road(1, (-10, -1), (10, -1))]
-    idx = build_segment_index(roads)
-    road_id, _, dist = nearest_road(idx, PlanePoint(0, 0))
+    idx = SegmentIndex(roads)
+    road_id, _, dist = idx.nearest(PlanePoint(0, 0))
     assert dist == 1.0
     assert road_id == 0
     # order of the input list does not change the winner
-    idx2 = build_segment_index(list(reversed(roads)))
-    assert nearest_road(idx2, PlanePoint(0, 0))[0] == 0
+    idx2 = SegmentIndex(list(reversed(roads)))
+    assert idx2.nearest(PlanePoint(0, 0))[0] == 0
 
 
 def test_nearest_matches_brute_force_exactly():
     rng = random.Random(17)
     roads = random_roads(rng, 1_000)
-    idx = build_segment_index(roads)
+    idx = SegmentIndex(roads)
     for _ in range(1_000):
         p = PlanePoint(rng.uniform(-500, 2500), rng.uniform(-500, 2500))
-        got = nearest_road(idx, p)
+        got = idx.nearest(p)
         want = brute_nearest(roads, p)
         assert got[0] == want[0]
         assert got[1] == want[1]
@@ -85,8 +90,8 @@ def test_nearest_matches_brute_force_exactly():
 
 def test_nearest_is_not_radius_limited():
     # a lone far-away road must still be found
-    idx = build_segment_index([road(0, (100_000, 100_000), (100_001, 100_000))])
-    road_id, _, dist = nearest_road(idx, PlanePoint(0, 0))
+    idx = SegmentIndex([road(0, (100_000, 100_000), (100_001, 100_000))])
+    road_id, _, dist = idx.nearest(PlanePoint(0, 0))
     assert road_id == 0
     assert dist > 100_000
 
@@ -102,13 +107,13 @@ def square_building(building_id, x0, y0, size=10.0):
 
 
 def test_candidates_far_from_boxes_is_empty():
-    idx = build_polygon_index([square_building(0, 0, 0)])
-    assert candidates_for_segment(idx, Segment(PlanePoint(100, 100), PlanePoint(200, 200))) == set()
+    idx = PolygonIndex([square_building(0, 0, 0)])
+    assert idx.candidates_for_segment(Segment(PlanePoint(100, 100), PlanePoint(200, 200))) == set()
 
 
 def test_candidates_through_one_box():
-    idx = build_polygon_index([square_building(0, 0, 0), square_building(1, 50, 50)])
-    got = candidates_for_segment(idx, Segment(PlanePoint(-5, 5), PlanePoint(15, 5)))
+    idx = PolygonIndex([square_building(0, 0, 0), square_building(1, 50, 50)])
+    got = idx.candidates_for_segment(Segment(PlanePoint(-5, 5), PlanePoint(15, 5)))
     assert 0 in got and 1 not in got
 
 
@@ -116,7 +121,7 @@ def test_candidates_never_miss_a_true_intersector():
     rng = random.Random(31)
     for _ in range(500):
         buildings, _ = random_scene(rng, rng.randint(5, 40), 1, span=300.0)
-        idx = build_polygon_index(buildings)
+        idx = PolygonIndex(buildings)
         seg = Segment(
             PlanePoint(rng.uniform(-50, 350), rng.uniform(-50, 350)),
             PlanePoint(rng.uniform(-50, 350), rng.uniform(-50, 350)),
@@ -126,7 +131,7 @@ def test_candidates_never_miss_a_true_intersector():
             for b in buildings
             if segment_intersects_polygon(seg, b.footprint)
         }
-        assert truth <= candidates_for_segment(idx, seg)
+        assert truth <= idx.candidates_for_segment(seg)
 
 
 def test_empty_polygon_index_queries_fine():
@@ -144,5 +149,9 @@ def test_deterministic_build_given_same_input_order():
     for _ in range(200):
         p = PlanePoint(probe_rng.uniform(0, 2000), probe_rng.uniform(0, 2000))
         assert idx1.nearest(p) == idx2.nearest(p)
-        b = (p.x - 30, p.y - 30, p.x + 30, p.y + 30)
-        assert sorted(idx1.query_bounds(b)) == sorted(idx2.query_bounds(b))
+
+
+def test_nearest_tie_within_road_takes_lowest_segment_id():
+    # p is equidistant from both segments of an L-shaped road
+    idx = SegmentIndex([road(0, (0, 0), (1, 0), (1, 1))])
+    assert idx.nearest(PlanePoint(0.5, 0.5)) == (0, PlanePoint(0.5, 0.0), 0.5)
