@@ -10,6 +10,7 @@ layers). Exit codes: 0 ok, 2 configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 from . import ingest, metrics, outputs
 from .classify import classify_all, distribution
 from .config import PipelineConfig, load_config
-from .errors import ConfigurationError, PipelineError
+from .errors import ConfigurationError, EvaluationError, PipelineError
 from .evaluate import evaluation_report, ternary_proportions
 from .grid import aggregate, enumerate_empty_cells
 from .spatial_index import PolygonIndex, SegmentIndex
@@ -112,12 +113,26 @@ def cmd_run(config: PipelineConfig) -> int:
     return 0
 
 
+def _check_run_cell_size(manifest_path: Path, cell_size: float) -> None:
+    """Votes name cells of the configured grid, so the run must have used it."""
+    try:
+        run_cell_size = json.loads(manifest_path.read_text(encoding="utf-8"))["parameters"]["cell_size"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise EvaluationError(f"cannot read the run's cell_size from {manifest_path}: {exc!r}") from exc
+    if run_cell_size != cell_size:
+        raise EvaluationError(
+            f"cells in {manifest_path.parent} are on a {run_cell_size} m grid, "
+            f"but cell_size is {cell_size} m"
+        )
+
+
 def cmd_evaluate(config: PipelineConfig) -> int:
     config.validate(require_validations=True)
     out_dir = Path(config.output_dir)
     cells_csv = out_dir / "cells.csv"
     if not cells_csv.exists():
         raise ConfigurationError(f"classified cells not found: {cells_csv} (run the pipeline first)")
+    _check_run_cell_size(out_dir / "manifest.json", config.cell_size)
     cells = outputs.read_cells_csv(cells_csv)
     stats = ingest.LoadStats()
     records = ingest.load_validations(config.validations, stats=stats)

@@ -134,10 +134,6 @@ def bounds_of_points(points: Sequence[PlanePoint]) -> Bounds:
     return (min(xs), min(ys), max(xs), max(ys))
 
 
-def bounds_intersect(a: Bounds, b: Bounds) -> bool:
-    return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
-
-
 def point_bounds_distance(p: PlanePoint, b: Bounds) -> float:
     dx = max(b[0] - p.x, 0.0, p.x - b[2])
     dy = max(b[1] - p.y, 0.0, p.y - b[3])
@@ -216,15 +212,84 @@ def segment_intersects_polygon(s: Segment, poly: Polygon) -> bool:
     """True iff the closed segment shares at least one point with the polygon.
 
     Boundary contact counts as intersection: an edge of any ring touching or
-    crossing the segment, or either endpoint inside the area.
+    crossing the segment, or either endpoint inside the area. Per ring edge
+    this is segments_intersect, with the same arithmetic, but each vertex's
+    side of the segment's line is computed once for both edges that meet
+    there, and the edge's own orientations of the segment endpoints only
+    where they can decide the result.
     """
-    if not bounds_intersect(s.bounds(), poly.bounds()):
+    ax = s.a.x
+    ay = s.a.y
+    bx = s.b.x
+    by = s.b.y
+    sx0, sx1 = (ax, bx) if ax <= bx else (bx, ax)
+    sy0, sy1 = (ay, by) if ay <= by else (by, ay)
+    ext = poly.exterior
+    x0 = x1 = ext[0].x
+    y0 = y1 = ext[0].y
+    for v in ext:
+        if v.x < x0:
+            x0 = v.x
+        elif v.x > x1:
+            x1 = v.x
+        if v.y < y0:
+            y0 = v.y
+        elif v.y > y1:
+            y1 = v.y
+    if sx0 > x1 or x0 > sx1 or sy0 > y1 or y0 > sy1:
         return False
+    dx = bx - ax
+    dy = by - ay
     for ring in poly.rings():
-        for i in range(len(ring) - 1):
-            if segments_intersect(s.a, s.b, ring[i], ring[i + 1]):
+        q = ring[0]
+        qx = q.x
+        qy = q.y
+        w = dx * (qy - ay) - dy * (qx - ax)
+        o1 = 1 if w > 0.0 else (-1 if w < 0.0 else 0)
+        for i in range(1, len(ring)):
+            r = ring[i]
+            rx = r.x
+            ry = r.y
+            w = dx * (ry - ay) - dy * (rx - ax)
+            o2 = 1 if w > 0.0 else (-1 if w < 0.0 else 0)
+            # a ring vertex on the segment (the ring is closed, so checking
+            # each edge's end vertex covers its start vertex too)
+            if o2 == 0 and sx0 <= rx <= sx1 and sy0 <= ry <= sy1:
                 return True
+            ex = rx - qx
+            ey = ry - qy
+            if o1 != o2:
+                # a proper crossing needs the segment endpoints on opposite sides
+                w = ex * (ay - qy) - ey * (ax - qx)
+                o3 = 1 if w > 0.0 else (-1 if w < 0.0 else 0)
+                w = ex * (by - qy) - ey * (bx - qx)
+                o4 = 1 if w > 0.0 else (-1 if w < 0.0 else 0)
+                if o3 != o4:
+                    return True
+                # o3 == o4 here: both segment endpoints are on the edge's line
+                if o3 == 0 and (
+                    _within_edge(ax, ay, qx, qy, rx, ry) or _within_edge(bx, by, qx, qy, rx, ry)
+                ):
+                    return True
+            else:
+                # no proper crossing; a segment endpoint may still lie on the
+                # edge (orientation 0: neither > 0 nor < 0, as in orientation)
+                if _within_edge(ax, ay, qx, qy, rx, ry):
+                    w = ex * (ay - qy) - ey * (ax - qx)
+                    if not (w > 0.0 or w < 0.0):
+                        return True
+                if _within_edge(bx, by, qx, qy, rx, ry):
+                    w = ex * (by - qy) - ey * (bx - qx)
+                    if not (w > 0.0 or w < 0.0):
+                        return True
+            qx = rx
+            qy = ry
+            o1 = o2
     return point_in_polygon(s.a, poly) or point_in_polygon(s.b, poly)
+
+
+def _within_edge(px: float, py: float, qx: float, qy: float, rx: float, ry: float) -> bool:
+    return (qx <= px <= rx or rx <= px <= qx) and (qy <= py <= ry or ry <= py <= qy)
 
 
 # ---------------------------------------------------------------------------

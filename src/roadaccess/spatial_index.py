@@ -1,16 +1,20 @@
-"""Static bounding-box indexes for nearest-road and obstruction queries.
+"""Static indexes for nearest-road and obstruction queries.
 
-Both indexes are packed R-trees built once over immutable entries. Queries
-never mutate state, so a built index can serve any number of threads or
-forked worker processes. Nearest-neighbor search is best-first over bounding
-box lower bounds (no radius cutoff), so it stays correct when features are
-arbitrarily far apart.
+Both are built once over immutable entries, and queries never mutate state,
+so a built index can serve any number of threads or forked worker processes.
+The road index is a packed R-tree. Its nearest-neighbor search is best-first
+over bounding box lower bounds (no radius cutoff), so it stays correct when
+features are arbitrarily far apart. The building index is a uniform grid of
+buckets, and a connector query visits only the buckets the connector crosses,
+so its cost follows the connector's length rather than its bounding box.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
+from collections import defaultdict
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ConfigurationError
@@ -18,7 +22,6 @@ from .geometry import (
     Bounds,
     PlanePoint,
     Segment,
-    bounds_intersect,
     nearest_point_on_segment,
     point_bounds_distance,
 )
@@ -85,18 +88,6 @@ def _build_tree(entries: list[tuple[Bounds, object]]) -> _Node | None:
     return level[0]
 
 
-def _collect_overlapping(node: _Node, query: Bounds, out: list) -> None:
-    if not bounds_intersect(node.bounds, query):
-        return
-    if node.entries is not None:
-        for b, item in node.entries:
-            if bounds_intersect(b, query):
-                out.append(item)
-        return
-    for child in node.children:
-        _collect_overlapping(child, query, out)
-
-
 class SegmentIndex:
     """Index over the constituent straight segments of road polylines.
 
@@ -152,21 +143,132 @@ class SegmentIndex:
         return best_key[1], best_point, best_key[0]
 
 
+# Bucket side: this many median footprint spans (the upper median for an even
+# count), never below the floor (m), which only applies when most footprints
+# have zero span.
+_BUCKET_SPANS = 2.0
+_MIN_BUCKET_M = 1.0
+# Slack of the bucket walk, in bucket sides. It covers the rounding of the
+# transform into grid units, so a connector that runs along a bucket line or
+# through a bucket corner also visits the buckets on the other side.
+_WALK_MARGIN = 1e-6
+# The line-side filter drops a box only when all four corners lie at least
+# about this far (m) on one side of the connector's line.
+_SIDE_TOL_M = 1e-6
+
+
 class PolygonIndex:
-    """Bounding-box index over building footprints."""
+    """Uniform grid of buckets over building footprint bounding boxes.
+
+    Each footprint's bounds are computed once, here, and its position is
+    listed in every bucket its box overlaps. Buckets are keyed by
+    column * rows + row over the occupied extent only.
+    """
 
     def __init__(self, buildings: Iterable["Building"]):
-        entries = [(b.footprint.bounds(), b.building_id) for b in buildings]
-        self._root = _build_tree(entries)
-        self._size = len(entries)
+        self._ids: list[int] = []
+        self._bounds: list[Bounds] = []
+        for b in buildings:
+            self._ids.append(b.building_id)
+            self._bounds.append(b.footprint.bounds())
+        self._buckets: defaultdict[int, list[int]] = defaultdict(list)
+        if not self._bounds:
+            return
+        x0s, y0s, x1s, y1s = zip(*self._bounds)
+        spans = sorted(map(max, map(operator.sub, x1s, x0s), map(operator.sub, y1s, y0s)))
+        side = max(_BUCKET_SPANS * spans[len(spans) // 2], _MIN_BUCKET_M)
+        ox = min(x0s)
+        oy = min(y0s)
+        self._origin = (ox, oy)
+        self._side = side
+        self._cols = int((max(x1s) - ox) / side) + 1
+        self._rows = rows = int((max(y1s) - oy) / side) + 1
+        buckets = self._buckets
+        for k, (x0, y0, x1, y1) in enumerate(self._bounds):
+            r0 = int((y0 - oy) / side)
+            r1 = int((y1 - oy) / side)
+            for c in range(int((x0 - ox) / side), int((x1 - ox) / side) + 1):
+                for key in range(c * rows + r0, c * rows + r1 + 1):
+                    buckets[key].append(k)
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._ids)
 
     def candidates_for_segment(self, s: Segment) -> set[int]:
-        """Superset of buildings possibly intersecting s (bbox filter only)."""
-        found: list[int] = []
-        if self._root is not None:
-            _collect_overlapping(self._root, s.bounds(), found)
-        return set(found)
+        """Superset of the buildings whose footprint may touch the closed segment s.
 
+        Visits, column slab by column slab, only the buckets the segment
+        crosses. A footprint is kept when its box overlaps the segment's box
+        and does not lie wholly on one side of the segment's line.
+        """
+        found: set[int] = set()
+        if not self._buckets:
+            return found
+        ax, ay, bx, by = s.a.x, s.a.y, s.b.x, s.b.y
+        if bx < ax:
+            ax, ay, bx, by = bx, by, ax, ay
+        ox, oy = self._origin
+        side = self._side
+        rows = self._rows
+        m = _WALK_MARGIN
+        floor = math.floor
+        # in grid units; columns are walked left to right
+        ua = (ax - ox) / side
+        ub = (bx - ox) / side
+        va = (ay - oy) / side
+        vb = (by - oy) / side
+        du = ub - ua
+        slope = (vb - va) / du if du > 0.0 else 0.0
+        v0, v1 = (va, vb) if va <= vb else (vb, va)
+        first = floor(ua - m)
+        last = floor(ub + m)
+        if first < 0:
+            first = 0
+        if last >= self._cols:
+            last = self._cols - 1
+        buckets = self._buckets
+        positions: set[int] = set()
+        for c in range(first, last + 1):
+            if du > 0.0:
+                # the segment's rows within this column slab, widened by m
+                u0 = c - m
+                u1 = c + 1 + m
+                v0 = va + slope * ((u0 if u0 > ua else ua) - ua)
+                v1 = va + slope * ((u1 if u1 < ub else ub) - ua)
+                if v0 > v1:
+                    v0, v1 = v1, v0
+            r0 = floor(v0 - m)
+            r1 = floor(v1 + m)
+            if r0 < 0:
+                r0 = 0
+            if r1 >= rows:
+                r1 = rows - 1
+            for key in range(c * rows + r0, c * rows + r1 + 1):
+                bucket = buckets.get(key)
+                if bucket is not None:
+                    positions.update(bucket)
+
+        sy0, sy1 = (ay, by) if ay <= by else (by, ay)
+        dx = bx - ax
+        dy = by - ay
+        tol = _SIDE_TOL_M * (abs(dx) + abs(dy))
+        bounds = self._bounds
+        ids = self._ids
+        for k in positions:
+            x0, y0, x1, y1 = bounds[k]
+            if x0 > bx or x1 < ax or y0 > sy1 or y1 < sy0:
+                continue
+            # a corner's side of the line is dx * (y - ay) - dy * (x - ax);
+            # take the extremes of both terms over the four corners
+            p = dx * (y0 - ay)
+            q = dx * (y1 - ay)
+            if p > q:
+                p, q = q, p
+            r = dy * (x0 - ax)
+            t = dy * (x1 - ax)
+            if r > t:
+                r, t = t, r
+            if q - r < -tol or p - t > tol:
+                continue
+            found.add(ids[k])
+        return found

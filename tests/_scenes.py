@@ -2,7 +2,9 @@
 
 The oracles here are deliberately exhaustive scans (O(N*M) nearest road,
 O(N^2) obstruction counting) so the indexed pipeline can be checked for
-exact agreement.
+exact agreement. The obstruction oracle uses its own segment-polygon
+predicate, written edge by edge, so it does not share code with the
+optimized one in roadaccess.geometry.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from roadaccess.geometry import (
     Polyline,
     Segment,
     nearest_point_on_segment,
-    segment_intersects_polygon,
 )
 from roadaccess.ingest import Building, RoadSegment
 from roadaccess.levels import Surface
@@ -75,6 +76,71 @@ def random_scene(
     return buildings, roads
 
 
+def _orientation(a: PlanePoint, b: PlanePoint, c: PlanePoint) -> int:
+    v = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+    if v > 0.0:
+        return 1
+    if v < 0.0:
+        return -1
+    return 0
+
+
+def _within_span(p: PlanePoint, a: PlanePoint, b: PlanePoint) -> bool:
+    return (
+        min(a.x, b.x) <= p.x <= max(a.x, b.x)
+        and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+    )
+
+
+def _segments_intersect(p1, p2, q1, q2) -> bool:
+    o1 = _orientation(p1, p2, q1)
+    o2 = _orientation(p1, p2, q2)
+    o3 = _orientation(q1, q2, p1)
+    o4 = _orientation(q1, q2, p2)
+    if o1 != o2 and o3 != o4:
+        return True
+    return (
+        (o1 == 0 and _within_span(q1, p1, p2))
+        or (o2 == 0 and _within_span(q2, p1, p2))
+        or (o3 == 0 and _within_span(p1, q1, q2))
+        or (o4 == 0 and _within_span(p2, q1, q2))
+    )
+
+
+def _inside(p: PlanePoint, poly: Polygon) -> bool:
+    """Even-odd ray crossing over every ring."""
+    inside = False
+    for ring in poly.rings():
+        for i in range(len(ring) - 1):
+            a = ring[i]
+            b = ring[i + 1]
+            if (a.y > p.y) != (b.y > p.y):
+                if p.x < a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y):
+                    inside = not inside
+    return inside
+
+
+def reference_segment_intersects_polygon(s: Segment, poly: Polygon) -> bool:
+    """Closed segment touches the polygon: a four-orientation test per ring edge.
+
+    Boundary contact counts, as does either endpoint inside the area.
+    """
+    xs = [p.x for p in poly.exterior]
+    ys = [p.y for p in poly.exterior]
+    if (
+        max(s.a.x, s.b.x) < min(xs)
+        or min(s.a.x, s.b.x) > max(xs)
+        or max(s.a.y, s.b.y) < min(ys)
+        or min(s.a.y, s.b.y) > max(ys)
+    ):
+        return False
+    for ring in poly.rings():
+        for i in range(len(ring) - 1):
+            if _segments_intersect(s.a, s.b, ring[i], ring[i + 1]):
+                return True
+    return _inside(s.a, poly) or _inside(s.b, poly)
+
+
 def brute_nearest(
     roads: list[RoadSegment], p: PlanePoint
 ) -> tuple[int, PlanePoint, float]:
@@ -104,7 +170,7 @@ def brute_obstructions(
         1
         for other in buildings
         if other.building_id != source.building_id
-        and segment_intersects_polygon(seg, other.footprint)
+        and reference_segment_intersects_polygon(seg, other.footprint)
     )
 
 

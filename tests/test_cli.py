@@ -243,6 +243,28 @@ def test_evaluate_all_votes_outside_is_evaluation_error(formal_fixture):
     assert main(["evaluate", "--config", str(cfg)]) == 4
 
 
+def test_evaluate_on_another_cell_size_is_evaluation_error(tmp_path, formal_fixture, capsys):
+    _, files = formal_fixture
+    validations = tmp_path / "votes.csv"
+    validations.write_text("cell_i,cell_j,validator_id,level\n0,0,a,low\n")
+    cfg = write_config(tmp_path, files, out_name="grid", validations=str(validations))
+    assert main(["run", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    coarse = json.loads(cfg.read_text())
+    coarse["cell_size"] = 200.0
+    cfg_coarse = tmp_path / "config_coarse.json"
+    cfg_coarse.write_text(json.dumps(coarse))
+    assert main(["evaluate", "--config", str(cfg_coarse)]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("evaluation-error: ")
+    assert "100.0" in err[0] and "200.0" in err[0]
+    assert not (tmp_path / "grid" / "evaluation.json").exists()
+    # the run's own grid still evaluates; a missing manifest cannot be checked
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    (tmp_path / "grid" / "manifest.json").unlink()
+    assert main(["evaluate", "--config", str(cfg)]) == 4
+
+
 def test_export_connectors_consistent_with_metrics_csv(formal_fixture):
     tmp, files = formal_fixture
     cfg = write_config(tmp, files, out_name="conn")

@@ -19,6 +19,8 @@ from roadaccess.geometry import (
     segments_intersect,
 )
 
+from _scenes import reference_segment_intersects_polygon
+
 
 def square(x0, y0, x1, y1):
     return Polygon(
@@ -215,6 +217,74 @@ def test_segment_polygon_predicate_agrees_with_sampling_oracle():
                 pytest.fail("sampling found interior point but predicate said no")
     # transversal scenes should almost never disagree
     assert disagreements <= 5
+
+
+def _lattice_point(rng: random.Random, step: float) -> PlanePoint:
+    return PlanePoint(rng.randint(-1, 9) * step, rng.randint(-1, 9) * step)
+
+
+def _lattice_rect(step: float, x0: int, y0: int, x1: int, y1: int) -> list[PlanePoint]:
+    return [PlanePoint(x * step, y * step) for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]
+
+
+def _lattice_polygon(rng: random.Random, step: float) -> Polygon:
+    """A rectangle (a third with a hole, inside or touching its edge) or a
+    3-6 vertex lattice ring, which may be concave, self-crossing or have
+    collinear and repeated vertices."""
+    if rng.random() < 0.5:
+        x0, x1 = sorted(rng.sample(range(0, 9), 2))
+        y0, y1 = sorted(rng.sample(range(0, 9), 2))
+        holes = []
+        if rng.random() < 1 / 3 and x1 - x0 >= 2 and y1 - y0 >= 2:
+            hx0 = rng.randint(x0, x1 - 1)
+            hy0 = rng.randint(y0, y1 - 1)
+            hx1 = rng.randint(hx0 + 1, x1)
+            hy1 = rng.randint(hy0 + 1, y1)
+            holes.append(_lattice_rect(step, hx0, hy0, hx1, hy1))
+        return Polygon(_lattice_rect(step, x0, y0, x1, y1), holes)
+    while True:
+        try:
+            return Polygon([_lattice_point(rng, step) for _ in range(rng.randint(3, 6))])
+        except ValueError:  # fewer than three distinct vertices after closing
+            continue
+
+
+def _lattice_segment(rng: random.Random, step: float, poly: Polygon) -> Segment:
+    """A random, zero-length, vertex-anchored or edge-collinear segment."""
+    kind = rng.randrange(4)
+    ring = rng.choice(list(poly.rings()))
+    if kind == 0:
+        return Segment(_lattice_point(rng, step), _lattice_point(rng, step))
+    if kind == 1:  # zero length, on a vertex or anywhere
+        p = rng.choice(ring) if rng.random() < 0.5 else _lattice_point(rng, step)
+        return Segment(p, p)
+    if kind == 2:  # one end on a vertex
+        return Segment(rng.choice(ring), _lattice_point(rng, step))
+    # along the line of an edge: shared edges, overlaps, segments inside an
+    # edge, end touches
+    i = rng.randrange(len(ring) - 1)
+    a, b = ring[i], ring[i + 1]
+    t, u = (rng.choice((-1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)) for _ in range(2))
+    return Segment(
+        PlanePoint(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)),
+        PlanePoint(a.x + u * (b.x - a.x), a.y + u * (b.y - a.y)),
+    )
+
+
+def test_segment_polygon_predicate_matches_reference_on_lattices():
+    rng = random.Random(7)
+    cases = hits = 0
+    for _ in range(2_000):
+        step = rng.choice((1.0, 0.5))
+        poly = _lattice_polygon(rng, step)
+        for _ in range(12):
+            seg = _lattice_segment(rng, step, poly)
+            want = reference_segment_intersects_polygon(seg, poly)
+            assert segment_intersects_polygon(seg, poly) == want, (seg, poly.exterior, poly.holes)
+            cases += 1
+            hits += want
+    assert cases >= 20_000
+    assert 0.2 * cases < hits < 0.8 * cases
 
 
 def test_rect_polygon_distance():

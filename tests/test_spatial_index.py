@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadaccess.errors import ConfigurationError
 from roadaccess.geometry import (
@@ -14,7 +16,12 @@ from roadaccess.geometry import (
 from roadaccess.ingest import Building, RoadSegment
 from roadaccess.spatial_index import PolygonIndex, SegmentIndex
 
-from _scenes import brute_nearest, random_roads, random_scene
+from _scenes import (
+    brute_nearest,
+    random_roads,
+    random_scene,
+    reference_segment_intersects_polygon,
+)
 
 
 def road(road_id, *xy, cls="residential"):
@@ -155,3 +162,145 @@ def test_nearest_tie_within_road_takes_lowest_segment_id():
     # p is equidistant from both segments of an L-shaped road
     idx = SegmentIndex([road(0, (0, 0), (1, 0), (1, 1))])
     assert idx.nearest(PlanePoint(0.5, 0.5)) == (0, PlanePoint(0.5, 0.0), 0.5)
+
+
+def _touching(buildings, seg):
+    return {
+        b.building_id
+        for b in buildings
+        if reference_segment_intersects_polygon(seg, b.footprint)
+    }
+
+
+def _seg(x0, y0, x1, y1):
+    return Segment(PlanePoint(x0, y0), PlanePoint(x1, y1))
+
+
+def test_grid_box_edges_and_connectors_on_bucket_lines():
+    # a checkerboard of 10 m squares from the origin: the median span is 10 m,
+    # so buckets are 20 m and every other box edge lies on a bucket line
+    corners = [(x, y) for x in range(0, 80, 10) for y in range(0, 80, 10) if (x + y) % 20 == 0]
+    buildings = [square_building(i, x, y) for i, (x, y) in enumerate(corners)]
+    idx = PolygonIndex(buildings)
+    assert idx._side == 20.0 and idx._origin == (0.0, 0.0)
+    segs = []
+    for k in range(-10, 91, 5):
+        segs.append(_seg(-10, k, 90, k))  # horizontal, along bucket and box lines
+        segs.append(_seg(k, 90, k, -10))  # vertical
+        segs.append(_seg(k, -10, k, -10))  # zero length
+    for c in range(0, 81, 20):
+        segs.append(_seg(0, c, c, 0))  # through bucket corners
+        segs.append(_seg(c, 0, 80, 80 - c))
+        segs.append(_seg(c - 20, -20, c + 100, 100))
+    rng = random.Random(5)
+    for _ in range(1_000):
+        segs.append(_seg(*(rng.randrange(-20, 101, 5) for _ in range(4))))
+    hits = 0
+    for seg in segs:
+        truth = _touching(buildings, seg)
+        assert truth <= idx.candidates_for_segment(seg), seg
+        hits += len(truth)
+    assert hits > len(segs)
+
+
+def test_grid_axis_parallel_connectors_in_random_scenes():
+    rng = random.Random(41)
+    for _ in range(100):
+        buildings, _ = random_scene(rng, 30, 1, span=200.0)
+        idx = PolygonIndex(buildings)
+        for _ in range(10):
+            x, y, t = (rng.uniform(-20, 220) for _ in range(3))
+            for seg in (_seg(x, y, x, t), _seg(x, y, t, y)):
+                assert _touching(buildings, seg) <= idx.candidates_for_segment(seg)
+
+
+def test_grid_far_road_end_is_clamped_not_missed():
+    rng = random.Random(43)
+    buildings, _ = random_scene(rng, 200, 1, span=300.0)
+    idx = PolygonIndex(buildings)
+    for b in buildings[:40]:
+        c = b.centroid
+        for end in (
+            PlanePoint(c.x + 1e6, c.y),
+            PlanePoint(c.x, c.y - 1e6),
+            PlanePoint(c.x - 1e6, c.y - 1e6),
+            PlanePoint(c.x + 1e6, c.y + 3e5),
+        ):
+            seg = Segment(c, end)
+            got = idx.candidates_for_segment(seg)
+            assert b.building_id in got
+            assert _touching(buildings, seg) <= got
+    # a segment wholly outside the occupied extent visits nothing
+    assert idx.candidates_for_segment(_seg(1e6, 1e6, 1e6 + 5, 2e6)) == set()
+
+
+def _zero_span_building(building_id, x, y):
+    p = PlanePoint(x, y)
+    return Building.from_footprint(building_id, Polygon([p, p, p, p]))
+
+
+def test_grid_identical_and_zero_span_footprints():
+    same = [square_building(i, 5, 5) for i in range(6)]
+    idx = PolygonIndex(same)
+    assert idx.candidates_for_segment(_seg(0, 0, 20, 20)) == set(range(6))
+    assert idx.candidates_for_segment(_seg(15, 0, 15, 20)) == set(range(6))  # along the right edge
+    assert idx.candidates_for_segment(_seg(16, 0, 16, 20)) == set()
+
+    points = [(0, 0), (3, 0), (3, 4), (7.5, 2), (7.5, 2), (-2, 9)]
+    dots = [_zero_span_building(i, x, y) for i, (x, y) in enumerate(points)]
+    idx = PolygonIndex(dots)
+    assert len(idx) == len(points)
+    for seg, want in (
+        (_seg(0, 0, 3, 4), {0, 2}),
+        (_seg(-1, 0, 10, 0), {0, 1}),
+        (_seg(7.5, -5, 7.5, 5), {3, 4}),
+        (_seg(3, 4, 3, 4), {2}),
+        (_seg(-2, 9, 3, 0), {1, 5}),
+    ):
+        assert _touching(dots, seg) == want
+        assert want <= idx.candidates_for_segment(seg)
+
+    lone = PolygonIndex([_zero_span_building(0, 1e6, -1e6)])
+    assert lone.candidates_for_segment(_seg(0, 0, 2e6, -2e6)) == {0}
+    assert lone.candidates_for_segment(_seg(0, 0, 2e6, -2e6 + 1)) == set()
+
+
+_COORD = st.integers(-16, 16).map(lambda k: k / 2)
+
+
+def _lattice_footprint(kind, x, y, w, h, extra):
+    if kind == "rect":  # w == 0 or h == 0 gives zero-area and zero-span boxes
+        ring = [(x, y), (x + w, y), (x + w, y + h), (x, y + h)]
+    else:
+        ring = [(x, y)] + extra
+    try:
+        return Polygon([PlanePoint(px, py) for px, py in ring])
+    except ValueError:
+        return None
+
+
+_FOOTPRINT = st.builds(
+    _lattice_footprint,
+    st.sampled_from(("rect", "ring")),
+    _COORD,
+    _COORD,
+    st.integers(0, 8).map(lambda k: k / 2),
+    st.integers(0, 8).map(lambda k: k / 2),
+    st.lists(st.tuples(_COORD, _COORD), min_size=2, max_size=4),
+)
+_END = st.one_of(_COORD, _COORD, st.sampled_from((-1e6, 1e6)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    footprints=st.lists(_FOOTPRINT, min_size=1, max_size=25),
+    ends=st.lists(st.tuples(_COORD, _COORD, _END, _END), min_size=1, max_size=8),
+)
+def test_grid_candidates_contain_every_true_intersector(footprints, ends):
+    buildings = [
+        Building.from_footprint(i, poly) for i, poly in enumerate(footprints) if poly is not None
+    ]
+    idx = PolygonIndex(buildings)
+    for x0, y0, x1, y1 in ends:
+        seg = _seg(x0, y0, x1, y1)
+        assert _touching(buildings, seg) <= idx.candidates_for_segment(seg)
