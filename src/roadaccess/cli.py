@@ -60,6 +60,9 @@ def cmd_run(config: PipelineConfig) -> int:
     config.validate()
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # A manifest left by an earlier run would vouch for outputs this run is
+    # about to replace; it is written again, last, once they are all in place.
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     counts: dict = {}
     buildings, motorable, boundary = _load_inputs(config, counts)
 
@@ -154,11 +157,16 @@ def cmd_export_connectors(config: PipelineConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     counts: dict = {}
     buildings, motorable, _ = _load_inputs(config, counts)
-    road_index = SegmentIndex(motorable)
     building_metrics = metrics.compute_all(
-        buildings, road_index, PolygonIndex(buildings), motorable, config.workers
+        buildings, SegmentIndex(motorable), PolygonIndex(buildings), motorable, config.workers
     )
-    connectors = metrics.connectors_for(buildings, road_index)
+    centroids = {b.building_id: b.centroid for b in buildings}
+    connectors = [
+        metrics.ConnectorLine(
+            m.building_id, centroids[m.building_id], m.road_point, m.road_id, m.road_distance
+        )
+        for m in building_metrics
+    ]
     by_id = {m.building_id: m for m in building_metrics}
     outputs.write_connectors_geojson(out_dir / "connectors.geojson", connectors, by_id)
     outputs.write_building_metrics_csv(out_dir / "building_metrics.csv", building_metrics)

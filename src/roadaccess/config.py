@@ -105,11 +105,12 @@ def load_config(path: Path | str) -> PipelineConfig:
     base = Path(path).resolve().parent
     kwargs = dict(raw)
     for key in _PATH_KEYS:
-        if kwargs.get(key) is not None:
-            if not isinstance(kwargs[key], str):
-                raise ConfigurationError(f"{key} must be a path string, got {kwargs[key]!r}")
-            p = Path(kwargs[key])
-            kwargs[key] = p if p.is_absolute() else base / p
+        if key == "validations" and kwargs.get(key) is None:
+            continue  # the only optional path
+        if not isinstance(kwargs[key], str):
+            raise ConfigurationError(f"{key} must be a path string, got {kwargs[key]!r}")
+        p = Path(kwargs[key])
+        kwargs[key] = p if p.is_absolute() else base / p
     try:
         return PipelineConfig(**kwargs)
     except TypeError as exc:

@@ -36,14 +36,6 @@ class Segment:
     a: PlanePoint
     b: PlanePoint
 
-    def bounds(self) -> Bounds:
-        return (
-            min(self.a.x, self.b.x),
-            min(self.a.y, self.b.y),
-            max(self.a.x, self.b.x),
-            max(self.a.y, self.b.y),
-        )
-
 
 class Polyline:
     """Open chain of vertices; consecutive duplicates are dropped on construction."""
@@ -67,10 +59,6 @@ class Polyline:
 
     def __hash__(self) -> int:
         return hash(self.vertices)
-
-    def segments(self) -> list[Segment]:
-        vs = self.vertices
-        return [Segment(vs[i], vs[i + 1]) for i in range(len(vs) - 1)]
 
     def bounds(self) -> Bounds:
         return bounds_of_points(self.vertices)
@@ -132,12 +120,6 @@ def bounds_of_points(points: Sequence[PlanePoint]) -> Bounds:
     xs = [p.x for p in points]
     ys = [p.y for p in points]
     return (min(xs), min(ys), max(xs), max(ys))
-
-
-def point_bounds_distance(p: PlanePoint, b: Bounds) -> float:
-    dx = max(b[0] - p.x, 0.0, p.x - b[2])
-    dy = max(b[1] - p.y, 0.0, p.y - b[3])
-    return math.hypot(dx, dy)
 
 
 def point_in_bounds(p: PlanePoint, b: Bounds) -> bool:

@@ -27,7 +27,7 @@ from .geometry import (
 )
 from .grid import CellId
 from .levels import DeprivationLevel, Surface, normalize_surface
-from .projection import GeoPoint, project_forward
+from .projection import project_lonlat
 
 log = logging.getLogger(__name__)
 
@@ -142,9 +142,25 @@ def _feature_parts(feature: object) -> tuple[dict, dict]:
     return geom, props
 
 
+_NUMBER_TYPES = (int, float)
+
+
+def _lonlat(pos: Sequence[float]) -> tuple[float, float]:
+    """lon, lat of a position: its first two members, each an int or float.
+
+    A bool, a string or any other type raises ValueError, and a position
+    with fewer than two members raises IndexError. Members after the second
+    (altitude) are ignored.
+    """
+    lon = pos[0]
+    lat = pos[1]
+    if type(lon) not in _NUMBER_TYPES or type(lat) not in _NUMBER_TYPES:
+        raise ValueError(f"position coordinates must be numbers, got {pos!r}")
+    return lon, lat
+
+
 def _project_position(pos: Sequence[float]) -> PlanePoint:
-    lon, lat = float(pos[0]), float(pos[1])
-    return project_forward(GeoPoint(lon, lat))
+    return project_lonlat(*_lonlat(pos))
 
 
 def _project_line(coords: Sequence[Sequence[float]]) -> Polyline:
@@ -152,7 +168,15 @@ def _project_line(coords: Sequence[Sequence[float]]) -> Polyline:
 
 
 def _project_ring(coords: Sequence[Sequence[float]]) -> list[PlanePoint]:
-    return [_project_position(pos) for pos in coords]
+    points = [_project_position(pos) for pos in coords[:-1]]
+    last = coords[-1]
+    if points and last == coords[0]:
+        # the closing position repeats the first: reuse its point
+        _lonlat(last)
+        points.append(points[0])
+    else:
+        points.append(_project_position(last))
+    return points
 
 
 def _polygon_from_rings(rings: Sequence[Sequence[Sequence[float]]]) -> Polygon:
@@ -191,7 +215,7 @@ def load_roads(
             else:
                 raise ValueError(f"unsupported geometry type {gtype!r}")
             lines = [_project_line(part) for part in parts]
-        except (ValueError, TypeError, KeyError, IndexError) as exc:
+        except (ValueError, TypeError, KeyError, IndexError, OverflowError) as exc:
             stats.skipped += 1
             log.warning("skipping road feature %d in %s: %s", n, path, exc)
             continue
@@ -290,7 +314,7 @@ def load_buildings(
                 stats.loaded += 1  # valid feature, filtered by choice
                 continue
             polygons = _building_polygons(geom)
-        except (ValueError, TypeError, KeyError, IndexError) as exc:
+        except (ValueError, TypeError, KeyError, IndexError, OverflowError) as exc:
             stats.skipped += 1
             log.warning("skipping building feature %d in %s: %s", n, path, exc)
             continue
@@ -358,7 +382,7 @@ def load_boundary(path: Path | str) -> Boundary:
                 poly = _polygon_from_rings(geom["coordinates"][0])
             else:
                 continue
-        except (ValueError, TypeError, KeyError, IndexError) as exc:
+        except (ValueError, TypeError, KeyError, IndexError, OverflowError) as exc:
             raise DataError(f"{path}: malformed boundary polygon: {exc}") from exc
         if polygon_area(poly) < 1e-9:
             raise DataError(f"{path}: boundary polygon has no area")

@@ -9,7 +9,6 @@ deliberately distance-agnostic: only intersection topology matters.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -35,6 +34,7 @@ class BuildingMetrics:
     nearest_surface: Surface
     road_distance: float
     road_id: int
+    road_point: PlanePoint  # the connector's end on the nearest road
 
 
 def build_connector(building: Building, road_index: SegmentIndex) -> ConnectorLine:
@@ -75,6 +75,7 @@ def _metrics_for_building(
         nearest_surface=roads_by_id[connector.road_id].surface,
         road_distance=connector.road_distance,
         road_id=connector.road_id,
+        road_point=connector.end,
     )
 
 
@@ -119,6 +120,9 @@ def compute_all(
             for b in buildings
         ]
     else:
+        # imported here so that a serial run never loads the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, (len(buildings) + workers * 4 - 1) // (workers * 4))
         slices = [
             (lo, min(lo + chunk, len(buildings)))
@@ -137,7 +141,11 @@ def compute_all(
 def connectors_for(
     buildings: Sequence[Building], road_index: SegmentIndex
 ) -> list[ConnectorLine]:
-    """Connectors for all buildings, ordered by building_id (export helper)."""
+    """Connectors for all buildings, ordered by building_id.
+
+    The CLI takes connectors from compute_all's metrics instead; only
+    perfbench/traced.py still calls this.
+    """
     return sorted(
         (build_connector(b, road_index) for b in buildings),
         key=lambda c: c.building_id,

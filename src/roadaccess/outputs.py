@@ -2,7 +2,8 @@
 
 All writers are deterministic for identical inputs (sorted keys, fixed
 newlines, repr-based float formatting), which is what makes byte-identical
-re-runs possible.
+re-runs possible. Each writes to a temporary name and then renames it over
+the target, so a failed write never leaves a partial file under that name.
 """
 
 from __future__ import annotations
@@ -10,8 +11,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .classify import ClassifiedCell
 from .errors import DataError
@@ -46,8 +49,25 @@ def _cell_ring(cell: CellId, cell_size: float) -> list[list[float]]:
     return [_lonlat(x0, y0), _lonlat(x1, y0), _lonlat(x1, y1), _lonlat(x0, y1), _lonlat(x0, y0)]
 
 
+@contextmanager
+def _replacing(path: Path | str, newline: str | None = None) -> Iterator[TextIO]:
+    """A text file written under a temporary name next to path.
+
+    It replaces path only once the block completes, so an error part-way
+    leaves the previous file, or none, and never a truncated one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_json(path: Path | str, doc: object) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with _replacing(path) as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -78,7 +98,7 @@ def write_cells_geojson(
 
 
 def write_cells_csv(path: Path | str, cells: Sequence[ClassifiedCell]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with _replacing(path, newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(_CELL_FIELDS)
         for c in cells:
@@ -127,7 +147,7 @@ def write_aggregates_csv(
     path: Path | str, aggregates: Mapping[CellId, CellAggregate]
 ) -> None:
     """Intermediate per-cell aggregates, before classification."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with _replacing(path, newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["i", "j", "building_count", "mean_obstruction", "modal_surface"])
         for cell in sorted(aggregates):
@@ -146,7 +166,7 @@ def write_aggregates_csv(
 def write_building_metrics_csv(
     path: Path | str, metrics: Sequence[BuildingMetrics]
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with _replacing(path, newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(
             ["building_id", "obstruction_count", "nearest_surface", "road_distance", "road_id"]
@@ -194,7 +214,7 @@ def write_connectors_geojson(
 
 
 def write_ternary_csv(path: Path | str, points: Iterable[TernaryPoint]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with _replacing(path, newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["i", "j", "p_low", "p_medium", "p_high", "n_votes"])
         for t in points:

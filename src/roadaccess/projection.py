@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import cos, isfinite, sin
 
 from .geometry import PlanePoint
 
@@ -24,6 +25,7 @@ _POLE_EPS_DEG = 1e-9
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 50
 _X_SCALE = SPHERE_RADIUS_M * 2.0 * _SQRT2 / math.pi
+_RAD_PER_DEG = math.pi / 180.0
 
 
 @dataclass(frozen=True)
@@ -34,12 +36,16 @@ class GeoPoint:
     lat: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lon) and math.isfinite(self.lat)):
-            raise ValueError(f"non-finite geographic coordinates ({self.lon!r}, {self.lat!r})")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"longitude out of range: {self.lon!r}")
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"latitude out of range: {self.lat!r}")
+        _check_lonlat(self.lon, self.lat)
+
+
+def _check_lonlat(lon: float, lat: float) -> None:
+    if not (isfinite(lon) and isfinite(lat)):
+        raise ValueError(f"non-finite geographic coordinates ({lon!r}, {lat!r})")
+    if not -180.0 <= lon <= 180.0:
+        raise ValueError(f"longitude out of range: {lon!r}")
+    if not -90.0 <= lat <= 90.0:
+        raise ValueError(f"latitude out of range: {lat!r}")
 
 
 def _theta_bisect(target: float) -> float:
@@ -56,37 +62,42 @@ def _theta_bisect(target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _theta_for_latitude(lat_deg: float) -> float:
-    # Newton denominator vanishes at the poles; short-circuit there.
-    if abs(lat_deg) >= 90.0 - _POLE_EPS_DEG:
-        return math.copysign(_HALF_PI, lat_deg)
-    phi = math.radians(lat_deg)
-    target = math.pi * math.sin(phi)
+def project_lonlat(lon: float, lat: float) -> PlanePoint:
+    """Project geographic degrees onto the equal-area plane (meters).
+
+    Raises ValueError, as GeoPoint does, for a non-finite or out-of-range
+    coordinate.
+    """
+    _check_lonlat(lon, lat)
+    # Newton's denominator vanishes at the poles; short-circuit there.
+    if abs(lat) >= 90.0 - _POLE_EPS_DEG:
+        return PlanePoint(0.0, math.copysign(MAX_NORTHING_M, lat))
+    phi = lat * _RAD_PER_DEG  # math.radians(lat), bit for bit
+    target = math.pi * sin(phi)
     theta = phi
     for _ in range(_NEWTON_MAX_ITER):
-        denom = 2.0 + 2.0 * math.cos(2.0 * theta)
+        two_theta = 2.0 * theta
+        denom = 2.0 + 2.0 * cos(two_theta)
         if denom <= 1e-14:
+            theta = _theta_bisect(target)
             break
-        delta = (2.0 * theta + math.sin(2.0 * theta) - target) / denom
+        delta = (two_theta + sin(two_theta) - target) / denom
         theta -= delta
         if theta > _HALF_PI:
             theta = _HALF_PI
         elif theta < -_HALF_PI:
             theta = -_HALF_PI
         if abs(delta) < _NEWTON_TOL:
-            return theta
-    # Newton stalls very close to the poles; fall back to bisection.
-    return _theta_bisect(target)
+            break
+    else:
+        # Newton stalls very close to the poles; fall back to bisection.
+        theta = _theta_bisect(target)
+    return PlanePoint(_X_SCALE * (lon * _RAD_PER_DEG) * cos(theta), MAX_NORTHING_M * sin(theta))
 
 
 def project_forward(p: GeoPoint) -> PlanePoint:
     """Project geographic degrees onto the equal-area plane (meters)."""
-    if abs(p.lat) >= 90.0 - _POLE_EPS_DEG:
-        return PlanePoint(0.0, math.copysign(MAX_NORTHING_M, p.lat))
-    theta = _theta_for_latitude(p.lat)
-    x = _X_SCALE * math.radians(p.lon) * math.cos(theta)
-    y = MAX_NORTHING_M * math.sin(theta)
-    return PlanePoint(x, y)
+    return project_lonlat(p.lon, p.lat)
 
 
 def project_inverse(p: PlanePoint) -> GeoPoint:

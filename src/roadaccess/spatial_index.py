@@ -18,13 +18,7 @@ from collections import defaultdict
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ConfigurationError
-from .geometry import (
-    Bounds,
-    PlanePoint,
-    Segment,
-    nearest_point_on_segment,
-    point_bounds_distance,
-)
+from .geometry import Bounds, PlanePoint, Segment
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ingest import Building, RoadSegment
@@ -38,15 +32,15 @@ class _Node:
     def __init__(self, bounds: Bounds, children: list["_Node"] | None, entries: list | None):
         self.bounds = bounds
         self.children = children
-        self.entries = entries  # leaf payloads: (bounds, item)
+        self.entries = entries  # leaf payloads: records whose first four items are a box
 
 
-def _enclosing(bounds_list: Sequence[Bounds]) -> Bounds:
+def _enclosing(boxes: Sequence[Sequence[float]]) -> Bounds:
     return (
-        min(b[0] for b in bounds_list),
-        min(b[1] for b in bounds_list),
-        max(b[2] for b in bounds_list),
-        max(b[3] for b in bounds_list),
+        min(b[0] for b in boxes),
+        min(b[1] for b in boxes),
+        max(b[2] for b in boxes),
+        max(b[3] for b in boxes),
     )
 
 
@@ -68,13 +62,13 @@ def _pack_level(items: list, bounds_of, make_node) -> list[_Node]:
     return nodes
 
 
-def _build_tree(entries: list[tuple[Bounds, object]]) -> _Node | None:
+def _build_tree(entries: list[tuple]) -> _Node | None:
     if not entries:
         return None
     leaves = _pack_level(
         entries,
-        bounds_of=lambda e: e[0],
-        make_node=lambda group: _Node(_enclosing([e[0] for e in group]), None, group),
+        bounds_of=lambda e: e,
+        make_node=lambda group: _Node(_enclosing(group), None, group),
     )
     level = leaves
     while len(level) > 1:
@@ -93,7 +87,9 @@ class SegmentIndex:
 
     Segment ids are assigned sequentially in road input order, which fixes
     the deterministic tie-break (lowest road_id, then lowest segment_id)
-    for exactly equidistant results.
+    for exactly equidistant results. Each leaf holds one flat record per
+    segment: (min_x, min_y, max_x, max_y, ax, ay, bx, by, dx, dy, squared
+    length, road_id, segment_id).
     """
 
     def __init__(self, roads: Sequence["RoadSegment"]):
@@ -101,14 +97,20 @@ class SegmentIndex:
             raise ConfigurationError(
                 "cannot build a road index from an empty road set"
             )
-        entries: list[tuple[Bounds, tuple[int, int, Segment]]] = []
-        seg_id = 0
+        records: list[tuple] = []
         for road in roads:
-            for seg in road.geometry.segments():
-                entries.append((seg.bounds(), (road.road_id, seg_id, seg)))
-                seg_id += 1
-        self._root = _build_tree(entries)
-        self._size = seg_id
+            vs = road.geometry.vertices
+            for a, b in zip(vs, vs[1:]):
+                ax, ay, bx, by = a.x, a.y, b.x, b.y
+                dx = bx - ax
+                dy = by - ay
+                records.append((
+                    min(ax, bx), min(ay, by), max(ax, bx), max(ay, by),
+                    ax, ay, bx, by, dx, dy, dx * dx + dy * dy,
+                    road.road_id, len(records),
+                ))
+        self._root = _build_tree(records)
+        self._size = len(records)
 
     def __len__(self) -> int:
         return self._size
@@ -117,30 +119,63 @@ class SegmentIndex:
         """Globally nearest (road_id, point on road, distance) for p.
 
         Best-first expansion over bbox lower bounds; distance ties resolve
-        to the lowest (road_id, segment_id).
+        to the lowest (road_id, segment_id). A segment is skipped when its
+        box is already farther than the best; the others get exactly the
+        arithmetic of geometry.nearest_point_on_segment, and only the
+        winner's point becomes a PlanePoint.
         """
-        best_key: tuple[float, int, int] | None = None
-        best_point: PlanePoint | None = None
+        px = p.x
+        py = p.y
+        hypot = math.hypot
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        best_d = math.inf
+        best_ids: tuple[int, int] | None = None
+        qx = qy = 0.0
         counter = 0
         heap: list[tuple[float, int, _Node]] = [(0.0, counter, self._root)]
         while heap:
-            bound, _, node = heapq.heappop(heap)
-            if best_key is not None and bound > best_key[0]:
+            bound, _, node = heappop(heap)
+            if bound > best_d:
                 break
-            if node.entries is not None:
-                for _, (road_id, seg_id, seg) in node.entries:
-                    q, d = nearest_point_on_segment(p, seg)
-                    key = (d, road_id, seg_id)
-                    if best_key is None or key < best_key:
-                        best_key, best_point = key, q
+            if node.entries is None:
+                for child in node.children:
+                    x0, y0, x1, y1 = child.bounds
+                    child_bound = hypot(
+                        x0 - px if px < x0 else (px - x1 if px > x1 else 0.0),
+                        y0 - py if py < y0 else (py - y1 if py > y1 else 0.0),
+                    )
+                    if child_bound <= best_d:
+                        counter += 1
+                        heappush(heap, (child_bound, counter, child))
                 continue
-            for child in node.children:
-                child_bound = point_bounds_distance(p, child.bounds)
-                if best_key is None or child_bound <= best_key[0]:
-                    counter += 1
-                    heapq.heappush(heap, (child_bound, counter, child))
-        assert best_key is not None and best_point is not None
-        return best_key[1], best_point, best_key[0]
+            for x0, y0, x1, y1, ax, ay, bx, by, dx, dy, d2, road_id, seg_id in node.entries:
+                # a segment whose box is already farther than the best cannot win;
+                # hypot(gx, gy) >= max(gx, gy), so a single gap can show it
+                gx = x0 - px if px < x0 else (px - x1 if px > x1 else 0.0)
+                gy = y0 - py if py < y0 else (py - y1 if py > y1 else 0.0)
+                if gx > best_d or gy > best_d or ((gx or gy) and hypot(gx, gy) > best_d):
+                    continue
+                if d2 == 0.0:
+                    sx, sy = ax, ay
+                else:
+                    t = ((px - ax) * dx + (py - ay) * dy) / d2
+                    if t <= 0.0:
+                        sx, sy = ax, ay
+                    elif t >= 1.0:
+                        sx, sy = bx, by
+                    else:
+                        sx = ax + t * dx
+                        sy = ay + t * dy
+                d = hypot(px - sx, py - sy)
+                if d < best_d or (
+                    d == best_d and (best_ids is None or (road_id, seg_id) < best_ids)
+                ):
+                    best_d = d
+                    best_ids = (road_id, seg_id)
+                    qx, qy = sx, sy
+        assert best_ids is not None
+        return best_ids[0], PlanePoint(qx, qy), best_d
 
 
 # Bucket side: this many median footprint spans (the upper median for an even

@@ -4,13 +4,19 @@ The oracles here are deliberately exhaustive scans (O(N*M) nearest road,
 O(N^2) obstruction counting) so the indexed pipeline can be checked for
 exact agreement. The obstruction oracle uses its own segment-polygon
 predicate, written edge by edge, so it does not share code with the
-optimized one in roadaccess.geometry.
+optimized one in roadaccess.geometry. The forward Mollweide projection
+has a reference here too: the GeoPoint + Newton-solve path as it was before
+roadaccess.projection inlined it, sharing no code with that module.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
+from dataclasses import dataclass
+from pathlib import Path
+from types import SimpleNamespace
 
 from roadaccess.geometry import (
     PlanePoint,
@@ -74,6 +80,56 @@ def random_scene(
     buildings = [random_building(rng, i, span) for i in range(n_buildings)]
     roads = random_roads(rng, n_segments, span)
     return buildings, roads
+
+
+def write_lonlat_scene(
+    directory: Path,
+    rng: random.Random,
+    n_buildings: int,
+    n_roads: int,
+    span_deg: float = 0.01,
+) -> SimpleNamespace:
+    """GeoJSON inputs of a random scene in lon/lat: rotated rectangles, roads.
+
+    The scene sits near (36.8 E, 1.28 S), span_deg wide (0.01 deg is about
+    1.1 km); footprints are 4-22 m across and roads have 1-3 straight
+    segments in any direction. Returns the three paths as .buildings,
+    .roads and .boundary.
+    """
+    lon0, lat0 = 36.8, -1.28
+
+    def feature(gtype, coordinates, **props):
+        return {"type": "Feature", "geometry": {"type": gtype, "coordinates": coordinates}, "properties": props}
+
+    buildings = []
+    for _ in range(n_buildings):
+        cx = lon0 + rng.uniform(0.0, span_deg)
+        cy = lat0 + rng.uniform(0.0, span_deg)
+        hw = rng.uniform(2e-5, 1e-4)
+        hh = rng.uniform(2e-5, 1e-4)
+        angle = rng.uniform(0.0, math.tau)
+        c, s = math.cos(angle), math.sin(angle)
+        ring = [
+            [cx + sx * hw * c - sy * hh * s, cy + sx * hw * s + sy * hh * c]
+            for sx, sy in ((-1, -1), (1, -1), (1, 1), (-1, 1))
+        ]
+        buildings.append(feature("Polygon", [ring + [ring[0]]]))
+    roads = []
+    for _ in range(n_roads):
+        line = [[lon0 + rng.uniform(0.0, span_deg), lat0 + rng.uniform(0.0, span_deg)]]
+        for _ in range(rng.randint(1, 3)):
+            line.append([line[-1][0] + rng.uniform(-0.003, 0.003), line[-1][1] + rng.uniform(-0.003, 0.003)])
+        roads.append(
+            feature("LineString", line, **{"class": "residential", "surface": rng.choice(["paved", "unpaved", None])})
+        )
+    lo_x, lo_y, hi_x, hi_y = lon0 - 1e-3, lat0 - 1e-3, lon0 + span_deg + 1e-3, lat0 + span_deg + 1e-3
+    boundary = [feature("Polygon", [[[lo_x, lo_y], [hi_x, lo_y], [hi_x, hi_y], [lo_x, hi_y], [lo_x, lo_y]]])]
+    paths = SimpleNamespace()
+    for name, features in (("buildings", buildings), ("roads", roads), ("boundary", boundary)):
+        path = Path(directory) / f"{name}.geojson"
+        path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+        setattr(paths, name, path)
+    return paths
 
 
 def _orientation(a: PlanePoint, b: PlanePoint, c: PlanePoint) -> int:
@@ -141,6 +197,12 @@ def reference_segment_intersects_polygon(s: Segment, poly: Polygon) -> bool:
     return _inside(s.a, poly) or _inside(s.b, poly)
 
 
+def road_segments(road: RoadSegment) -> list[Segment]:
+    """The straight segments of a road, in vertex order."""
+    vs = road.geometry.vertices
+    return [Segment(a, b) for a, b in zip(vs, vs[1:])]
+
+
 def brute_nearest(
     roads: list[RoadSegment], p: PlanePoint
 ) -> tuple[int, PlanePoint, float]:
@@ -149,7 +211,7 @@ def brute_nearest(
     best_point = None
     seg_id = 0
     for road in roads:
-        for seg in road.geometry.segments():
+        for seg in road_segments(road):
             q, d = nearest_point_on_segment(p, seg)
             key = (d, road.road_id, seg_id)
             if best_key is None or key < best_key:
@@ -184,3 +246,73 @@ def brute_metrics(
         count = brute_obstructions(buildings, b, q)
         out[b.building_id] = (count, road_id, q, d)
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference forward projection
+
+_REF_RADIUS_M = 6_378_137.0
+_REF_SQRT2 = math.sqrt(2.0)
+_REF_HALF_PI = math.pi / 2.0
+_REF_MAX_NORTHING_M = _REF_SQRT2 * _REF_RADIUS_M
+_REF_POLE_EPS_DEG = 1e-9
+_REF_X_SCALE = _REF_RADIUS_M * 2.0 * _REF_SQRT2 / math.pi
+
+
+@dataclass(frozen=True)
+class _RefGeoPoint:
+    lon: float
+    lat: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.lon) and math.isfinite(self.lat)):
+            raise ValueError(f"non-finite geographic coordinates ({self.lon!r}, {self.lat!r})")
+        if not -180.0 <= self.lon <= 180.0:
+            raise ValueError(f"longitude out of range: {self.lon!r}")
+        if not -90.0 <= self.lat <= 90.0:
+            raise ValueError(f"latitude out of range: {self.lat!r}")
+
+
+def _ref_theta_bisect(target: float) -> float:
+    lo, hi = -_REF_HALF_PI, _REF_HALF_PI
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if 2.0 * mid + math.sin(2.0 * mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-16:
+            break
+    return 0.5 * (lo + hi)
+
+
+def _ref_theta_for_latitude(lat_deg: float) -> float:
+    if abs(lat_deg) >= 90.0 - _REF_POLE_EPS_DEG:
+        return math.copysign(_REF_HALF_PI, lat_deg)
+    phi = math.radians(lat_deg)
+    target = math.pi * math.sin(phi)
+    theta = phi
+    for _ in range(50):
+        denom = 2.0 + 2.0 * math.cos(2.0 * theta)
+        if denom <= 1e-14:
+            break
+        delta = (2.0 * theta + math.sin(2.0 * theta) - target) / denom
+        theta -= delta
+        if theta > _REF_HALF_PI:
+            theta = _REF_HALF_PI
+        elif theta < -_REF_HALF_PI:
+            theta = -_REF_HALF_PI
+        if abs(delta) < 1e-12:
+            return theta
+    return _ref_theta_bisect(target)
+
+
+def reference_project_forward(lon: float, lat: float) -> tuple[float, float]:
+    """(x, y) in meters; ValueError for a coordinate GeoPoint rejects."""
+    p = _RefGeoPoint(lon, lat)
+    if abs(p.lat) >= 90.0 - _REF_POLE_EPS_DEG:
+        return 0.0, math.copysign(_REF_MAX_NORTHING_M, p.lat)
+    theta = _ref_theta_for_latitude(p.lat)
+    x = _REF_X_SCALE * math.radians(p.lon) * math.cos(theta)
+    y = _REF_MAX_NORTHING_M * math.sin(theta)
+    return x, y

@@ -1,10 +1,22 @@
 import csv
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import roadaccess
+from roadaccess import cli, outputs
 from roadaccess.cli import main
+from roadaccess.config import load_config
+from roadaccess.metrics import compute_all, connectors_for
+from roadaccess.spatial_index import PolygonIndex, SegmentIndex
 from roadaccess.synth import SceneSpec, generate
+
+from _scenes import write_lonlat_scene
 
 
 def write_config(tmp_path, files, out_name="out", **extra):
@@ -17,6 +29,13 @@ def write_config(tmp_path, files, out_name="out", **extra):
     }
     path = tmp_path / f"config_{out_name}.json"
     path.write_text(json.dumps(cfg))
+    return path
+
+
+def cfg_with(tmp_path, cfg, **changes):
+    doc = {**json.loads(cfg.read_text()), **changes}
+    path = tmp_path / f"changed_{cfg.name}"
+    path.write_text(json.dumps(doc))
     return path
 
 
@@ -169,6 +188,8 @@ def test_unknown_config_key_exits_with_configuration_error(tmp_path, formal_fixt
         pytest.param({"class_property": ""}, [], id="class_property-empty"),
         pytest.param({"surface_property": 3}, [], id="surface_property-int"),
         pytest.param({"roads": 5}, [], id="roads-int"),
+        pytest.param({"buildings": None}, [], id="buildings-null"),
+        pytest.param({"output_dir": None}, [], id="output_dir-null"),
     ],
 )
 def test_mistyped_config_value_exits_with_configuration_error(
@@ -341,3 +362,88 @@ def test_export_connectors_empty_buildings(tmp_path, formal_fixture):
     assert main(["export-connectors", "--config", str(cfg)]) == 0
     geo = json.loads((tmp_path / "out" / "connectors.geojson").read_text())
     assert geo["features"] == []
+
+
+def test_export_connectors_reuses_the_metric_pass(tmp_path, monkeypatch):
+    files = write_lonlat_scene(tmp_path, random.Random(8), n_buildings=400, n_roads=12)
+    cfg = write_config(tmp_path, files, out_name="one_pass")
+    calls = []
+    real_nearest = SegmentIndex.nearest
+
+    def counting_nearest(self, p):
+        calls.append(p)
+        return real_nearest(self, p)
+
+    monkeypatch.setattr(SegmentIndex, "nearest", counting_nearest)
+    assert main(["export-connectors", "--config", str(cfg)]) == 0
+    monkeypatch.undo()
+    out = tmp_path / "one_pass"
+    with open(out / "building_metrics.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert len(calls) == len(rows) > 300
+    assert sum(int(r["obstruction_count"]) for r in rows) > 0
+
+    # the same layers with connectors from a second nearest-road pass
+    config = load_config(cfg)
+    buildings, motorable, _ = cli._load_inputs(config, {})
+    road_index = SegmentIndex(motorable)
+    building_metrics = compute_all(buildings, road_index, PolygonIndex(buildings), motorable)
+    by_id = {m.building_id: m for m in building_metrics}
+    outputs.write_connectors_geojson(
+        tmp_path / "connectors.geojson", connectors_for(buildings, road_index), by_id
+    )
+    outputs.write_building_metrics_csv(tmp_path / "building_metrics.csv", building_metrics)
+    for name in ("connectors.geojson", "building_metrics.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_failed_rerun_leaves_no_manifest_that_disagrees(tmp_path, formal_fixture, monkeypatch):
+    _, files = formal_fixture
+    validations = tmp_path / "votes.csv"
+    validations.write_text("cell_i,cell_j,validator_id,level\n0,0,a,low\n")
+    cfg = write_config(tmp_path, files, out_name="atomic", validations=str(validations))
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "atomic"
+    names = sorted(os.listdir(out))
+    cells_csv = (out / "cells.csv").read_bytes()
+
+    # a second run on another grid, whose cells.csv write fails part-way
+    real_writer = csv.writer
+
+    class FailingWriter:
+        def __init__(self, f, **kwargs):
+            self._writer = real_writer(f, **kwargs)
+            self._rows = 0
+
+        def writerow(self, row):
+            if self._rows == 3:
+                raise OSError("disk full")
+            self._rows += 1
+            self._writer.writerow(row)
+
+    monkeypatch.setattr(outputs.csv, "writer", FailingWriter)
+    with pytest.raises(OSError, match="disk full"):
+        main(["run", "--config", str(cfg_with(tmp_path, cfg, cell_size=200.0))])
+    monkeypatch.undo()
+
+    assert (out / "cells.csv").read_bytes() == cells_csv  # not truncated
+    assert sorted(os.listdir(out)) == [n for n in names if n != "manifest.json"]
+    manifest = out / "manifest.json"
+    if manifest.exists():
+        recorded = json.loads(manifest.read_text())["outputs"]
+        for name, digest in recorded.items():
+            assert outputs.file_sha256(out / name) == digest, name
+    assert main(["evaluate", "--config", str(cfg)]) == 4
+
+
+def test_cli_import_loads_no_process_pool():
+    src = str(Path(roadaccess.__file__).resolve().parent.parent)
+    code = (
+        "import sys, roadaccess.cli; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert done.stdout.strip() == "[]"

@@ -28,7 +28,7 @@ def building_at(building_id, x, y):
 
 
 def metrics_for(building_id, count, surface=Surface.PAVED):
-    return BuildingMetrics(building_id, count, surface, 10.0, 0)
+    return BuildingMetrics(building_id, count, surface, 10.0, 0, PlanePoint(0.0, 0.0))
 
 
 def test_aggregate_mean_of_counts():

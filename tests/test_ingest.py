@@ -142,6 +142,43 @@ def test_non_object_features_are_skipped_with_conservation(tmp_path):
     assert load_boundary(geojson(tmp_path, "a.geojson", bad + [boundary])).polygon
 
 
+@pytest.mark.parametrize(
+    "bad",
+    ["12", [True, 45.0], [0.001, "45"], [0.001], [10**400, 0.0]],
+    ids=["string", "bool", "string-member", "one-element", "huge-int"],
+)
+def test_positions_must_hold_two_numbers(tmp_path, bad):
+    # float() would read "12" as (1, 2) and True as 1
+    good_road = line_feature([[0.0, 0.0], [0.001, 0.0]])
+    stats = LoadStats()
+    roads = load_roads(
+        geojson(tmp_path, "r.geojson", [good_road, line_feature([[0.0, 0.001], bad])]), stats=stats
+    )
+    assert len(roads) == 1
+    assert (stats.total, stats.loaded, stats.skipped) == (2, 1, 1)
+
+    ring = tiny_square(0.001, 0.0)
+    middle = ring[:2] + [bad] + ring[3:]
+    good_building = polygon_feature([tiny_square(0.0, 0.0)])
+    stats = LoadStats()
+    buildings = load_buildings(
+        geojson(tmp_path, "b.geojson", [good_building, polygon_feature([middle])]), stats=stats
+    )
+    assert len(buildings) == 1
+    assert (stats.total, stats.loaded, stats.skipped) == (2, 1, 1)
+
+
+def test_closing_position_must_be_numbers_even_when_equal_to_the_first(tmp_path):
+    ring = [[1, 0.0], [1.0001, 0.0], [1.0001, 0.0001], [1, 0.0001], [True, 0.0]]
+    assert ring[-1] == ring[0]
+    stats = LoadStats()
+    assert load_buildings(geojson(tmp_path, "b.geojson", [polygon_feature([ring])]), stats=stats) == []
+    assert (stats.total, stats.loaded, stats.skipped) == (1, 0, 1)
+    ring[-1] = [1.0, 0]
+    (building,) = load_buildings(geojson(tmp_path, "b.geojson", [polygon_feature([ring])]))
+    assert building.footprint.exterior[0] is building.footprint.exterior[-1]
+
+
 def test_filter_motorable_class_list():
     def mk(cls):
         return RoadSegment(0, Polyline([PlanePoint(0, 0), PlanePoint(1, 0)]), cls)

@@ -10,7 +10,7 @@ from roadaccess.levels import Surface
 from roadaccess.metrics import build_connector, compute_all, count_obstructions
 from roadaccess.spatial_index import PolygonIndex, SegmentIndex
 
-from _scenes import brute_metrics, random_scene
+from _scenes import brute_metrics, random_scene, road_segments
 
 
 def plane_square(building_id, cx, cy, half=5.0):
@@ -116,7 +116,7 @@ def test_connector_end_lies_on_road_geometry():
         c = build_connector(b, road_index)
         gap = min(
             nearest_point_on_segment(c.end, seg)[1]
-            for seg in by_id[c.road_id].geometry.segments()
+            for seg in road_segments(by_id[c.road_id])
         )
         assert gap < 1e-6
         assert c.road_distance == math.hypot(

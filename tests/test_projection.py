@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import pytest
 
@@ -10,7 +11,10 @@ from roadaccess.projection import (
     GeoPoint,
     project_forward,
     project_inverse,
+    project_lonlat,
 )
+
+from _scenes import reference_project_forward
 
 
 def test_geopoint_validation():
@@ -131,3 +135,52 @@ def test_near_pole_latitudes_stay_finite():
         assert abs(p.y) <= MAX_NORTHING_M
         g = project_inverse(p)
         assert abs(g.lat - lat) < 1e-6
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def test_project_lonlat_matches_reference_bit_for_bit():
+    rng = random.Random(2024)
+    cases = [(rng.uniform(-180.0, 180.0), rng.uniform(-90.0, 90.0)) for _ in range(20_000)]
+    # metres apart, as footprint vertices are
+    for _ in range(200):
+        lon, lat = rng.uniform(-179.0, 179.0), rng.uniform(-85.0, 85.0)
+        cases += [(lon + rng.uniform(-1e-4, 1e-4), lat + rng.uniform(-1e-4, 1e-4)) for _ in range(20)]
+    # within 1e-9 degrees of the poles, on both sides of the short-cut
+    for pole in (90.0, -90.0):
+        inward = -math.copysign(1.0, pole)
+        for k in range(0, 1101):
+            cases.append((rng.uniform(-180.0, 180.0), pole + inward * k * 1e-12))
+    cases += [
+        (0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0),
+        (180.0, 0.0), (-180.0, 0.0), (180.0, 90.0), (-180.0, -90.0),
+        (0.0, 90.0), (0.0, -90.0), (-0.0, 45.0), (180, 45), (-180, -45), (1, 2),
+        (12.5, math.nextafter(90.0 - 1e-9, 0.0)), (12.5, -math.nextafter(90.0 - 1e-9, 0.0)),
+    ]
+    for lon, lat in cases:
+        want = reference_project_forward(lon, lat)
+        got = project_lonlat(lon, lat)
+        assert (_bits(got.x), _bits(got.y)) == tuple(map(_bits, want)), (lon, lat)
+        via_geopoint = project_forward(GeoPoint(lon, lat))
+        assert (_bits(via_geopoint.x), _bits(via_geopoint.y)) == tuple(map(_bits, want))
+
+
+@pytest.mark.parametrize(
+    "lon, lat",
+    [
+        (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf),
+        (180.0000001, 0.0), (-181, 0.0), (0.0, 90.0000001), (0.0, -91),
+        (math.nextafter(180.0, 200.0), 0.0), (0.0, math.nextafter(-90.0, -100.0)),
+    ],
+)
+def test_project_lonlat_rejects_what_geopoint_rejects(lon, lat):
+    with pytest.raises(ValueError) as want:
+        reference_project_forward(lon, lat)
+    with pytest.raises(ValueError) as got:
+        project_lonlat(lon, lat)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError) as via_geopoint:
+        project_forward(GeoPoint(lon, lat))
+    assert str(via_geopoint.value) == str(want.value)

@@ -21,6 +21,7 @@ from _scenes import (
     random_roads,
     random_scene,
     reference_segment_intersects_polygon,
+    road_segments,
 )
 
 
@@ -44,7 +45,7 @@ def test_every_segment_retrievable_by_its_own_bbox():
     idx = SegmentIndex(roads)
     assert len(idx) == 10_000
     for r in roads:
-        for seg in r.geometry.segments():
+        for seg in road_segments(r):
             # a point on the segment: its own bbox is at distance 0, so a
             # segment lost from the tree would leave a farther road as nearest
             mid = PlanePoint((seg.a.x + seg.b.x) / 2, (seg.a.y + seg.b.y) / 2)
@@ -162,6 +163,58 @@ def test_nearest_tie_within_road_takes_lowest_segment_id():
     # p is equidistant from both segments of an L-shaped road
     idx = SegmentIndex([road(0, (0, 0), (1, 0), (1, 1))])
     assert idx.nearest(PlanePoint(0.5, 0.5)) == (0, PlanePoint(0.5, 0.0), 0.5)
+
+
+def _assert_nearest_is_brute(roads, points):
+    idx = SegmentIndex(roads)
+    for p in points:
+        assert idx.nearest(p) == brute_nearest(roads, p), p
+
+
+def test_nearest_zero_length_segments_match_brute_force():
+    # endpoints 1e-170 m apart: the squared length underflows to 0.0, which
+    # takes the zero-length branch although the polyline keeps both vertices
+    tiny = 1e-170
+    roads = [
+        road(0, (0, 0), (tiny, 0)),
+        road(1, (0, tiny), (tiny, tiny), (3, 4)),
+        road(2, (-tiny, 0), (0, -tiny)),
+        road(3, (5, 5), (6, 5)),
+    ]
+    rng = random.Random(5)
+    points = [PlanePoint(0, 0), PlanePoint(tiny / 2, 0), PlanePoint(3, 4), PlanePoint(-1, -1)]
+    points += [PlanePoint(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(500)]
+    _assert_nearest_is_brute(roads, points)
+
+
+def test_nearest_exact_ties_across_and_within_roads_match_brute_force():
+    # a lattice of roads 2 m apart, one road per line and a vertex every
+    # metre (440 segments, several tree levels), with shuffled ids, plus
+    # square loops whose four sides tie at their centres; queries on the
+    # half-integer lattice are equidistant from two to four segments
+    rng = random.Random(12)
+    specs = [[(x, y) for y in range(21)] for x in range(0, 21, 2)]
+    specs += [[(x, y) for x in range(21)] for y in range(0, 21, 2)]
+    specs += [[(x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1), (x, y)] for x, y in ((22, 22), (23, 23), (22, 24))]
+    for _ in range(3):
+        ids = list(range(len(specs)))
+        rng.shuffle(ids)
+        roads = [road(i, *spec) for i, spec in zip(ids, specs)]
+        rng.shuffle(roads)
+        points = [PlanePoint(rng.randint(-2, 52) / 2, rng.randint(-2, 52) / 2) for _ in range(300)]
+        _assert_nearest_is_brute(roads, points)
+    idx = SegmentIndex([road(0, (0, 0), (2, 0), (2, 2), (0, 2), (0, 0))])
+    assert idx.nearest(PlanePoint(1, 1)) == (0, PlanePoint(1, 0), 1.0)
+
+
+def test_nearest_far_outside_the_road_extent_matches_brute_force():
+    rng = random.Random(31)
+    roads = random_roads(rng, 200)
+    points = []
+    for scale in (1e4, 1e6, 1e7):
+        points += [PlanePoint(rng.uniform(-scale, scale), rng.uniform(-scale, scale)) for _ in range(200)]
+        points += [PlanePoint(scale, 1000), PlanePoint(-scale, 1000), PlanePoint(1000, scale), PlanePoint(1000, -scale)]
+    _assert_nearest_is_brute(roads, points)
 
 
 def _touching(buildings, seg):
