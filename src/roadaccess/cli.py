@@ -20,7 +20,7 @@ from .classify import classify_all, distribution
 from .config import PipelineConfig, load_config
 from .errors import ConfigurationError, EvaluationError, PipelineError
 from .evaluate import evaluation_report, ternary_proportions
-from .grid import aggregate, enumerate_empty_cells
+from .grid import MAX_CELLS, aggregate, box_cell_count, enumerate_empty_cells
 from .spatial_index import PolygonIndex, SegmentIndex
 
 log = logging.getLogger(__name__)
@@ -65,6 +65,12 @@ def cmd_run(config: PipelineConfig) -> int:
     (out_dir / "manifest.json").unlink(missing_ok=True)
     counts: dict = {}
     buildings, motorable, boundary = _load_inputs(config, counts)
+    n_cells = box_cell_count(boundary.bounds(), config.cell_size)
+    if n_cells > MAX_CELLS:
+        raise ConfigurationError(
+            f"cell_size {config.cell_size} m puts about {n_cells:.3g} cells in the boundary's box; "
+            f"the limit is {MAX_CELLS:,}"
+        )
 
     building_metrics = metrics.compute_all(
         buildings, SegmentIndex(motorable), PolygonIndex(buildings), motorable, config.workers

@@ -91,7 +91,7 @@ def load_config(path: Path | str) -> PipelineConfig:
             raw = json.load(f)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config {path} must be a JSON object")

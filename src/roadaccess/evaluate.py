@@ -1,7 +1,7 @@
 """Scoring against community-sourced validation data.
 
-Votes per cell go through majority consensus (strict plurality, single votes
-pass by default); consensus cells matched to model cells feed a 3x3
+Votes per cell go through majority consensus (strict plurality, so a single
+vote is consensus); consensus cells matched to model cells feed a 3x3
 confusion matrix, overall accuracy, one-vs-rest F1 per level, alluvial flow
 counts, and ternary vote proportions for multi-validated cells.
 """
@@ -23,71 +23,38 @@ from .levels import LEVELS, DeprivationLevel
 class ConsensusCell:
     cell: CellId
     level: DeprivationLevel
-    vote_counts: tuple[int, int, int]  # (n_low, n_medium, n_high)
 
 
-class ConfusionMatrix3:
-    """3x3 tally: rows are reference (community) levels, columns model levels."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: Sequence[Sequence[int]] | None = None):
-        if counts is None:
-            self.counts = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
-        else:
-            if len(counts) != 3 or any(len(row) != 3 for row in counts):
-                raise ValueError("confusion matrix must be 3x3")
-            self.counts = [[int(v) for v in row] for row in counts]
-
-    def add(self, ref: DeprivationLevel, model: DeprivationLevel) -> None:
-        self.counts[ref.value][model.value] += 1
-
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
-    def __getitem__(self, ref: DeprivationLevel) -> list[int]:
-        return self.counts[ref.value]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ConfusionMatrix3) and self.counts == other.counts
+def _tally(votes: Iterable[DeprivationLevel]) -> list[int]:
+    """Votes per level, indexed by DeprivationLevel."""
+    counts = [0, 0, 0]
+    for v in votes:
+        counts[v] += 1
+    return counts
 
 
 def consensus(votes: Sequence[DeprivationLevel]) -> DeprivationLevel | None:
     """Majority level of a vote list, or None on a top-count tie.
 
-    A single vote is consensus by default; otherwise the winner needs
-    strictly more votes than every other level.
+    The winner needs strictly more votes than every other level, so a single
+    vote is consensus by itself.
     """
     if not votes:
         raise ValueError("consensus of an empty vote list")
-    if len(votes) == 1:
-        return votes[0]
-    tallies = {lvl: 0 for lvl in LEVELS}
-    for v in votes:
-        tallies[v] += 1
-    top = max(tallies.values())
-    winners = [lvl for lvl in LEVELS if tallies[lvl] == top]
-    return winners[0] if len(winners) == 1 else None
+    tallies = _tally(votes)
+    top = max(tallies)
+    return LEVELS[tallies.index(top)] if tallies.count(top) == 1 else None
 
 
 def votes_by_cell(
     records: Iterable[ValidationRecord],
 ) -> dict[CellId, list[DeprivationLevel]]:
-    """Group votes per cell, keeping one (the last) vote per validator."""
-    per_validator: dict[CellId, dict[str, DeprivationLevel]] = defaultdict(dict)
+    """Group votes per cell, in cell order. Records are taken as they come:
+    one vote per validator is load_validations' rule."""
+    votes: dict[CellId, list[DeprivationLevel]] = defaultdict(list)
     for r in records:
-        per_validator[r.cell][r.validator_id] = r.level
-    return {
-        cell: list(per_validator[cell].values()) for cell in sorted(per_validator)
-    }
-
-
-def _vote_counts(votes: Sequence[DeprivationLevel]) -> tuple[int, int, int]:
-    return (
-        sum(1 for v in votes if v is DeprivationLevel.LOW),
-        sum(1 for v in votes if v is DeprivationLevel.MEDIUM),
-        sum(1 for v in votes if v is DeprivationLevel.HIGH),
-    )
+        votes[r.cell].append(r.level)
+    return {cell: votes[cell] for cell in sorted(votes)}
 
 
 def consensus_cells(
@@ -101,47 +68,48 @@ def consensus_cells(
         if level is None:
             tied.append(cell)
         else:
-            agreed.append(ConsensusCell(cell, level, _vote_counts(votes)))
+            agreed.append(ConsensusCell(cell, level))
     return agreed, tied
 
 
 def build_confusion(
     model: Iterable[ClassifiedCell], refs: Iterable[ConsensusCell]
-) -> tuple[ConfusionMatrix3, list[CellId]]:
-    """Confusion matrix over matched cells; reference cells absent from the
-    model output are excluded and returned for reporting."""
+) -> tuple[list[list[int]], list[CellId]]:
+    """3x3 confusion matrix over matched cells: cm[reference][model], both
+    indexed by DeprivationLevel. Reference cells absent from the model
+    output are excluded and returned for reporting."""
     model_by_cell = {c.cell: c.level for c in model}
-    cm = ConfusionMatrix3()
+    cm = [[0, 0, 0] for _ in LEVELS]
     unmatched: list[CellId] = []
     for ref in refs:
         model_level = model_by_cell.get(ref.cell)
         if model_level is None:
             unmatched.append(ref.cell)
         else:
-            cm.add(ref.level, model_level)
-    if cm.total() == 0:
+            cm[ref.level][model_level] += 1
+    if sum(map(sum, cm)) == 0:
         raise EvaluationError("no validated cells match the model output")
     return cm, unmatched
 
 
-def accuracy(cm: ConfusionMatrix3) -> float:
+def accuracy(cm: Sequence[Sequence[int]]) -> float:
     """Overall accuracy: diagonal mass over total."""
-    total = cm.total()
+    total = sum(map(sum, cm))
     if total == 0:
         raise EvaluationError("accuracy of an empty confusion matrix")
-    trace = sum(cm.counts[k][k] for k in range(3))
+    trace = sum(cm[k][k] for k in range(3))
     return trace / total
 
 
-def f1_per_class(cm: ConfusionMatrix3) -> tuple[float, float, float]:
+def f1_per_class(cm: Sequence[Sequence[int]]) -> tuple[float, float, float]:
     """One-vs-rest F1 = TP / (TP + (FP + FN)/2) per level; 0 when undefined."""
-    if cm.total() == 0:
+    if sum(map(sum, cm)) == 0:
         raise EvaluationError("F1 of an empty confusion matrix")
     scores = []
     for k in range(3):
-        tp = cm.counts[k][k]
-        fn = sum(cm.counts[k]) - tp
-        fp = sum(cm.counts[r][k] for r in range(3)) - tp
+        tp = cm[k][k]
+        fn = sum(cm[k]) - tp
+        fp = sum(cm[r][k] for r in range(3)) - tp
         denom = tp + 0.5 * (fp + fn)
         scores.append(tp / denom if denom > 0 else 0.0)
     return scores[0], scores[1], scores[2]
@@ -156,20 +124,18 @@ class TernaryPoint:
     n_votes: int
 
 
-def ternary_proportions(
-    records: Iterable[ValidationRecord], multi_only: bool = True
-) -> list[TernaryPoint]:
+def ternary_proportions(records: Iterable[ValidationRecord]) -> list[TernaryPoint]:
     """Per-cell vote shares per level (agreement analysis).
 
-    Cells with no consensus are included; with multi_only, single-vote cells
-    are excluded. Proportions sum to 1 per cell.
+    Only cells with two or more votes are included, no-consensus cells
+    among them. Proportions sum to 1 per cell.
     """
     points: list[TernaryPoint] = []
     for cell, votes in votes_by_cell(records).items():
         n = len(votes)
-        if multi_only and n < 2:
+        if n < 2:
             continue
-        n_low, n_medium, n_high = _vote_counts(votes)
+        n_low, n_medium, n_high = _tally(votes)
         points.append(TernaryPoint(cell, n_low / n, n_medium / n, n_high / n, n))
     return points
 
@@ -182,13 +148,13 @@ def evaluation_report(
     cm, unmatched = build_confusion(model, refs)
     f1_low, f1_medium, f1_high = f1_per_class(cm)
     return {
-        "matched_cells": cm.total(),
+        "matched_cells": sum(map(sum, cm)),
         "accuracy": accuracy(cm),
         "f1": {"low": f1_low, "medium": f1_medium, "high": f1_high},
-        "confusion": [list(row) for row in cm.counts],
+        "confusion": cm,
         "confusion_axes": {"rows": "reference", "columns": "model"},
         "flows": [
-            {"model": m.label, "ref": r.label, "count": cm[r][m.value]}
+            {"model": m.label, "ref": r.label, "count": cm[r][m]}
             for m in LEVELS
             for r in LEVELS
         ],

@@ -122,10 +122,6 @@ def bounds_of_points(points: Sequence[PlanePoint]) -> Bounds:
     return (min(xs), min(ys), max(xs), max(ys))
 
 
-def point_in_bounds(p: PlanePoint, b: Bounds) -> bool:
-    return b[0] <= p.x <= b[2] and b[1] <= p.y <= b[3]
-
-
 # ---------------------------------------------------------------------------
 # predicates
 
@@ -299,16 +295,11 @@ def _ring_area_centroid(ring: Sequence[PlanePoint]) -> tuple[float, float, float
     return a2 / 2.0, x0 + cx / (3.0 * a2), y0 + cy / (3.0 * a2)
 
 
-def ring_area(ring: Sequence[PlanePoint]) -> float:
-    """Signed shoelace area of a closed ring."""
-    return _ring_area_centroid(ring)[0]
-
-
 def polygon_area(poly: Polygon) -> float:
     """Unsigned area of exterior minus holes."""
-    area = abs(ring_area(poly.exterior))
+    area = abs(_ring_area_centroid(poly.exterior)[0])
     for hole in poly.holes:
-        area -= abs(ring_area(hole))
+        area -= abs(_ring_area_centroid(hole)[0])
     return area
 
 
@@ -389,7 +380,7 @@ def rect_polygon_distance(b: Bounds, poly: Polygon) -> float:
     ]
     if any(point_in_polygon(c, poly) for c in corners):
         return 0.0
-    if any(point_in_bounds(v, b) for v in poly.exterior):
+    if any(b[0] <= v.x <= b[2] and b[1] <= v.y <= b[3] for v in poly.exterior):
         return 0.0
     edges = _rect_edges(b)
     best = math.inf

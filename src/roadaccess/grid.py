@@ -12,14 +12,17 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .geometry import PlanePoint, point_in_polygon
+from .geometry import Bounds, PlanePoint, Polygon, point_in_polygon
 from .levels import Surface
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .ingest import Boundary, Building
+    from .ingest import Building
     from .metrics import BuildingMetrics
 
 DEFAULT_CELL_SIZE_M = 100.0
+# A run enumerates every cell of the boundary's box: 100 m cells over a
+# 316 km square. A finer grid would take hours and gigabytes.
+MAX_CELLS = 10_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -34,6 +37,11 @@ class CellAggregate:
     building_count: int
     mean_obstruction: float | None
     modal_surface: Surface | None
+
+
+def box_cell_count(b: Bounds, cell_size: float) -> float:
+    """About how many cells cover box b; inf when a side overflows."""
+    return ((b[2] - b[0]) / cell_size + 1.0) * ((b[3] - b[1]) / cell_size + 1.0)
 
 
 def cell_of(p: PlanePoint, cell_size: float = DEFAULT_CELL_SIZE_M) -> CellId:
@@ -67,13 +75,13 @@ def aggregate(
 
 
 def enumerate_empty_cells(
-    boundary: "Boundary",
+    boundary: Polygon,
     occupied: Iterable[CellId] | Mapping[CellId, object],
     cell_size: float = DEFAULT_CELL_SIZE_M,
 ) -> list[CellId]:
     """Cells inside the boundary (by cell center) that contain no buildings."""
     occupied_set = set(occupied)
-    min_x, min_y, max_x, max_y = boundary.polygon.bounds()
+    min_x, min_y, max_x, max_y = boundary.bounds()
     i0 = math.floor(min_x / cell_size)
     i1 = math.floor(max_x / cell_size)
     j0 = math.floor(min_y / cell_size)
@@ -85,6 +93,6 @@ def enumerate_empty_cells(
             cell = CellId(i, j)
             if cell in occupied_set:
                 continue
-            if point_in_polygon(PlanePoint(cx, (j + 0.5) * cell_size), boundary.polygon):
+            if point_in_polygon(PlanePoint(cx, (j + 0.5) * cell_size), boundary):
                 empty.append(cell)
     return empty

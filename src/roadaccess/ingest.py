@@ -74,11 +74,6 @@ class Building:
 
 
 @dataclass(frozen=True)
-class Boundary:
-    polygon: Polygon
-
-
-@dataclass(frozen=True)
 class ValidationRecord:
     cell: CellId
     validator_id: str
@@ -111,7 +106,7 @@ def _read_geojson_features(path: Path | str) -> list[dict]:
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
         raise DataError(f"cannot read GeoJSON {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"{path}: GeoJSON top level is not an object")
@@ -362,11 +357,11 @@ def _read_building_csv_features(path: Path | str) -> list[dict]:
                     feature["geometry"] = {"type": "Invalid"}
                 features.append(feature)
             return features
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read buildings CSV {path}: {exc}") from exc
 
 
-def load_boundary(path: Path | str) -> Boundary:
+def load_boundary(path: Path | str) -> Polygon:
     """Load the analysis boundary polygon (single Polygon feature)."""
     features = _read_geojson_features(path)
     for feature in features:
@@ -386,14 +381,14 @@ def load_boundary(path: Path | str) -> Boundary:
             raise DataError(f"{path}: malformed boundary polygon: {exc}") from exc
         if polygon_area(poly) < 1e-9:
             raise DataError(f"{path}: boundary polygon has no area")
-        return Boundary(poly)
+        return poly
     raise DataError(f"{path}: no Polygon feature found for the boundary")
 
 
 def clip_to_boundary(
     buildings: Iterable[Building],
     roads: Iterable[RoadSegment],
-    boundary: Boundary,
+    boundary: Polygon,
     road_margin_m: float = ROAD_CLIP_MARGIN_M,
 ) -> tuple[list[Building], list[RoadSegment]]:
     """Clip inputs to the boundary.
@@ -402,13 +397,11 @@ def clip_to_boundary(
     Roads are kept while within road_margin_m of the boundary, so segments
     just outside still serve nearest-road queries at the edge.
     """
-    kept_buildings = [
-        b for b in buildings if point_in_polygon(b.centroid, boundary.polygon)
-    ]
+    kept_buildings = [b for b in buildings if point_in_polygon(b.centroid, boundary)]
     kept_roads = [
         r
         for r in roads
-        if rect_polygon_distance(r.geometry.bounds(), boundary.polygon) <= road_margin_m
+        if rect_polygon_distance(r.geometry.bounds(), boundary) <= road_margin_m
     ]
     return kept_buildings, kept_roads
 
@@ -422,9 +415,9 @@ def load_validations(
     """Load community validation votes from CSV.
 
     Level strings are case-folded onto the closed vocabulary; rows with an
-    unknown level (or unparseable cell index) are rejected, and their line
-    numbers reported. Duplicate (cell, validator) rows keep the last
-    occurrence: one person, one vote.
+    unknown level, an unparseable cell index or a blank or missing
+    validator id are rejected, and their line numbers reported. Duplicate
+    (cell, validator) rows keep the last occurrence: one person, one vote.
     """
     stats = stats if stats is not None else LoadStats()
     try:
@@ -439,14 +432,16 @@ def load_validations(
                 try:
                     cell = CellId(int(row["cell_i"]), int(row["cell_j"]))
                     level = DeprivationLevel.from_label(row["level"])
+                    validator = (row["validator_id"] or "").strip()
+                    if not validator:
+                        raise ValueError("blank validator id")
                 except (ValueError, TypeError):
                     stats.skipped += 1
                     stats.rejected_lines.append(reader.line_num)
                     continue
-                validator = str(row["validator_id"]).strip()
                 by_vote[(cell, validator)] = ValidationRecord(cell, validator, level)
                 stats.loaded += 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read validations CSV {path}: {exc}") from exc
     if stats.rejected_lines:
         log.error(

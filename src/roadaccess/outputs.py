@@ -19,11 +19,10 @@ from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 from .classify import ClassifiedCell
 from .errors import DataError
 from .evaluate import TernaryPoint
-from .geometry import PlanePoint
 from .grid import CellAggregate, CellId
 from .levels import DeprivationLevel, Surface
 from .metrics import BuildingMetrics, ConnectorLine
-from .projection import project_inverse
+from .projection import inverse_lonlat
 
 _CELL_FIELDS = [
     "i",
@@ -36,17 +35,13 @@ _CELL_FIELDS = [
 ]
 
 
-def _lonlat(x: float, y: float) -> list[float]:
-    g = project_inverse(PlanePoint(x, y))
-    return [g.lon, g.lat]
-
-
-def _cell_ring(cell: CellId, cell_size: float) -> list[list[float]]:
+def _cell_ring(cell: CellId, cell_size: float) -> list[tuple[float, float]]:
     x0 = cell.i * cell_size
     y0 = cell.j * cell_size
     x1 = x0 + cell_size
     y1 = y0 + cell_size
-    return [_lonlat(x0, y0), _lonlat(x1, y0), _lonlat(x1, y1), _lonlat(x0, y1), _lonlat(x0, y0)]
+    corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0))
+    return [inverse_lonlat(x, y) for x, y in corners]
 
 
 @contextmanager
@@ -64,6 +59,14 @@ def _replacing(path: Path | str, newline: str | None = None) -> Iterator[TextIO]
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with _replacing(path, newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
 
 
 def write_json(path: Path | str, doc: object) -> None:
@@ -98,21 +101,19 @@ def write_cells_geojson(
 
 
 def write_cells_csv(path: Path | str, cells: Sequence[ClassifiedCell]) -> None:
-    with _replacing(path, newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(_CELL_FIELDS)
-        for c in cells:
-            writer.writerow(
-                [
-                    c.cell.i,
-                    c.cell.j,
-                    c.level.label,
-                    c.building_count,
-                    "" if c.mean_obstruction is None else repr(c.mean_obstruction),
-                    c.modal_surface.value if c.modal_surface else "",
-                    "true" if c.empty else "false",
-                ]
-            )
+    rows = (
+        [
+            c.cell.i,
+            c.cell.j,
+            c.level.label,
+            c.building_count,
+            "" if c.mean_obstruction is None else repr(c.mean_obstruction),
+            c.modal_surface.value if c.modal_surface else "",
+            "true" if c.empty else "false",
+        ]
+        for c in cells
+    )
+    _write_csv(path, _CELL_FIELDS, rows)
 
 
 def read_cells_csv(path: Path | str) -> list[ClassifiedCell]:
@@ -138,7 +139,7 @@ def read_cells_csv(path: Path | str) -> list[ClassifiedCell]:
                 )
     except OSError as exc:
         raise DataError(f"cannot read cells CSV {path}: {exc}") from exc
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:  # TypeError: a short row's None
         raise DataError(f"malformed cells CSV {path}: {exc}") from exc
     return cells
 
@@ -147,40 +148,34 @@ def write_aggregates_csv(
     path: Path | str, aggregates: Mapping[CellId, CellAggregate]
 ) -> None:
     """Intermediate per-cell aggregates, before classification."""
-    with _replacing(path, newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["i", "j", "building_count", "mean_obstruction", "modal_surface"])
-        for cell in sorted(aggregates):
-            agg = aggregates[cell]
-            writer.writerow(
-                [
-                    cell.i,
-                    cell.j,
-                    agg.building_count,
-                    "" if agg.mean_obstruction is None else repr(agg.mean_obstruction),
-                    agg.modal_surface.value if agg.modal_surface else "",
-                ]
-            )
+    rows = (
+        [
+            cell.i,
+            cell.j,
+            agg.building_count,
+            "" if agg.mean_obstruction is None else repr(agg.mean_obstruction),
+            agg.modal_surface.value if agg.modal_surface else "",
+        ]
+        for cell, agg in sorted(aggregates.items())
+    )
+    _write_csv(path, ["i", "j", "building_count", "mean_obstruction", "modal_surface"], rows)
 
 
 def write_building_metrics_csv(
     path: Path | str, metrics: Sequence[BuildingMetrics]
 ) -> None:
-    with _replacing(path, newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(
-            ["building_id", "obstruction_count", "nearest_surface", "road_distance", "road_id"]
-        )
-        for m in metrics:
-            writer.writerow(
-                [
-                    m.building_id,
-                    m.obstruction_count,
-                    m.nearest_surface.value,
-                    repr(m.road_distance),
-                    m.road_id,
-                ]
-            )
+    header = ["building_id", "obstruction_count", "nearest_surface", "road_distance", "road_id"]
+    rows = (
+        [
+            m.building_id,
+            m.obstruction_count,
+            m.nearest_surface.value,
+            repr(m.road_distance),
+            m.road_id,
+        ]
+        for m in metrics
+    )
+    _write_csv(path, header, rows)
 
 
 def write_connectors_geojson(
@@ -197,8 +192,8 @@ def write_connectors_geojson(
                 "geometry": {
                     "type": "LineString",
                     "coordinates": [
-                        _lonlat(c.start.x, c.start.y),
-                        _lonlat(c.end.x, c.end.y),
+                        inverse_lonlat(c.start.x, c.start.y),
+                        inverse_lonlat(c.end.x, c.end.y),
                     ],
                 },
                 "properties": {
@@ -214,13 +209,11 @@ def write_connectors_geojson(
 
 
 def write_ternary_csv(path: Path | str, points: Iterable[TernaryPoint]) -> None:
-    with _replacing(path, newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["i", "j", "p_low", "p_medium", "p_high", "n_votes"])
-        for t in points:
-            writer.writerow(
-                [t.cell.i, t.cell.j, repr(t.p_low), repr(t.p_medium), repr(t.p_high), t.n_votes]
-            )
+    rows = (
+        [t.cell.i, t.cell.j, repr(t.p_low), repr(t.p_medium), repr(t.p_high), t.n_votes]
+        for t in points
+    )
+    _write_csv(path, ["i", "j", "p_low", "p_medium", "p_high", "n_votes"], rows)
 
 
 def file_sha256(path: Path | str) -> str:

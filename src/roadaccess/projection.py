@@ -19,7 +19,6 @@ SPHERE_RADIUS_M = 6_378_137.0
 _SQRT2 = math.sqrt(2.0)
 _HALF_PI = math.pi / 2.0
 MAX_NORTHING_M = _SQRT2 * SPHERE_RADIUS_M
-MAX_EASTING_M = 2.0 * _SQRT2 * SPHERE_RADIUS_M
 
 _POLE_EPS_DEG = 1e-9
 _NEWTON_TOL = 1e-12
@@ -100,11 +99,14 @@ def project_forward(p: GeoPoint) -> PlanePoint:
     return project_lonlat(p.lon, p.lat)
 
 
-def project_inverse(p: PlanePoint) -> GeoPoint:
-    """Invert the projection; raises ValueError outside the projection bounds."""
-    s = p.y / MAX_NORTHING_M
+def inverse_lonlat(x: float, y: float) -> tuple[float, float]:
+    """(lon, lat) degrees of plane meters; raises ValueError for a
+    non-finite coordinate (as PlanePoint does) or one outside the bounds."""
+    if not (isfinite(x) and isfinite(y)):
+        raise ValueError(f"non-finite plane coordinates ({x!r}, {y!r})")
+    s = y / MAX_NORTHING_M
     if abs(s) > 1.0 + 1e-12:
-        raise ValueError(f"northing outside projection bounds: {p.y!r}")
+        raise ValueError(f"northing outside projection bounds: {y!r}")
     s = max(-1.0, min(1.0, s))
     theta = math.asin(s)
     sin_phi = (2.0 * theta + math.sin(2.0 * theta)) / math.pi
@@ -112,10 +114,15 @@ def project_inverse(p: PlanePoint) -> GeoPoint:
     cos_theta = math.cos(theta)
     if cos_theta <= 1e-12:
         # pole rows collapse to x = 0; tolerate sub-meter numeric fuzz
-        if abs(p.x) > 1.0:
-            raise ValueError(f"easting {p.x!r} outside projection bounds at the pole")
-        return GeoPoint(0.0, lat)
-    lon = math.degrees(p.x / (_X_SCALE * cos_theta))
+        if abs(x) > 1.0:
+            raise ValueError(f"easting {x!r} outside projection bounds at the pole")
+        return 0.0, lat
+    lon = math.degrees(x / (_X_SCALE * cos_theta))
     if abs(lon) > 180.0 + 1e-9:
-        raise ValueError(f"point outside projection bounds: ({p.x!r}, {p.y!r})")
-    return GeoPoint(max(-180.0, min(180.0, lon)), lat)
+        raise ValueError(f"point outside projection bounds: ({x!r}, {y!r})")
+    return max(-180.0, min(180.0, lon)), lat
+
+
+def project_inverse(p: PlanePoint) -> GeoPoint:
+    """Invert the projection; raises ValueError outside the projection bounds."""
+    return GeoPoint(*inverse_lonlat(p.x, p.y))

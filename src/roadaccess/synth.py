@@ -19,7 +19,7 @@ from pathlib import Path
 from .geometry import PlanePoint
 from .grid import CellId, cell_of
 from .levels import Surface
-from .projection import project_inverse
+from .projection import inverse_lonlat
 
 LAYOUTS = ("formal_grid", "informal_cluster", "mixed")
 
@@ -200,12 +200,7 @@ def expected_cell_levels(scene: _Scene) -> dict[CellId, str]:
     return levels
 
 
-def _lonlat(x: float, y: float) -> list[float]:
-    g = project_inverse(PlanePoint(x, y))
-    return [g.lon, g.lat]
-
-
-def _square_ring(cx: float, cy: float) -> list[list[float]]:
+def _square_ring(cx: float, cy: float) -> list[tuple[float, float]]:
     h = BUILDING_HALF_M
     corners = [
         (cx - h, cy - h),
@@ -214,7 +209,7 @@ def _square_ring(cx: float, cy: float) -> list[list[float]]:
         (cx - h, cy + h),
         (cx - h, cy - h),
     ]
-    return [_lonlat(x, y) for x, y in corners]
+    return [inverse_lonlat(x, y) for x, y in corners]
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -258,7 +253,7 @@ def generate(spec: SceneSpec, out_dir: Path | str) -> SceneFiles:
             "type": "Feature",
             "geometry": {
                 "type": "LineString",
-                "coordinates": [_lonlat(x, y) for x, y in coords],
+                "coordinates": [inverse_lonlat(x, y) for x, y in coords],
             },
             "properties": {"class": "residential", "surface": surface.value},
         }
@@ -280,7 +275,7 @@ def generate(spec: SceneSpec, out_dir: Path | str) -> SceneFiles:
             "type": "Feature",
             "geometry": {
                 "type": "Polygon",
-                "coordinates": [[_lonlat(x, y) for x, y in ring]],
+                "coordinates": [[inverse_lonlat(x, y) for x, y in ring]],
             },
             "properties": {},
         },

@@ -316,3 +316,32 @@ def reference_project_forward(lon: float, lat: float) -> tuple[float, float]:
     x = _REF_X_SCALE * math.radians(p.lon) * math.cos(theta)
     y = _REF_MAX_NORTHING_M * math.sin(theta)
     return x, y
+
+
+# ---------------------------------------------------------------------------
+# reference inverse projection
+
+
+def reference_project_inverse(x: float, y: float) -> tuple[float, float]:
+    """(lon, lat) in degrees; ValueError for a plane point PlanePoint rejects
+    (non-finite) or one outside the projection bounds."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"non-finite plane coordinates ({x!r}, {y!r})")
+    s = y / _REF_MAX_NORTHING_M
+    if abs(s) > 1.0 + 1e-12:
+        raise ValueError(f"northing outside projection bounds: {y!r}")
+    s = max(-1.0, min(1.0, s))
+    theta = math.asin(s)
+    sin_phi = (2.0 * theta + math.sin(2.0 * theta)) / math.pi
+    lat = math.degrees(math.asin(max(-1.0, min(1.0, sin_phi))))
+    cos_theta = math.cos(theta)
+    if cos_theta <= 1e-12:
+        if abs(x) > 1.0:
+            raise ValueError(f"easting {x!r} outside projection bounds at the pole")
+        g = _RefGeoPoint(0.0, lat)
+        return g.lon, g.lat
+    lon = math.degrees(x / (_REF_X_SCALE * cos_theta))
+    if abs(lon) > 180.0 + 1e-9:
+        raise ValueError(f"point outside projection bounds: ({x!r}, {y!r})")
+    g = _RefGeoPoint(max(-180.0, min(180.0, lon)), lat)
+    return g.lon, g.lat

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -284,6 +285,62 @@ def test_evaluate_on_another_cell_size_is_evaluation_error(tmp_path, formal_fixt
     assert main(["evaluate", "--config", str(cfg)]) == 0
     (tmp_path / "grid" / "manifest.json").unlink()
     assert main(["evaluate", "--config", str(cfg)]) == 4
+
+
+def test_evaluate_short_row_in_cells_csv_is_data_error(tmp_path, formal_fixture, capsys):
+    _, files = formal_fixture
+    votes = tmp_path / "votes.csv"
+    votes.write_text("cell_i,cell_j,validator_id,level\n0,0,a,low\n")
+    cfg = write_config(tmp_path, files, validations=str(votes))
+    assert main(["run", "--config", str(cfg)]) == 0
+    cells_csv = tmp_path / "out" / "cells.csv"
+    header = cells_csv.read_text().splitlines()[0]
+    cells_csv.write_text(header + "\n0,0,low\n")  # a truncated file
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("data-error: malformed cells CSV")
+
+
+def test_run_with_too_many_cells_exits_with_configuration_error(tmp_path, capsys, monkeypatch):
+    files = write_lonlat_scene(tmp_path, random.Random(3), n_buildings=12, n_roads=3, span_deg=0.002)
+    # a boundary about 450 m square at 1 cm cells: 2e9 cells
+    cfg = write_config(tmp_path, files, cell_size=0.01)
+
+    def metric_stage(*args):
+        raise AssertionError("the cell count is checked before the metric stage")
+
+    # without the check, enumerating the cells would take minutes and gigabytes
+    monkeypatch.setattr(cli.metrics, "compute_all", metric_stage)
+    start = time.perf_counter()
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("configuration-error: cell_size 0.01 m puts about 2e+09 cells")
+    assert err[-1].endswith("the limit is 10,000,000")
+    assert not (tmp_path / "out" / "cells.csv").exists()
+
+
+@pytest.mark.parametrize("target", ["config", "roads", "buildings_csv"])
+def test_undecodable_input_file_is_a_one_line_error(tmp_path, formal_fixture, capsys, target):
+    _, files = formal_fixture
+    cfg = write_config(tmp_path, files)
+    if target == "config":
+        cfg.write_bytes(b'{"threshold": "\xff"}')
+    elif target == "roads":
+        bad = tmp_path / "roads.geojson"
+        bad.write_bytes(files.roads.read_bytes().replace(b'"type"', b'"t\xffype"', 1))
+        cfg = cfg_with(tmp_path, cfg, roads=str(bad))
+    else:
+        bad = tmp_path / "buildings.csv"
+        bad.write_bytes(b"geometry\n\"POLYGON ((0 0, 1e-4 0, 1e-4 1e-4, 0 0))\"\xff\n")
+        cfg = cfg_with(tmp_path, cfg, buildings=str(bad))
+    code = main(["run", "--config", str(cfg)])
+    err = capsys.readouterr().err.strip().splitlines()
+    if target == "config":
+        assert code == 2 and err[-1].startswith("configuration-error: ")
+    else:
+        assert code == 3 and err[-1].startswith("data-error: cannot read ")
 
 
 def test_export_connectors_consistent_with_metrics_csv(formal_fixture):

@@ -6,7 +6,6 @@ import pytest
 from roadaccess.classify import ClassifiedCell
 from roadaccess.errors import EvaluationError
 from roadaccess.evaluate import (
-    ConfusionMatrix3,
     ConsensusCell,
     accuracy,
     build_confusion,
@@ -15,10 +14,9 @@ from roadaccess.evaluate import (
     evaluation_report,
     f1_per_class,
     ternary_proportions,
-    votes_by_cell,
 )
 from roadaccess.grid import CellId
-from roadaccess.ingest import ValidationRecord
+from roadaccess.ingest import ValidationRecord, load_validations
 from roadaccess.levels import LEVELS, DeprivationLevel
 
 LOW, MEDIUM, HIGH = DeprivationLevel.LOW, DeprivationLevel.MEDIUM, DeprivationLevel.HIGH
@@ -66,14 +64,20 @@ def record(i, j, validator, level):
     return ValidationRecord(CellId(i, j), validator, level)
 
 
-def test_votes_by_cell_deduplicates_validators():
-    records = [
-        record(0, 0, "a", LOW),
-        record(0, 0, "a", HIGH),  # same person revises: last wins
-        record(0, 0, "b", LOW),
-    ]
-    votes = votes_by_cell(records)
-    assert sorted(votes[CellId(0, 0)]) == [LOW, HIGH]
+def test_votes_by_cell_deduplicates_validators(tmp_path):
+    # one person, one vote: a revised vote counts once, through the loader
+    path = tmp_path / "votes.csv"
+    path.write_text(
+        "cell_i,cell_j,validator_id,level\n"
+        "0,0,a,low\n0,0,a,high\n0,0,b,low\n"  # a revises low -> high
+        "1,0,c,medium\n"
+    )
+    records = load_validations(path)
+    report = evaluation_report([model_cell(0, 0, LOW), model_cell(1, 0, MEDIUM)], records)
+    # (0, 0) is a high-low tie; with both of a's rows, low would win 2-1 and match
+    assert report["matched_cells"] == 1
+    assert report["excluded"] == {"no_consensus": 1, "unmatched": 0}
+    assert [t.n_votes for t in ternary_proportions(records)] == [2]
 
 
 def test_consensus_cells_split():
@@ -88,7 +92,6 @@ def test_consensus_cells_split():
     agreed, tied = consensus_cells(records)
     by_cell = {c.cell: c for c in agreed}
     assert by_cell[CellId(0, 0)].level is LOW
-    assert by_cell[CellId(0, 0)].vote_counts == (2, 1, 0)
     assert by_cell[CellId(2, 0)].level is HIGH
     assert tied == [CellId(1, 0)]
 
@@ -98,15 +101,15 @@ def model_cell(i, j, level):
 
 
 def ref_cell(i, j, level):
-    return ConsensusCell(CellId(i, j), level, (1, 0, 0))
+    return ConsensusCell(CellId(i, j), level)
 
 
 def test_build_confusion_perfect_agreement():
     model = [model_cell(i, 0, LOW) for i in range(10)]
     refs = [ref_cell(i, 0, LOW) for i in range(10)]
     cm, unmatched = build_confusion(model, refs)
-    assert cm.total() == 10
-    assert cm.counts[LOW.value][LOW.value] == 10
+    assert sum(map(sum, cm)) == 10
+    assert cm[LOW][LOW] == 10
     assert unmatched == []
 
 
@@ -114,14 +117,14 @@ def test_build_confusion_one_disagreement():
     model = [model_cell(0, 0, MEDIUM)]
     refs = [ref_cell(0, 0, LOW)]
     cm, _ = build_confusion(model, refs)
-    assert cm.counts[LOW.value][MEDIUM.value] == 1
+    assert cm[LOW][MEDIUM] == 1
 
 
 def test_build_confusion_reports_unmatched():
     model = [model_cell(0, 0, LOW)]
     refs = [ref_cell(0, 0, LOW), ref_cell(9, 9, HIGH)]
     cm, unmatched = build_confusion(model, refs)
-    assert cm.total() == 1
+    assert sum(map(sum, cm)) == 1
     assert unmatched == [CellId(9, 9)]
 
 
@@ -142,29 +145,29 @@ def test_build_confusion_matches_tally_oracle():
         refs.append(ref_cell(i, 0, r))
         tally[r.value][m.value] += 1
     cm, _ = build_confusion(model, refs)
-    assert cm.counts == tally
+    assert cm == tally
 
 
 def test_accuracy_examples():
-    identity = ConfusionMatrix3([[7, 0, 0], [0, 4, 0], [0, 0, 2]])
+    identity = [[7, 0, 0], [0, 4, 0], [0, 0, 2]]
     assert accuracy(identity) == 1.0
-    cm = ConfusionMatrix3([[40, 10, 5], [10, 10, 5], [5, 5, 10]])
+    cm = [[40, 10, 5], [10, 10, 5], [5, 5, 10]]
     assert accuracy(cm) == pytest.approx(0.6)
-    off = ConfusionMatrix3([[0, 9, 0], [0, 0, 0], [0, 0, 0]])
+    off = [[0, 9, 0], [0, 0, 0], [0, 0, 0]]
     assert accuracy(off) == 0.0
     with pytest.raises(EvaluationError):
-        accuracy(ConfusionMatrix3())
+        accuracy([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
 
 
 def test_f1_examples():
     # low: TP 8, FN 2 (row), FP 2 (column)
-    cm = ConfusionMatrix3([[8, 1, 1], [1, 5, 0], [1, 0, 5]])
+    cm = [[8, 1, 1], [1, 5, 0], [1, 0, 5]]
     f1_low, _, _ = f1_per_class(cm)
     assert f1_low == pytest.approx(8 / (8 + 0.5 * (2 + 2)))
-    perfect = ConfusionMatrix3([[5, 0, 0], [0, 5, 0], [0, 0, 5]])
+    perfect = [[5, 0, 0], [0, 5, 0], [0, 0, 5]]
     assert f1_per_class(perfect) == (1.0, 1.0, 1.0)
     # high never appears in refs nor predictions: F1 = 0 by convention
-    absent = ConfusionMatrix3([[5, 1, 0], [2, 4, 0], [0, 0, 0]])
+    absent = [[5, 1, 0], [2, 4, 0], [0, 0, 0]]
     assert f1_per_class(absent)[2] == 0.0
 
 
@@ -172,10 +175,9 @@ def test_f1_equals_one_iff_mass_is_diagonal():
     rng = random.Random(13)
     for _ in range(200):
         counts = [[rng.randint(0, 5) for _ in range(3)] for _ in range(3)]
-        cm = ConfusionMatrix3(counts)
-        if cm.total() == 0:
+        if sum(map(sum, counts)) == 0:
             continue
-        scores = f1_per_class(cm)
+        scores = f1_per_class(counts)
         for k in range(3):
             row_off = sum(counts[k]) - counts[k][k]
             col_off = sum(counts[r][k] for r in range(3)) - counts[k][k]
@@ -221,7 +223,7 @@ def test_ternary_proportions_examples():
         record(2, 0, "a", LOW),
         record(2, 0, "b", MEDIUM),
         record(2, 0, "c", HIGH),
-        record(3, 0, "a", HIGH),  # single vote: excluded when multi_only
+        record(3, 0, "a", HIGH),  # single vote: excluded
     ]
     points = {t.cell: t for t in ternary_proportions(records)}
     assert CellId(3, 0) not in points
@@ -234,21 +236,25 @@ def test_ternary_proportions_examples():
     assert CellId(1, 0) in points
     for t in points.values():
         assert abs(t.p_low + t.p_medium + t.p_high - 1.0) < 1e-12
-    all_points = {t.cell: t for t in ternary_proportions(records, multi_only=False)}
-    assert all_points[CellId(3, 0)].p_high == 1.0
 
 
-def test_validator_relabeling_leaves_outputs_unchanged():
+def test_validator_relabeling_leaves_outputs_unchanged(tmp_path):
     rng = random.Random(15)
-    records = [
-        record(i % 7, i % 3, f"person-{i % 9}", rng.choice(LEVELS)) for i in range(80)
-    ]
-    relabeled = [
-        ValidationRecord(r.cell, f"anon-{hash(r.validator_id) % 1000}", r.level)
-        for r in records
-    ]
+    # rows i and i + 63 share cell and validator: later votes revise earlier ones
+    rows = [(i % 7, i % 3, f"person-{i % 9}", rng.choice(LEVELS).label) for i in range(80)]
+    anon = {f"person-{k}": f"anon-{k}-{rng.randrange(1000)}" for k in range(9)}  # one-to-one
+
+    def load(name, relabel):
+        path = tmp_path / name
+        path.write_text(
+            "cell_i,cell_j,validator_id,level\n"
+            + "".join(f"{i},{j},{relabel(v)},{level}\n" for i, j, v, level in rows)
+        )
+        return load_validations(path)
+
     model = [model_cell(i, j, rng.choice(LEVELS)) for i in range(7) for j in range(3)]
-    assert evaluation_report(model, records) == evaluation_report(model, relabeled)
+    report = evaluation_report(model, load("votes.csv", str))
+    assert report == evaluation_report(model, load("anon.csv", anon.__getitem__))
 
 
 def test_conservation_of_validated_cells():
@@ -261,7 +267,7 @@ def test_conservation_of_validated_cells():
     refs, no_consensus = consensus_cells(records)
     try:
         cm, unmatched = build_confusion(model, refs)
-        matched = cm.total()
+        matched = sum(map(sum, cm))
     except EvaluationError:
         matched, unmatched = 0, []
     distinct_cells = len({r.cell for r in records})

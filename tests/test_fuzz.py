@@ -1,4 +1,5 @@
-"""Fuzz the CLI with mutated configs and GeoJSON inputs on a tiny scene.
+"""Fuzz the CLI with mutated inputs on a tiny scene: configs and GeoJSON
+before `run`, the run's cells.csv and the votes CSV before `evaluate`.
 
 Every mutated input must end in a documented exit code (0 ok, 2 config,
 3 data, 4 evaluation) with no exception escaping `main`, and the loaders'
@@ -13,6 +14,7 @@ import io
 import json
 import math
 import random
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 
 from roadaccess.cli import main
 from roadaccess.errors import DataError
-from roadaccess.ingest import LoadStats, load_buildings, load_roads
+from roadaccess.ingest import LoadStats, load_buildings, load_roads, load_validations
 
 from _scenes import write_lonlat_scene
 
@@ -154,3 +156,107 @@ def test_mutated_inputs_end_in_a_documented_exit(scene, data):
         for loader, name in ((load_roads, "roads"), (load_buildings, "buildings")):
             path = tmp / f"{name}.geojson"
             _check_load_stats(loader, path)
+
+
+# What a hand-edited or truncated CSV cell might hold instead of its value.
+CSV_JUNK = [
+    "", " ", "x", "-1", "1.5", "1e3", "nan", "inf", "None", "LOW", " high ", "severe",
+    "9" * 30, '"', "a,b", "\x00", "\u00e9",
+]
+CSV_MUTATIONS = (
+    "drop field", "blank field", "junk field", "truncate row", "extra field",
+    "duplicate row", "drop row", "undecodable byte",
+)
+
+
+def _mutate_csv(data, text: str) -> bytes:
+    """text's CSV rows, header included, after one to three drawn edits."""
+    rows = list(csv.reader(io.StringIO(text)))
+    undecodable = False
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        kind = data.draw(st.sampled_from(CSV_MUTATIONS), label="kind")
+        if kind == "undecodable byte":
+            undecodable = True
+            continue
+        if not rows:
+            break
+        r = data.draw(st.integers(0, len(rows) - 1), label="row")
+        row = rows[r]
+        k = data.draw(st.integers(0, max(len(row) - 1, 0)), label="field")
+        if kind == "duplicate row":
+            rows.insert(r, list(row))
+        elif kind == "drop row":
+            del rows[r]
+        elif kind == "extra field":
+            row.append(data.draw(st.sampled_from(CSV_JUNK), label="value"))
+        elif not row:
+            continue
+        elif kind == "drop field":
+            del row[k]
+        elif kind == "blank field":
+            row[k] = ""
+        elif kind == "junk field":
+            row[k] = data.draw(st.sampled_from(CSV_JUNK), label="value")
+        else:  # truncate row
+            del row[k:]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    raw = out.getvalue().encode("utf-8")
+    if undecodable:
+        at = data.draw(st.integers(0, len(raw)), label="at")
+        raw = raw[:at] + b"\xff" + raw[at:]
+    return raw
+
+
+def _is_valid_vote(row: dict) -> bool:
+    """The loader's row rule: integer cell, known level, non-blank validator."""
+    try:
+        int(row["cell_i"])
+        int(row["cell_j"])
+    except (TypeError, ValueError):
+        return False
+    level = (row["level"] or "").strip().upper()
+    return level in ("LOW", "MEDIUM", "HIGH") and bool((row["validator_id"] or "").strip())
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_mutated_cells_and_votes_end_in_a_documented_exit(scene, data):
+    base_config, _ = scene
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        out = tmp / "out"
+        shutil.copytree(base_config["output_dir"], out)
+        votes = tmp / "votes.csv"
+        shutil.copy(base_config["validations"], votes)
+        target = data.draw(st.sampled_from(("cells.csv", "votes")), label="target")
+        path = out / "cells.csv" if target == "cells.csv" else votes
+        path.write_bytes(_mutate_csv(data, path.read_text(encoding="utf-8")))
+        cfg = tmp / "config.json"
+        cfg.write_text(json.dumps(dict(base_config, output_dir=str(out), validations=str(votes))))
+
+        code = _run_cli(["evaluate", "--config", str(cfg)])
+        stats = LoadStats()
+        try:
+            records = load_validations(votes, stats=stats)
+        except DataError:
+            assert code == 3
+            return
+        with open(votes, newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+        valid = [row for row in rows if _is_valid_vote(row)]
+        assert stats.total == stats.loaded + stats.skipped == len(rows)
+        assert stats.loaded == len(valid)
+        assert len(stats.rejected_lines) == stats.skipped
+        voters = {(row["cell_i"], row["cell_j"], row["validator_id"].strip()) for row in valid}
+        assert stats.records == len(records) == len(
+            {(int(i), int(j), v) for i, j, v in voters}
+        )
+        if code == 0:
+            report = json.loads((out / "evaluation.json").read_text())
+            assert report["validation_rows"] == stats.as_dict()

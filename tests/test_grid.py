@@ -1,8 +1,16 @@
+import math
 import random
 
 from roadaccess.geometry import PlanePoint, Polygon
-from roadaccess.grid import CellAggregate, CellId, aggregate, cell_of, enumerate_empty_cells
-from roadaccess.ingest import Boundary, Building
+from roadaccess.grid import (
+    CellAggregate,
+    CellId,
+    aggregate,
+    box_cell_count,
+    cell_of,
+    enumerate_empty_cells,
+)
+from roadaccess.ingest import Building
 from roadaccess.levels import Surface
 from roadaccess.metrics import BuildingMetrics
 
@@ -115,25 +123,28 @@ def plane_rect(x0, y0, x1, y1):
     )
 
 
+def test_box_cell_count():
+    assert box_cell_count((0.0, 0.0, 1000.0, 500.0), 100.0) == 11 * 6
+    assert box_cell_count((0.0, 0.0, 1.0, 1.0), 5e-324) == math.inf
+
+
 def test_enumerate_empty_cells_center_rule():
-    boundary = Boundary(plane_rect(0, 0, 300, 100))
+    boundary = plane_rect(0, 0, 300, 100)
     empty = enumerate_empty_cells(boundary, occupied={CellId(1, 0)})
     assert empty == [CellId(0, 0), CellId(2, 0)]
 
 
 def test_enumerate_empty_cells_outside_boundary_excluded():
     # L-shaped boundary: the notch cell is inside the bbox but not the polygon
-    boundary = Boundary(
-        Polygon(
-            [
-                PlanePoint(0, 0),
-                PlanePoint(200, 0),
-                PlanePoint(200, 100),
-                PlanePoint(100, 100),
-                PlanePoint(100, 200),
-                PlanePoint(0, 200),
-            ]
-        )
+    boundary = Polygon(
+        [
+            PlanePoint(0, 0),
+            PlanePoint(200, 0),
+            PlanePoint(200, 100),
+            PlanePoint(100, 100),
+            PlanePoint(100, 200),
+            PlanePoint(0, 200),
+        ]
     )
     empty = enumerate_empty_cells(boundary, occupied=set())
     assert CellId(1, 1) not in empty

@@ -8,7 +8,6 @@ from roadaccess.geometry import PlanePoint, Polygon, Polyline, point_in_polygon
 from roadaccess.grid import CellId
 from roadaccess.ingest import (
     MOTORABLE_CLASSES,
-    Boundary,
     Building,
     LoadStats,
     RoadSegment,
@@ -139,7 +138,7 @@ def test_non_object_features_are_skipped_with_conservation(tmp_path):
     assert len(buildings) == 1
     assert (stats.total, stats.loaded, stats.skipped) == (7, 1, 6)
     boundary = polygon_feature([tiny_square(0.0, 0.0, d=0.01)])
-    assert load_boundary(geojson(tmp_path, "a.geojson", bad + [boundary])).polygon
+    assert isinstance(load_boundary(geojson(tmp_path, "a.geojson", bad + [boundary])), Polygon)
 
 
 @pytest.mark.parametrize(
@@ -279,7 +278,7 @@ def test_load_buildings_csv_with_wkt(tmp_path):
 def test_load_boundary(tmp_path):
     path = geojson(tmp_path, "boundary.geojson", [polygon_feature([tiny_square(0.0, 0.0, d=0.01)])])
     boundary = load_boundary(path)
-    assert boundary.polygon.bounds()[0] < boundary.polygon.bounds()[2]
+    assert boundary.bounds()[0] < boundary.bounds()[2]
 
 
 def test_load_boundary_zero_area_is_data_error(tmp_path):
@@ -310,7 +309,7 @@ def plane_road(road_id, x0, y0, x1, y1):
 
 
 def test_clip_to_boundary_rules():
-    boundary = Boundary(plane_square(0, 0, 1000))
+    boundary = plane_square(0, 0, 1000)
     inside = plane_building(0, 100, 100)
     outside = plane_building(1, 2000, 2000)
     road_inside = plane_road(0, 100, 500, 900, 500)
@@ -322,7 +321,7 @@ def test_clip_to_boundary_rules():
     assert [b.building_id for b in buildings] == [0]
     assert [r.road_id for r in roads] == [0, 1]
     for b in buildings:
-        assert point_in_polygon(b.centroid, boundary.polygon)
+        assert point_in_polygon(b.centroid, boundary)
 
 
 def validation_csv(tmp_path, rows):
@@ -361,6 +360,32 @@ def test_load_validations_duplicate_vote_keeps_last(tmp_path):
     )
     assert len(records) == 1
     assert records[0].level is DeprivationLevel.HIGH
+
+
+def test_load_validations_rejects_blank_or_missing_validator(tmp_path):
+    # blank ids would otherwise merge into one person's vote
+    stats = LoadStats()
+    records = load_validations(
+        validation_csv(tmp_path, ["0,0,,low", "0,0,,high", "0,0, ,medium", "0,0,alice,low"]),
+        stats=stats,
+    )
+    assert [r.validator_id for r in records] == ["alice"]
+    assert stats.rejected_lines == [2, 3, 4]
+    assert (stats.total, stats.loaded, stats.skipped, stats.records) == (4, 1, 3, 1)
+    # a short row without its last column, here the validator id
+    path = tmp_path / "short.csv"
+    path.write_text("cell_i,cell_j,level,validator_id\n0,0,low\n1,0,high,bob\n")
+    stats = LoadStats()
+    records = load_validations(path, stats=stats)
+    assert [r.validator_id for r in records] == ["bob"]
+    assert stats.rejected_lines == [2]
+
+
+def test_load_validations_undecodable_file_is_data_error(tmp_path):
+    path = tmp_path / "votes.csv"
+    path.write_bytes(b"cell_i,cell_j,validator_id,level\n0,0,\xff,low\n")
+    with pytest.raises(DataError, match="cannot read validations CSV"):
+        load_validations(path)
 
 
 def test_load_validations_missing_column_is_data_error(tmp_path):

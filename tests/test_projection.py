@@ -9,12 +9,13 @@ from roadaccess.projection import (
     MAX_NORTHING_M,
     SPHERE_RADIUS_M,
     GeoPoint,
+    inverse_lonlat,
     project_forward,
     project_inverse,
     project_lonlat,
 )
 
-from _scenes import reference_project_forward
+from _scenes import reference_project_forward, reference_project_inverse
 
 
 def test_geopoint_validation():
@@ -184,3 +185,63 @@ def test_project_lonlat_rejects_what_geopoint_rejects(lon, lat):
     with pytest.raises(ValueError) as via_geopoint:
         project_forward(GeoPoint(lon, lat))
     assert str(via_geopoint.value) == str(want.value)
+
+
+def _inverse_cases():
+    """Seeded plane points: in bounds, on the pole rows, at +-180 degrees and
+    just past each bound."""
+    rng = random.Random(2025)
+    x_scale = SPHERE_RADIUS_M * 2.0 * math.sqrt(2.0) / math.pi
+    cases = []
+    for _ in range(5000):
+        y = rng.uniform(-MAX_NORTHING_M, MAX_NORTHING_M)
+        half_width = x_scale * math.pi * math.cos(math.asin(y / MAX_NORTHING_M))
+        cases.append((rng.uniform(-half_width, half_width), y))
+        # +-180 degrees, and a metre or a few ulps past it
+        for edge in (half_width, -half_width):
+            cases += [(edge, y), (math.nextafter(edge, 0.0), y), (edge * (1 + 1e-10), y)]
+    # 100 m cell corners, as the cell layer projects them back
+    cases += [(i * 100.0, j * 100.0) for i in range(-50, 50, 7) for j in range(-50, 50, 3)]
+    # the pole rows: inside and past the 1e-12 northing tolerance, with
+    # eastings on both sides of the 1 m fuzz allowed there
+    for pole in (MAX_NORTHING_M, -MAX_NORTHING_M):
+        for k in (0, 1, 2, 5, 9, 20):
+            y = pole * (1.0 + k * 1e-13)
+            cases += [(x, y) for x in (0.0, -0.0, 0.5, -1.0, 1.0000001, -2.0, 1e6)]
+        cases += [(0.0, math.nextafter(pole, 0.0)), (3.0, pole * (1.0 - 1e-16))]
+    cases += [
+        (0.0, 0.0), (-0.0, -0.0), (1e9, 0.0), (0.0, 1e9), (0.0, -1e9),
+        (math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0),
+    ]
+    return cases
+
+
+def test_inverse_lonlat_matches_reference_bit_for_bit():
+    errors = 0
+    for x, y in _inverse_cases():
+        try:
+            want = reference_project_inverse(x, y)
+        except ValueError as exc:
+            errors += 1
+            with pytest.raises(ValueError) as got:
+                inverse_lonlat(x, y)
+            assert str(got.value) == str(exc), (x, y)
+            if math.isfinite(x) and math.isfinite(y):
+                with pytest.raises(ValueError) as via_planepoint:
+                    project_inverse(PlanePoint(x, y))
+                assert str(via_planepoint.value) == str(exc)
+            continue
+        got = inverse_lonlat(x, y)
+        assert tuple(map(_bits, got)) == tuple(map(_bits, want)), (x, y)
+        g = project_inverse(PlanePoint(x, y))
+        assert (_bits(g.lon), _bits(g.lat)) == tuple(map(_bits, want))
+    assert 100 < errors < len(_inverse_cases()) // 2  # both paths exercised
+
+
+def test_inverse_lonlat_rejects_non_finite_as_planepoint_does():
+    for x, y in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan)):
+        with pytest.raises(ValueError) as want:
+            PlanePoint(x, y)
+        with pytest.raises(ValueError) as got:
+            inverse_lonlat(x, y)
+        assert str(got.value) == str(want.value)
