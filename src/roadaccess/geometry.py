@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 # (min_x, min_y, max_x, max_y) axis-aligned bounding box
 Bounds = tuple[float, float, float, float]
@@ -17,7 +17,7 @@ Bounds = tuple[float, float, float, float]
 ZERO_AREA_EPS_M2 = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanePoint:
     """A point in projected (easting, northing) meters."""
 
@@ -29,7 +29,7 @@ class PlanePoint:
             raise ValueError(f"non-finite plane coordinates ({self.x!r}, {self.y!r})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """Closed straight segment between two points; zero length is allowed."""
 
@@ -61,65 +61,66 @@ class Polyline:
         return hash(self.vertices)
 
     def bounds(self) -> Bounds:
-        return bounds_of_points(self.vertices)
+        xs = [p.x for p in self.vertices]
+        ys = [p.y for p in self.vertices]
+        return (min(xs), min(ys), max(xs), max(ys))
 
 
-def _close_ring(ring: Sequence[PlanePoint]) -> tuple[PlanePoint, ...]:
-    pts = tuple(ring)
-    if len(pts) < 3:
+# A flat ring is one tuple of coordinates, (x0, y0, x1, y1, ..., x0, y0): its
+# vertices in order, closed by repeating the first.
+FlatRing = tuple[float, ...]
+
+
+def _close_ring(ring: Sequence[PlanePoint] | Sequence[float]) -> FlatRing:
+    """The flat closed ring of a sequence of PlanePoints or of flat coordinates."""
+    flat = tuple(ring)
+    if flat and isinstance(flat[0], PlanePoint):
+        flat = tuple([c for p in flat for c in (p.x, p.y)])
+    if len(flat) < 6:
         raise ValueError("ring needs at least three vertices")
-    if pts[0] != pts[-1]:
-        pts = pts + (pts[0],)
-    if len(pts) < 4:
+    if flat[0] != flat[-2] or flat[1] != flat[-1]:
+        flat += flat[:2]
+    if len(flat) < 8:
         raise ValueError("closed ring needs at least three distinct vertices")
-    return pts
+    return flat
 
 
 class Polygon:
     """Polygon as a closed exterior ring plus optional hole rings.
 
-    Ring closure (first vertex == last vertex) is enforced on construction;
-    no further validity repair is attempted.
+    Rings are given as PlanePoints or as flat coordinates and stored flat,
+    exterior first, in `rings`. Ring closure (first vertex == last vertex)
+    is enforced on construction; no further validity repair is attempted.
     """
 
-    __slots__ = ("exterior", "holes")
+    __slots__ = ("rings",)
 
     def __init__(
         self,
-        exterior: Sequence[PlanePoint],
-        holes: Iterable[Sequence[PlanePoint]] = (),
+        exterior: Sequence[PlanePoint] | Sequence[float],
+        holes: Iterable[Sequence[PlanePoint] | Sequence[float]] = (),
     ):
-        self.exterior: tuple[PlanePoint, ...] = _close_ring(exterior)
-        self.holes: tuple[tuple[PlanePoint, ...], ...] = tuple(
-            _close_ring(h) for h in holes
-        )
+        self.rings: tuple[FlatRing, ...] = (_close_ring(exterior), *map(_close_ring, holes))
+
+    @property
+    def exterior(self) -> FlatRing:
+        return self.rings[0]
+
+    @property
+    def holes(self) -> tuple[FlatRing, ...]:
+        return self.rings[1:]
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Polygon)
-            and self.exterior == other.exterior
-            and self.holes == other.holes
-        )
+        return isinstance(other, Polygon) and self.rings == other.rings
 
     def __hash__(self) -> int:
-        return hash((self.exterior, self.holes))
-
-    def rings(self) -> Iterator[tuple[PlanePoint, ...]]:
-        yield self.exterior
-        yield from self.holes
+        return hash(self.rings)
 
     def bounds(self) -> Bounds:
-        return bounds_of_points(self.exterior)
-
-
-# ---------------------------------------------------------------------------
-# bounding boxes
-
-
-def bounds_of_points(points: Sequence[PlanePoint]) -> Bounds:
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    return (min(xs), min(ys), max(xs), max(ys))
+        ext = self.rings[0]
+        xs = ext[0::2]
+        ys = ext[1::2]
+        return (min(xs), min(ys), max(xs), max(ys))
 
 
 # ---------------------------------------------------------------------------
@@ -164,25 +165,24 @@ def segments_intersect(
     return False
 
 
-def point_in_ring(p: PlanePoint, ring: Sequence[PlanePoint]) -> bool:
-    """Even-odd ray-crossing test against one closed ring."""
+def point_in_rings(x: float, y: float, rings: Iterable[FlatRing]) -> bool:
+    """Even-odd ray-crossing test of (x, y) against closed flat rings.
+
+    Over a polygon's rings this is point-in-polygon: the exterior and the
+    holes flip the same parity.
+    """
     inside = False
-    for i in range(len(ring) - 1):
-        a = ring[i]
-        b = ring[i + 1]
-        if (a.y > p.y) != (b.y > p.y):
-            xcross = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-            if p.x < xcross:
-                inside = not inside
-    return inside
-
-
-def point_in_polygon(p: PlanePoint, poly: Polygon) -> bool:
-    """Even-odd point-in-polygon over the exterior and all holes."""
-    inside = point_in_ring(p, poly.exterior)
-    for hole in poly.holes:
-        if point_in_ring(p, hole):
-            inside = not inside
+    for ring in rings:
+        it = iter(ring)
+        ax = next(it)
+        ay = next(it)
+        for bx, by in zip(it, it):
+            if (ay > y) != (by > y):
+                xcross = ax + (y - ay) * (bx - ax) / (by - ay)
+                if x < xcross:
+                    inside = not inside
+            ax = bx
+            ay = by
     return inside
 
 
@@ -190,11 +190,8 @@ def segment_intersects_polygon(s: Segment, poly: Polygon) -> bool:
     """True iff the closed segment shares at least one point with the polygon.
 
     Boundary contact counts as intersection: an edge of any ring touching or
-    crossing the segment, or either endpoint inside the area. Per ring edge
-    this is segments_intersect, with the same arithmetic, but each vertex's
-    side of the segment's line is computed once for both edges that meet
-    there, and the edge's own orientations of the segment endpoints only
-    where they can decide the result.
+    crossing the segment, or either endpoint inside the area. Disjoint
+    boxes are rejected here; segment_hits_rings does the rest.
     """
     ax = s.a.x
     ay = s.a.y
@@ -202,32 +199,35 @@ def segment_intersects_polygon(s: Segment, poly: Polygon) -> bool:
     by = s.b.y
     sx0, sx1 = (ax, bx) if ax <= bx else (bx, ax)
     sy0, sy1 = (ay, by) if ay <= by else (by, ay)
-    ext = poly.exterior
-    x0 = x1 = ext[0].x
-    y0 = y1 = ext[0].y
-    for v in ext:
-        if v.x < x0:
-            x0 = v.x
-        elif v.x > x1:
-            x1 = v.x
-        if v.y < y0:
-            y0 = v.y
-        elif v.y > y1:
-            y1 = v.y
+    x0, y0, x1, y1 = poly.bounds()
     if sx0 > x1 or x0 > sx1 or sy0 > y1 or y0 > sy1:
         return False
+    return segment_hits_rings(ax, ay, bx, by, poly.rings)
+
+
+def segment_hits_rings(
+    ax: float, ay: float, bx: float, by: float, rings: Sequence[FlatRing]
+) -> bool:
+    """True iff the closed segment (ax, ay)-(bx, by) shares a point with the
+    area the flat rings bound (exterior first, even-odd).
+
+    Callers reject footprints whose box misses the segment's box first.
+    Per ring edge this is segments_intersect, with the same arithmetic, but
+    each vertex's side of the segment's line is computed once for both
+    edges that meet there, and the edge's own orientations of the segment
+    endpoints only where they can decide the result.
+    """
+    sx0, sx1 = (ax, bx) if ax <= bx else (bx, ax)
+    sy0, sy1 = (ay, by) if ay <= by else (by, ay)
     dx = bx - ax
     dy = by - ay
-    for ring in poly.rings():
-        q = ring[0]
-        qx = q.x
-        qy = q.y
+    for ring in rings:
+        it = iter(ring)
+        qx = next(it)
+        qy = next(it)
         w = dx * (qy - ay) - dy * (qx - ax)
         o1 = 1 if w > 0.0 else (-1 if w < 0.0 else 0)
-        for i in range(1, len(ring)):
-            r = ring[i]
-            rx = r.x
-            ry = r.y
+        for rx, ry in zip(it, it):
             w = dx * (ry - ay) - dy * (rx - ax)
             o2 = 1 if w > 0.0 else (-1 if w < 0.0 else 0)
             # a ring vertex on the segment (the ring is closed, so checking
@@ -246,50 +246,50 @@ def segment_intersects_polygon(s: Segment, poly: Polygon) -> bool:
                     return True
                 # o3 == o4 here: both segment endpoints are on the edge's line
                 if o3 == 0 and (
-                    _within_edge(ax, ay, qx, qy, rx, ry) or _within_edge(bx, by, qx, qy, rx, ry)
+                    (qx <= ax <= rx or rx <= ax <= qx) and (qy <= ay <= ry or ry <= ay <= qy)
+                    or (qx <= bx <= rx or rx <= bx <= qx) and (qy <= by <= ry or ry <= by <= qy)
                 ):
                     return True
             else:
                 # no proper crossing; a segment endpoint may still lie on the
                 # edge (orientation 0: neither > 0 nor < 0, as in orientation)
-                if _within_edge(ax, ay, qx, qy, rx, ry):
+                if (qx <= ax <= rx or rx <= ax <= qx) and (qy <= ay <= ry or ry <= ay <= qy):
                     w = ex * (ay - qy) - ey * (ax - qx)
                     if not (w > 0.0 or w < 0.0):
                         return True
-                if _within_edge(bx, by, qx, qy, rx, ry):
+                if (qx <= bx <= rx or rx <= bx <= qx) and (qy <= by <= ry or ry <= by <= qy):
                     w = ex * (by - qy) - ey * (bx - qx)
                     if not (w > 0.0 or w < 0.0):
                         return True
             qx = rx
             qy = ry
             o1 = o2
-    return point_in_polygon(s.a, poly) or point_in_polygon(s.b, poly)
-
-
-def _within_edge(px: float, py: float, qx: float, qy: float, rx: float, ry: float) -> bool:
-    return (qx <= px <= rx or rx <= px <= qx) and (qy <= py <= ry or ry <= py <= qy)
+    return point_in_rings(ax, ay, rings) or point_in_rings(bx, by, rings)
 
 
 # ---------------------------------------------------------------------------
 # measures
 
 
-def _ring_area_centroid(ring: Sequence[PlanePoint]) -> tuple[float, float, float]:
-    """Signed area and centroid of a closed ring (local-origin shoelace)."""
-    x0 = ring[0].x
-    y0 = ring[0].y
+def _ring_area_centroid(ring: FlatRing) -> tuple[float, float, float]:
+    """Signed area and centroid of a closed flat ring (local-origin shoelace)."""
+    it = iter(ring)
+    x0 = next(it)
+    y0 = next(it)
     a2 = 0.0  # twice the signed area
     cx = 0.0
     cy = 0.0
-    for i in range(len(ring) - 1):
-        px = ring[i].x - x0
-        py = ring[i].y - y0
-        qx = ring[i + 1].x - x0
-        qy = ring[i + 1].y - y0
+    px = x0 - x0
+    py = y0 - y0
+    for x, y in zip(it, it):
+        qx = x - x0
+        qy = y - y0
         w = px * qy - qx * py
         a2 += w
         cx += (px + qx) * w
         cy += (py + qy) * w
+        px = qx
+        py = qy
     if a2 == 0.0:
         return 0.0, 0.0, 0.0
     return a2 / 2.0, x0 + cx / (3.0 * a2), y0 + cy / (3.0 * a2)
@@ -319,10 +319,10 @@ def polygon_centroid(poly: Polygon) -> PlanePoint:
         wx -= abs(area_h) * cx_h
         wy -= abs(area_h) * cy_h
     if abs(net) < ZERO_AREA_EPS_M2:
-        pts = poly.exterior[:-1]  # closing vertex would double-count
-        return PlanePoint(
-            sum(p.x for p in pts) / len(pts), sum(p.y for p in pts) / len(pts)
-        )
+        ext = poly.exterior
+        xs = ext[0:-2:2]  # the closing vertex would double-count
+        ys = ext[1:-2:2]
+        return PlanePoint(sum(xs) / len(xs), sum(ys) / len(ys))
     return PlanePoint(wx / net, wy / net)
 
 
@@ -372,21 +372,19 @@ def rect_polygon_distance(b: Bounds, poly: Polygon) -> float:
     Zero when the rect touches or overlaps the polygon area (rects fully
     inside count as distance zero; rects inside a hole do not).
     """
-    corners = [
-        PlanePoint(b[0], b[1]),
-        PlanePoint(b[2], b[1]),
-        PlanePoint(b[2], b[3]),
-        PlanePoint(b[0], b[3]),
-    ]
-    if any(point_in_polygon(c, poly) for c in corners):
+    rings = poly.rings
+    corners = ((b[0], b[1]), (b[2], b[1]), (b[2], b[3]), (b[0], b[3]))
+    if any(point_in_rings(x, y, rings) for x, y in corners):
         return 0.0
-    if any(b[0] <= v.x <= b[2] and b[1] <= v.y <= b[3] for v in poly.exterior):
+    ext = poly.exterior
+    if any(b[0] <= x <= b[2] and b[1] <= y <= b[3] for x, y in zip(ext[0::2], ext[1::2])):
         return 0.0
     edges = _rect_edges(b)
     best = math.inf
-    for ring in poly.rings():
-        for i in range(len(ring) - 1):
-            ring_seg = Segment(ring[i], ring[i + 1])
+    for ring in rings:
+        points = [PlanePoint(x, y) for x, y in zip(ring[0::2], ring[1::2])]
+        for i in range(len(points) - 1):
+            ring_seg = Segment(points[i], points[i + 1])
             for edge in edges:
                 d = segment_distance(ring_seg, edge)
                 if d == 0.0:

@@ -12,7 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .geometry import Bounds, PlanePoint, Polygon, point_in_polygon
+from .geometry import Bounds, PlanePoint, Polygon, point_in_rings
 from .levels import Surface
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -86,6 +86,7 @@ def enumerate_empty_cells(
     i1 = math.floor(max_x / cell_size)
     j0 = math.floor(min_y / cell_size)
     j1 = math.floor(max_y / cell_size)
+    rings = boundary.rings
     empty: list[CellId] = []
     for i in range(i0, i1 + 1):
         cx = (i + 0.5) * cell_size
@@ -93,6 +94,6 @@ def enumerate_empty_cells(
             cell = CellId(i, j)
             if cell in occupied_set:
                 continue
-            if point_in_polygon(PlanePoint(cx, (j + 0.5) * cell_size), boundary):
+            if point_in_rings(cx, (j + 0.5) * cell_size, rings):
                 empty.append(cell)
     return empty

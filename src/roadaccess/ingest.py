@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -20,7 +21,7 @@ from .geometry import (
     PlanePoint,
     Polygon,
     Polyline,
-    point_in_polygon,
+    point_in_rings,
     polygon_area,
     polygon_centroid,
     rect_polygon_distance,
@@ -154,24 +155,27 @@ def _lonlat(pos: Sequence[float]) -> tuple[float, float]:
     return lon, lat
 
 
-def _project_position(pos: Sequence[float]) -> PlanePoint:
+def _project_position(pos: Sequence[float]) -> tuple[float, float]:
     return project_lonlat(*_lonlat(pos))
 
 
 def _project_line(coords: Sequence[Sequence[float]]) -> Polyline:
-    return Polyline(_project_position(pos) for pos in coords)
+    return Polyline(PlanePoint(*_project_position(pos)) for pos in coords)
 
 
-def _project_ring(coords: Sequence[Sequence[float]]) -> list[PlanePoint]:
-    points = [_project_position(pos) for pos in coords[:-1]]
+def _project_ring(coords: Sequence[Sequence[float]]) -> list[float]:
+    """Flat projected coordinates (x0, y0, x1, y1, ...) of a ring's positions."""
+    flat: list[float] = []
+    for pos in coords[:-1]:
+        flat += _project_position(pos)
     last = coords[-1]
-    if points and last == coords[0]:
-        # the closing position repeats the first: reuse its point
+    if flat and last == coords[0]:
+        # the closing position repeats the first: reuse its coordinates
         _lonlat(last)
-        points.append(points[0])
+        flat += flat[:2]
     else:
-        points.append(_project_position(last))
-    return points
+        flat += _project_position(last)
+    return flat
 
 
 def _polygon_from_rings(rings: Sequence[Sequence[Sequence[float]]]) -> Polygon:
@@ -291,7 +295,8 @@ def load_buildings(
 
     MultiPolygons split into one Building per part. When min_confidence is
     set, features carrying a lower confidence are dropped; features without
-    a confidence value are always kept.
+    a confidence value are always kept. A confidence that is a bool, NaN or
+    infinite makes the feature malformed, so it is skipped.
     """
     stats = stats if stats is not None else LoadStats()
     if str(path).lower().endswith(".csv"):
@@ -304,7 +309,11 @@ def load_buildings(
         try:
             geom, props = _feature_parts(feature)
             raw_conf = props.get("confidence")
-            confidence = None if raw_conf in (None, "") else float(raw_conf)
+            confidence = None
+            if raw_conf not in (None, ""):
+                confidence = float(raw_conf)
+                if isinstance(raw_conf, bool) or not math.isfinite(confidence):
+                    raise ValueError(f"confidence must be a finite number, got {raw_conf!r}")
             if confidence is not None and min_confidence is not None and confidence < min_confidence:
                 stats.loaded += 1  # valid feature, filtered by choice
                 continue
@@ -397,7 +406,8 @@ def clip_to_boundary(
     Roads are kept while within road_margin_m of the boundary, so segments
     just outside still serve nearest-road queries at the edge.
     """
-    kept_buildings = [b for b in buildings if point_in_polygon(b.centroid, boundary)]
+    rings = boundary.rings
+    kept_buildings = [b for b in buildings if point_in_rings(b.centroid.x, b.centroid.y, rings)]
     kept_roads = [
         r
         for r in roads

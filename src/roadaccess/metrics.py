@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .geometry import PlanePoint, Polygon, Segment, segment_intersects_polygon
+from .geometry import PlanePoint, Segment
 from .ingest import Building, RoadSegment
 from .levels import Surface
 from .spatial_index import PolygonIndex, SegmentIndex
@@ -44,38 +44,31 @@ def build_connector(building: Building, road_index: SegmentIndex) -> ConnectorLi
 
 
 def count_obstructions(
-    connector: ConnectorLine,
-    building_index: PolygonIndex,
-    footprints: Mapping[int, Polygon],
+    building_id: int, start: PlanePoint, end: PlanePoint, building_index: PolygonIndex
 ) -> int:
-    """Distinct other buildings whose footprint touches the closed connector."""
-    if connector.start == connector.end:
+    """Distinct other buildings whose footprint touches the closed connector
+    from start to end; none for a zero-length connector."""
+    if start == end:
         return 0
-    seg = Segment(connector.start, connector.end)
-    count = 0
-    for building_id in building_index.candidates_for_segment(seg):
-        if building_id == connector.building_id:
-            continue
-        if segment_intersects_polygon(seg, footprints[building_id]):
-            count += 1
-    return count
+    return building_index.count_obstructions(Segment(start, end), building_id)
 
 
 def _metrics_for_building(
     building: Building,
     road_index: SegmentIndex,
     building_index: PolygonIndex,
-    footprints: Mapping[int, Polygon],
     roads_by_id: Mapping[int, RoadSegment],
 ) -> BuildingMetrics:
-    connector = build_connector(building, road_index)
+    # build_connector's query, without the ConnectorLine
+    start = building.centroid
+    road_id, end, distance = road_index.nearest(start)
     return BuildingMetrics(
-        building_id=building.building_id,
-        obstruction_count=count_obstructions(connector, building_index, footprints),
-        nearest_surface=roads_by_id[connector.road_id].surface,
-        road_distance=connector.road_distance,
-        road_id=connector.road_id,
-        road_point=connector.end,
+        building.building_id,
+        count_obstructions(building.building_id, start, end, building_index),
+        roads_by_id[road_id].surface,
+        distance,
+        road_id,
+        end,
     )
 
 
@@ -83,17 +76,17 @@ def _metrics_for_building(
 _WORKER_STATE: tuple | None = None
 
 
-def _init_worker(buildings, road_index, building_index, footprints, roads_by_id):
+def _init_worker(buildings, road_index, building_index, roads_by_id):
     global _WORKER_STATE
-    _WORKER_STATE = (buildings, road_index, building_index, footprints, roads_by_id)
+    _WORKER_STATE = (buildings, road_index, building_index, roads_by_id)
 
 
 def _metrics_for_slice(bounds: tuple[int, int]) -> list[BuildingMetrics]:
     assert _WORKER_STATE is not None
-    buildings, road_index, building_index, footprints, roads_by_id = _WORKER_STATE
+    buildings, road_index, building_index, roads_by_id = _WORKER_STATE
     lo, hi = bounds
     return [
-        _metrics_for_building(b, road_index, building_index, footprints, roads_by_id)
+        _metrics_for_building(b, road_index, building_index, roads_by_id)
         for b in buildings[lo:hi]
     ]
 
@@ -112,11 +105,10 @@ def compute_all(
     """
     if not buildings:
         return []
-    footprints = {b.building_id: b.footprint for b in buildings}
     roads_by_id = {r.road_id: r for r in roads}
     if workers is None or workers <= 1 or len(buildings) < 2 * workers:
         results = [
-            _metrics_for_building(b, road_index, building_index, footprints, roads_by_id)
+            _metrics_for_building(b, road_index, building_index, roads_by_id)
             for b in buildings
         ]
     else:
@@ -131,7 +123,7 @@ def compute_all(
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(list(buildings), road_index, building_index, footprints, roads_by_id),
+            initargs=(list(buildings), road_index, building_index, roads_by_id),
         ) as pool:
             results = [m for part in pool.map(_metrics_for_slice, slices) for m in part]
     results.sort(key=lambda m: m.building_id)

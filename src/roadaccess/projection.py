@@ -61,8 +61,8 @@ def _theta_bisect(target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def project_lonlat(lon: float, lat: float) -> PlanePoint:
-    """Project geographic degrees onto the equal-area plane (meters).
+def project_lonlat(lon: float, lat: float) -> tuple[float, float]:
+    """Project geographic degrees onto the equal-area plane: (x, y) meters.
 
     Raises ValueError, as GeoPoint does, for a non-finite or out-of-range
     coordinate.
@@ -70,7 +70,7 @@ def project_lonlat(lon: float, lat: float) -> PlanePoint:
     _check_lonlat(lon, lat)
     # Newton's denominator vanishes at the poles; short-circuit there.
     if abs(lat) >= 90.0 - _POLE_EPS_DEG:
-        return PlanePoint(0.0, math.copysign(MAX_NORTHING_M, lat))
+        return 0.0, math.copysign(MAX_NORTHING_M, lat)
     phi = lat * _RAD_PER_DEG  # math.radians(lat), bit for bit
     target = math.pi * sin(phi)
     theta = phi
@@ -91,12 +91,12 @@ def project_lonlat(lon: float, lat: float) -> PlanePoint:
     else:
         # Newton stalls very close to the poles; fall back to bisection.
         theta = _theta_bisect(target)
-    return PlanePoint(_X_SCALE * (lon * _RAD_PER_DEG) * cos(theta), MAX_NORTHING_M * sin(theta))
+    return _X_SCALE * (lon * _RAD_PER_DEG) * cos(theta), MAX_NORTHING_M * sin(theta)
 
 
 def project_forward(p: GeoPoint) -> PlanePoint:
     """Project geographic degrees onto the equal-area plane (meters)."""
-    return project_lonlat(p.lon, p.lat)
+    return PlanePoint(*project_lonlat(p.lon, p.lat))
 
 
 def inverse_lonlat(x: float, y: float) -> tuple[float, float]:

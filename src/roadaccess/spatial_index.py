@@ -18,7 +18,7 @@ from collections import defaultdict
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ConfigurationError
-from .geometry import Bounds, PlanePoint, Segment
+from .geometry import Bounds, FlatRing, PlanePoint, Segment, segment_hits_rings
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ingest import Building, RoadSegment
@@ -197,15 +197,19 @@ class PolygonIndex:
 
     Each footprint's bounds are computed once, here, and its position is
     listed in every bucket its box overlaps. Buckets are keyed by
-    column * rows + row over the occupied extent only.
+    column * rows + row over the occupied extent only. The index holds a
+    reference to each footprint's flat rings for the exact test.
     """
 
     def __init__(self, buildings: Iterable["Building"]):
         self._ids: list[int] = []
         self._bounds: list[Bounds] = []
+        self._rings: list[tuple[FlatRing, ...]] = []
         for b in buildings:
+            footprint = b.footprint
             self._ids.append(b.building_id)
-            self._bounds.append(b.footprint.bounds())
+            self._bounds.append(footprint.bounds())
+            self._rings.append(footprint.rings)
         self._buckets: defaultdict[int, list[int]] = defaultdict(list)
         if not self._bounds:
             return
@@ -230,16 +234,32 @@ class PolygonIndex:
         return len(self._ids)
 
     def candidates_for_segment(self, s: Segment) -> set[int]:
-        """Superset of the buildings whose footprint may touch the closed segment s.
+        """Superset of the buildings whose footprint may touch the closed segment s."""
+        ids = self._ids
+        return {ids[k] for k in self._candidates(s.a.x, s.a.y, s.b.x, s.b.y)}
+
+    def count_obstructions(self, s: Segment, building_id: int) -> int:
+        """Distinct buildings, other than building_id, whose footprint
+        touches the closed segment s: the candidates, then the exact test."""
+        ax, ay, bx, by = s.a.x, s.a.y, s.b.x, s.b.y
+        ids = self._ids
+        rings = self._rings
+        count = 0
+        for k in self._candidates(ax, ay, bx, by):
+            if ids[k] != building_id and segment_hits_rings(ax, ay, bx, by, rings[k]):
+                count += 1
+        return count
+
+    def _candidates(self, ax: float, ay: float, bx: float, by: float) -> list[int]:
+        """Positions of the footprints that may touch the closed segment.
 
         Visits, column slab by column slab, only the buckets the segment
         crosses. A footprint is kept when its box overlaps the segment's box
         and does not lie wholly on one side of the segment's line.
         """
-        found: set[int] = set()
+        found: list[int] = []
         if not self._buckets:
             return found
-        ax, ay, bx, by = s.a.x, s.a.y, s.b.x, s.b.y
         if bx < ax:
             ax, ay, bx, by = bx, by, ax, ay
         ox, oy = self._origin
@@ -288,7 +308,6 @@ class PolygonIndex:
         dy = by - ay
         tol = _SIDE_TOL_M * (abs(dx) + abs(dy))
         bounds = self._bounds
-        ids = self._ids
         for k in positions:
             x0, y0, x1, y1 = bounds[k]
             if x0 > bx or x1 < ax or y0 > sy1 or y1 < sy0:
@@ -305,5 +324,5 @@ class PolygonIndex:
                 r, t = t, r
             if q - r < -tol or p - t > tol:
                 continue
-            found.add(ids[k])
+            found.append(k)
         return found

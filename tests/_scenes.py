@@ -163,10 +163,15 @@ def _segments_intersect(p1, p2, q1, q2) -> bool:
     )
 
 
+def ring_points(ring: tuple[float, ...]) -> list[PlanePoint]:
+    """The vertices of a flat ring (x0, y0, x1, y1, ...) as PlanePoints."""
+    return [PlanePoint(ring[i], ring[i + 1]) for i in range(0, len(ring), 2)]
+
+
 def _inside(p: PlanePoint, poly: Polygon) -> bool:
     """Even-odd ray crossing over every ring."""
     inside = False
-    for ring in poly.rings():
+    for ring in map(ring_points, poly.rings):
         for i in range(len(ring) - 1):
             a = ring[i]
             b = ring[i + 1]
@@ -181,8 +186,8 @@ def reference_segment_intersects_polygon(s: Segment, poly: Polygon) -> bool:
 
     Boundary contact counts, as does either endpoint inside the area.
     """
-    xs = [p.x for p in poly.exterior]
-    ys = [p.y for p in poly.exterior]
+    xs = poly.exterior[0::2]
+    ys = poly.exterior[1::2]
     if (
         max(s.a.x, s.b.x) < min(xs)
         or min(s.a.x, s.b.x) > max(xs)
@@ -190,7 +195,7 @@ def reference_segment_intersects_polygon(s: Segment, poly: Polygon) -> bool:
         or min(s.a.y, s.b.y) > max(ys)
     ):
         return False
-    for ring in poly.rings():
+    for ring in map(ring_points, poly.rings):
         for i in range(len(ring) - 1):
             if _segments_intersect(s.a, s.b, ring[i], ring[i + 1]):
                 return True

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from roadaccess.errors import DataError
-from roadaccess.geometry import PlanePoint, Polygon, Polyline, point_in_polygon
+from roadaccess.geometry import PlanePoint, Polygon, Polyline, point_in_rings
 from roadaccess.grid import CellId
 from roadaccess.ingest import (
     MOTORABLE_CLASSES,
@@ -175,7 +175,8 @@ def test_closing_position_must_be_numbers_even_when_equal_to_the_first(tmp_path)
     assert (stats.total, stats.loaded, stats.skipped) == (1, 0, 1)
     ring[-1] = [1.0, 0]
     (building,) = load_buildings(geojson(tmp_path, "b.geojson", [polygon_feature([ring])]))
-    assert building.footprint.exterior[0] is building.footprint.exterior[-1]
+    ext = building.footprint.exterior
+    assert ext[0] is ext[-2] and ext[1] is ext[-1]
 
 
 def test_filter_motorable_class_list():
@@ -231,7 +232,7 @@ def test_load_buildings_geojson(tmp_path):
     buildings = load_buildings(geojson(tmp_path, "b.geojson", features))
     assert [b.building_id for b in buildings] == [0, 1, 2]
     for b in buildings:
-        assert point_in_polygon(b.centroid, b.footprint)
+        assert point_in_rings(b.centroid.x, b.centroid.y, b.footprint.rings)
 
 
 def test_load_buildings_confidence_filter(tmp_path):
@@ -273,6 +274,36 @@ def test_load_buildings_csv_with_wkt(tmp_path):
     assert len(buildings) == 2
     assert buildings[0].confidence == 0.9
     assert stats.total == 3 and stats.skipped == 1
+
+
+def test_non_finite_or_boolean_confidence_is_malformed(tmp_path):
+    # none of these may load: each would pass (or dodge) min_confidence
+    bad = ["nan", "inf", "-Infinity", True, False, float("nan"), float("inf")]
+    good = [0.95, "0.97", 1]
+    features = [
+        polygon_feature([tiny_square(0.01 * k, 0.0)], confidence=c)
+        for k, c in enumerate(bad + good)
+    ]
+    path = tmp_path / "b.geojson"
+    # json.dumps writes float nan and inf as NaN and Infinity, which json.load reads back
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+    stats = LoadStats()
+    kept = load_buildings(path, min_confidence=0.9, stats=stats)
+    assert [b.confidence for b in kept] == [0.95, 0.97, 1.0]
+    assert (stats.total, stats.loaded, stats.skipped) == (10, 3, 7)
+
+
+def test_non_finite_csv_confidence_is_malformed(tmp_path):
+    square = '"POLYGON ((0 0, 0.0001 0, 0.0001 0.0001, 0 0.0001, 0 0))"'
+    path = tmp_path / "b.csv"
+    path.write_text(
+        "confidence,geometry\n"
+        + "".join(f"{c},{square}\n" for c in ("nan", "inf", "-inf", "NaN", " 0.95 ", ""))
+    )
+    stats = LoadStats()
+    kept = load_buildings(path, min_confidence=0.9, stats=stats)
+    assert [b.confidence for b in kept] == [0.95, None]
+    assert (stats.total, stats.loaded, stats.skipped) == (6, 2, 4)
 
 
 def test_load_boundary(tmp_path):
@@ -321,7 +352,7 @@ def test_clip_to_boundary_rules():
     assert [b.building_id for b in buildings] == [0]
     assert [r.road_id for r in roads] == [0, 1]
     for b in buildings:
-        assert point_in_polygon(b.centroid, boundary)
+        assert point_in_rings(b.centroid.x, b.centroid.y, boundary.rings)
 
 
 def validation_csv(tmp_path, rows):

@@ -10,7 +10,7 @@ from roadaccess.levels import Surface
 from roadaccess.metrics import build_connector, compute_all, count_obstructions
 from roadaccess.spatial_index import PolygonIndex, SegmentIndex
 
-from _scenes import brute_metrics, random_scene, road_segments
+from _scenes import brute_metrics, random_scene, ring_points, road_segments
 
 
 def plane_square(building_id, cx, cy, half=5.0):
@@ -48,8 +48,7 @@ def test_connector_zero_length_when_centroid_on_road():
     # zero-length connectors count no obstructions, even overlapping ones
     blocker = plane_square(1, 0, 0)
     pidx = PolygonIndex([b, blocker])
-    footprints = {x.building_id: x.footprint for x in (b, blocker)}
-    assert count_obstructions(c, pidx, footprints) == 0
+    assert count_obstructions(c.building_id, c.start, c.end, pidx) == 0
 
 
 def test_connector_tie_prefers_lower_road_id():
@@ -66,9 +65,8 @@ def test_count_obstructions_single_blocker():
     buildings = [source, blocker, bystander]
     idx = SegmentIndex([road])
     pidx = PolygonIndex(buildings)
-    footprints = {b.building_id: b.footprint for b in buildings}
     c = build_connector(source, idx)
-    assert count_obstructions(c, pidx, footprints) == 1
+    assert count_obstructions(c.building_id, c.start, c.end, pidx) == 1
 
 
 def test_count_obstructions_counts_distinct_buildings_once():
@@ -91,8 +89,7 @@ def test_count_obstructions_counts_distinct_buildings_once():
     buildings = [source, blocker]
     c = build_connector(source, SegmentIndex([road]))
     pidx = PolygonIndex(buildings)
-    footprints = {b.building_id: b.footprint for b in buildings}
-    assert count_obstructions(c, pidx, footprints) == 1
+    assert count_obstructions(c.building_id, c.start, c.end, pidx) == 1
 
 
 def test_overlapping_footprints_still_count():
@@ -103,8 +100,7 @@ def test_overlapping_footprints_still_count():
     buildings = [source, overlapper]
     c = build_connector(source, SegmentIndex([road]))
     pidx = PolygonIndex(buildings)
-    footprints = {b.building_id: b.footprint for b in buildings}
-    assert count_obstructions(c, pidx, footprints) == 1
+    assert count_obstructions(c.building_id, c.start, c.end, pidx) == 1
 
 
 def test_connector_end_lies_on_road_geometry():
@@ -223,7 +219,7 @@ def test_translation_invariance_of_counts():
 
     moved_buildings = [
         Building.from_footprint(
-            b.building_id, Polygon([shift_point(p) for p in b.footprint.exterior[:-1]])
+            b.building_id, Polygon([shift_point(p) for p in ring_points(b.footprint.exterior)[:-1]])
         )
         for b in buildings
     ]
@@ -256,7 +252,7 @@ def test_uniform_scaling_invariance_of_counts():
 
     scaled_buildings = [
         Building.from_footprint(
-            b.building_id, Polygon([scale_point(p) for p in b.footprint.exterior[:-1]])
+            b.building_id, Polygon([scale_point(p) for p in ring_points(b.footprint.exterior)[:-1]])
         )
         for b in buildings
     ]

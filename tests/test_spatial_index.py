@@ -1,3 +1,5 @@
+import json
+import pickle
 import random
 
 import pytest
@@ -13,11 +15,12 @@ from roadaccess.geometry import (
     nearest_point_on_segment,
     segment_intersects_polygon,
 )
-from roadaccess.ingest import Building, RoadSegment
+from roadaccess.ingest import Building, RoadSegment, load_buildings, load_roads
 from roadaccess.spatial_index import PolygonIndex, SegmentIndex
 
 from _scenes import (
     brute_nearest,
+    brute_obstructions,
     random_roads,
     random_scene,
     reference_segment_intersects_polygon,
@@ -357,3 +360,99 @@ def test_grid_candidates_contain_every_true_intersector(footprints, ends):
     for x0, y0, x1, y1 in ends:
         seg = _seg(x0, y0, x1, y1)
         assert _touching(buildings, seg) <= idx.candidates_for_segment(seg)
+
+
+def _lonlat_feature(gtype, coordinates):
+    return {"type": "Feature", "geometry": {"type": gtype, "coordinates": coordinates}, "properties": {}}
+
+
+def _lonlat_rect(x, y, w, h):
+    return [[x, y], [x + w, y], [x + w, y + h], [x, y + h], [x, y]]
+
+
+def _holes_and_parts_scene(tmp_path, rng, lon0, lat0, n):
+    """Loaded buildings and roads of a lon/lat scene about 450 m across:
+    rectangles, courtyard blocks (a hole each, holding a hut and a lane) and
+    MultiPolygon rows of two or three touching parts (a building each), on
+    random residential roads."""
+    d = 1e-5  # about 1.1 m
+    features = []
+    lanes = []
+    for _ in range(n):
+        x = lon0 + rng.uniform(0.0, 4e-3)
+        y = lat0 + rng.uniform(0.0, 4e-3)
+        w = rng.uniform(4, 25) * d
+        h = rng.uniform(4, 25) * d
+        kind = rng.randrange(3)
+        if kind == 0:
+            features.append(_lonlat_feature("Polygon", [_lonlat_rect(x, y, w, h)]))
+        elif kind == 1:
+            hole = _lonlat_rect(x + w / 4, y + h / 4, w / 2, h / 2)
+            features.append(_lonlat_feature("Polygon", [_lonlat_rect(x, y, w, h), hole[::-1]]))
+            # a hut and a lane inside the courtyard: its connector crosses no ring
+            features.append(_lonlat_feature("Polygon", [_lonlat_rect(x + w * 0.4, y + h * 0.3, w / 8, h / 8)]))
+            lanes.append([[x + w * 0.3, y + h * 0.6], [x + w * 0.7, y + h * 0.6]])
+        else:
+            parts = [[_lonlat_rect(x + k * w, y, w, h)] for k in range(rng.randint(2, 3))]
+            features.append(_lonlat_feature("MultiPolygon", parts))
+    for _ in range(8):
+        lanes.append([[lon0 + rng.uniform(0.0, 4e-3), lat0 + rng.uniform(0.0, 4e-3)] for _ in range(2)])
+    roads = []
+    for line in lanes:
+        feature = _lonlat_feature("LineString", line)
+        feature["properties"]["class"] = "residential"
+        roads.append(feature)
+    paths = []
+    for name, feats in (("b", features), ("r", roads)):
+        path = tmp_path / f"{name}-{lon0}.geojson"
+        path.write_text(json.dumps({"type": "FeatureCollection", "features": feats}))
+        paths.append(path)
+    return load_buildings(paths[0]), load_roads(paths[1])
+
+
+def test_public_candidate_test_pair_equals_fused_count_and_oracle(tmp_path):
+    rng = random.Random(808)
+    scenes = [random_scene(rng, rng.randint(60, 140), rng.randint(5, 25)) for _ in range(3)]
+    # Nairobi, and near 170 E on the equator, where eastings reach 1.7e7 m
+    for lon0, lat0 in ((36.8, -1.28), (169.9, 0.0)):
+        scenes.append(_holes_and_parts_scene(tmp_path, rng, lon0, lat0, 200))
+    assert scenes[-1][0][0].centroid.x > 1.69e7
+    assert any(len(b.footprint.rings) > 1 for b in scenes[-1][0])
+    pairs = 0
+    for buildings, roads in scenes:
+        road_index = SegmentIndex(roads)
+        idx = PolygonIndex(buildings)
+        by_id = {b.building_id: b for b in buildings}
+        for b in buildings:
+            _, end, _ = road_index.nearest(b.centroid)
+            if end == b.centroid:
+                continue
+            seg = Segment(b.centroid, end)
+            public = sum(
+                1
+                for other in idx.candidates_for_segment(seg) - {b.building_id}
+                if segment_intersects_polygon(seg, by_id[other].footprint)
+            )
+            assert public == idx.count_obstructions(seg, b.building_id)
+            assert public == brute_obstructions(buildings, b, end)
+            pairs += public
+    assert pairs > 500
+
+
+def test_values_and_a_built_index_survive_pickle():
+    rng = random.Random(9)
+    buildings, _ = random_scene(rng, 60, 1, span=300.0)
+    idx = PolygonIndex(buildings)
+    p = PlanePoint(1.5, -2.25)
+    seg = Segment(p, PlanePoint(250.0, 275.0))
+    assert not hasattr(p, "__dict__") and not hasattr(seg, "__dict__")
+    assert pickle.loads(pickle.dumps(p)) == p
+    assert pickle.loads(pickle.dumps(seg)) == seg
+    assert pickle.loads(pickle.dumps(buildings)) == buildings
+    copy = pickle.loads(pickle.dumps(idx))
+    for b in buildings:
+        probe = Segment(b.centroid, seg.b)
+        assert copy.candidates_for_segment(probe) == idx.candidates_for_segment(probe)
+        assert copy.count_obstructions(probe, b.building_id) == idx.count_obstructions(
+            probe, b.building_id
+        )
