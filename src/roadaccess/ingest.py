@@ -14,7 +14,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DataError
 from .geometry import (
@@ -103,25 +103,99 @@ class LoadStats:
         return out
 
 
-def _read_geojson_features(path: Path | str) -> list[dict]:
+_DECODER = json.JSONDecoder()
+_skip_ws = json.decoder.WHITESPACE.match
+
+
+def _read_geojson_features(path: Path | str) -> Iterator[object]:
+    """The features of a GeoJSON document, each yielded once it is decoded.
+
+    A FeatureCollection's features are decoded one at a time from the
+    file's text, so the parsed document never sits in memory whole; a bare
+    Feature or geometry document yields itself as one feature. The whole
+    text is checked: bad JSON, text after the top-level value (RFC 8259),
+    a duplicate 'features' key, a 'features' that is not a list and a
+    'features' member outside a FeatureCollection (RFC 7946 section 7.1)
+    raise DataError. The type is known only at the end, as writers that
+    sort keys put 'features' first, so the last two wait for it.
+    """
     try:
         with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+            text = f.read()
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8
         raise DataError(f"cannot read GeoJSON {path}: {exc}") from exc
-    if not isinstance(doc, dict):
+    pos = _skip_ws(text, 0).end()
+    if text[pos : pos + 1] != "{":
+        # not an object: json.loads says why (BOM, bad JSON, other value)
+        try:
+            json.loads(text)
+        except ValueError as exc:
+            raise DataError(f"cannot read GeoJSON {path}: {exc}") from exc
         raise DataError(f"{path}: GeoJSON top level is not an object")
-    if doc.get("type") == "FeatureCollection":
-        features = doc.get("features")
-        if not isinstance(features, list):
+    members: dict = {}
+    try:
+        # the object walk of json.decoder.JSONObject, with the messages it raises
+        pos = _skip_ws(text, pos + 1).end()
+        if text[pos : pos + 1] == "}":
+            pos += 1
+        else:
+            while True:
+                if text[pos : pos + 1] != '"':
+                    raise json.JSONDecodeError(
+                        "Expecting property name enclosed in double quotes", text, pos
+                    )
+                key, pos = json.decoder.scanstring(text, pos + 1)
+                pos = _skip_ws(text, pos).end()
+                if text[pos : pos + 1] != ":":
+                    raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
+                pos = _skip_ws(text, pos + 1).end()
+                if key == "features" and key in members:
+                    # the first one's features may already be yielded
+                    raise DataError(f"{path}: duplicate 'features' member")
+                if key == "features" and text[pos : pos + 1] == "[":
+                    members[key] = []  # streamed below, not kept
+                    pos = _skip_ws(text, pos + 1).end()
+                    if text[pos : pos + 1] == "]":
+                        pos += 1
+                    else:
+                        while True:
+                            feature, pos = _DECODER.raw_decode(text, pos)
+                            yield feature
+                            pos = _skip_ws(text, pos).end()
+                            sep = text[pos : pos + 1]
+                            if sep == "]":
+                                pos += 1
+                                break
+                            if sep != ",":
+                                raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+                            pos = _skip_ws(text, pos + 1).end()
+                else:
+                    members[key], pos = _DECODER.raw_decode(text, pos)
+                pos = _skip_ws(text, pos).end()
+                sep = text[pos : pos + 1]
+                if sep == "}":
+                    pos += 1
+                    break
+                if sep != ",":
+                    raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+                pos = _skip_ws(text, pos + 1).end()
+        pos = _skip_ws(text, pos).end()
+        if pos != len(text):
+            raise json.JSONDecodeError("Extra data", text, pos)
+    except ValueError as exc:  # json.JSONDecodeError
+        raise DataError(f"cannot read GeoJSON {path}: {exc}") from exc
+    gtype = members.get("type")
+    if gtype == "FeatureCollection":
+        if not isinstance(members.get("features"), list):
             raise DataError(f"{path}: FeatureCollection 'features' is not a list")
-        return features
-    if doc.get("type") == "Feature":
-        return [doc]
-    # bare geometry object
-    if "type" in doc and "coordinates" in doc:
-        return [{"type": "Feature", "geometry": doc, "properties": {}}]
-    raise DataError(f"{path}: not a GeoJSON FeatureCollection, Feature, or geometry")
+    elif "features" in members:
+        raise DataError(f"{path}: 'features' member outside a FeatureCollection")
+    elif gtype == "Feature":
+        yield members
+    elif "type" in members and "coordinates" in members:  # bare geometry object
+        yield {"type": "Feature", "geometry": members, "properties": {}}
+    else:
+        raise DataError(f"{path}: not a GeoJSON FeatureCollection, Feature, or geometry")
 
 
 def _feature_parts(feature: object) -> tuple[dict, dict]:
@@ -196,11 +270,10 @@ def load_roads(
     The class attribute defaults to "unknown" when missing; the surface
     attribute is folded onto {paved, unpaved, unknown} via the alias table.
     """
-    features = _read_geojson_features(path)
     stats = stats if stats is not None else LoadStats()
-    stats.total = len(features)
     roads: list[RoadSegment] = []
-    for n, feature in enumerate(features):
+    for n, feature in enumerate(_read_geojson_features(path)):
+        stats.total += 1
         try:
             geom, props = _feature_parts(feature)
             raw_class = props.get(class_property)
@@ -303,9 +376,9 @@ def load_buildings(
         features = _read_building_csv_features(path)
     else:
         features = _read_geojson_features(path)
-    stats.total = len(features)
     buildings: list[Building] = []
     for n, feature in enumerate(features):
+        stats.total += 1
         try:
             geom, props = _feature_parts(feature)
             raw_conf = props.get("confidence")
@@ -333,7 +406,7 @@ def load_buildings(
     return buildings
 
 
-def _read_building_csv_features(path: Path | str) -> list[dict]:
+def _read_building_csv_features(path: Path | str) -> Iterator[dict]:
     """One GeoJSON-style feature per CSV row, carrying only its confidence."""
     try:
         with open(path, newline="", encoding="utf-8") as f:
@@ -349,7 +422,6 @@ def _read_building_csv_features(path: Path | str) -> list[dict]:
             conf_col = None
             if "confidence" in fieldnames:
                 conf_col = (reader.fieldnames or [])[fieldnames.index("confidence")]
-            features = []
             for row in reader:
                 wkt = row.get(geom_col) or ""
                 feature: dict = {
@@ -364,8 +436,7 @@ def _read_building_csv_features(path: Path | str) -> list[dict]:
                         feature["geometry"] = {"type": "MultiPolygon", "coordinates": polys}
                 except ValueError:
                     feature["geometry"] = {"type": "Invalid"}
-                features.append(feature)
-            return features
+                yield feature
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read buildings CSV {path}: {exc}") from exc
 
@@ -373,25 +444,31 @@ def _read_building_csv_features(path: Path | str) -> list[dict]:
 def load_boundary(path: Path | str) -> Polygon:
     """Load the analysis boundary polygon (single Polygon feature)."""
     features = _read_geojson_features(path)
-    for feature in features:
-        try:
-            geom, _ = _feature_parts(feature)
-        except ValueError:
-            continue
-        gtype = geom.get("type")
-        try:
-            if gtype == "Polygon":
-                poly = _polygon_from_rings(geom["coordinates"])
-            elif gtype == "MultiPolygon" and len(geom["coordinates"]) == 1:
-                poly = _polygon_from_rings(geom["coordinates"][0])
-            else:
+    try:
+        for feature in features:
+            try:
+                geom, _ = _feature_parts(feature)
+            except ValueError:
                 continue
-        except (ValueError, TypeError, KeyError, IndexError, OverflowError) as exc:
-            raise DataError(f"{path}: malformed boundary polygon: {exc}") from exc
-        if polygon_area(poly) < 1e-9:
-            raise DataError(f"{path}: boundary polygon has no area")
-        return poly
-    raise DataError(f"{path}: no Polygon feature found for the boundary")
+            gtype = geom.get("type")
+            try:
+                if gtype == "Polygon":
+                    poly = _polygon_from_rings(geom["coordinates"])
+                elif gtype == "MultiPolygon" and len(geom["coordinates"]) == 1:
+                    poly = _polygon_from_rings(geom["coordinates"][0])
+                else:
+                    continue
+            except (ValueError, TypeError, KeyError, IndexError, OverflowError) as exc:
+                raise DataError(f"{path}: malformed boundary polygon: {exc}") from exc
+            if polygon_area(poly) < 1e-9:
+                raise DataError(f"{path}: boundary polygon has no area")
+            return poly
+        raise DataError(f"{path}: no Polygon feature found for the boundary")
+    finally:
+        # The rest of the document is read either way: text after the first
+        # polygon that is not valid GeoJSON raises its DataError instead.
+        for _ in features:
+            pass
 
 
 def clip_to_boundary(

@@ -9,8 +9,10 @@ deliberately distance-agnostic: only intersection topology matters.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from .geometry import PlanePoint, Segment
 from .ingest import Building, RoadSegment
@@ -53,22 +55,21 @@ def count_obstructions(
     return building_index.count_obstructions(Segment(start, end), building_id)
 
 
-def _metrics_for_building(
-    building: Building,
-    road_index: SegmentIndex,
-    building_index: PolygonIndex,
-    roads_by_id: Mapping[int, RoadSegment],
-) -> BuildingMetrics:
+def _metric_row(
+    building: Building, road_index: SegmentIndex, building_index: PolygonIndex
+) -> tuple[int, int, int, float, float, float]:
+    """(building_id, obstruction_count, road_id, road_distance, x, y) of the
+    building, where (x, y) is the connector's end on the nearest road."""
     # build_connector's query, without the ConnectorLine
     start = building.centroid
     road_id, end, distance = road_index.nearest(start)
-    return BuildingMetrics(
+    return (
         building.building_id,
         count_obstructions(building.building_id, start, end, building_index),
-        roads_by_id[road_id].surface,
-        distance,
         road_id,
-        end,
+        distance,
+        end.x,
+        end.y,
     )
 
 
@@ -76,19 +77,18 @@ def _metrics_for_building(
 _WORKER_STATE: tuple | None = None
 
 
-def _init_worker(buildings, road_index, building_index, roads_by_id):
+def _init_worker(buildings, road_index, building_index):
     global _WORKER_STATE
-    _WORKER_STATE = (buildings, road_index, building_index, roads_by_id)
+    _WORKER_STATE = (buildings, road_index, building_index)
 
 
-def _metrics_for_slice(bounds: tuple[int, int]) -> list[BuildingMetrics]:
+def _rows_for_slice(bounds: tuple[int, int]) -> list[tuple]:
+    # plain tuples: they pickle back to the parent far smaller and faster
+    # than BuildingMetrics
     assert _WORKER_STATE is not None
-    buildings, road_index, building_index, roads_by_id = _WORKER_STATE
+    buildings, road_index, building_index = _WORKER_STATE
     lo, hi = bounds
-    return [
-        _metrics_for_building(b, road_index, building_index, roads_by_id)
-        for b in buildings[lo:hi]
-    ]
+    return [_metric_row(b, road_index, building_index) for b in buildings[lo:hi]]
 
 
 def compute_all(
@@ -101,16 +101,14 @@ def compute_all(
     """One BuildingMetrics per building, ordered by building_id.
 
     The per-building computation is pure against read-only indexes, so the
-    result is identical for any worker count or input order.
+    result is identical for any worker count or input order. The pool gets
+    at most one process per CPU: it starts all of them at once.
     """
     if not buildings:
         return []
-    roads_by_id = {r.road_id: r for r in roads}
-    if workers is None or workers <= 1 or len(buildings) < 2 * workers:
-        results = [
-            _metrics_for_building(b, road_index, building_index, roads_by_id)
-            for b in buildings
-        ]
+    workers = min(workers or 1, os.cpu_count() or 1)
+    if workers <= 1 or len(buildings) < 2 * workers:
+        rows = [_metric_row(b, road_index, building_index) for b in buildings]
     else:
         # imported here so that a serial run never loads the pool machinery
         from concurrent.futures import ProcessPoolExecutor
@@ -123,11 +121,15 @@ def compute_all(
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(list(buildings), road_index, building_index, roads_by_id),
+            initargs=(list(buildings), road_index, building_index),
         ) as pool:
-            results = [m for part in pool.map(_metrics_for_slice, slices) for m in part]
-    results.sort(key=lambda m: m.building_id)
-    return results
+            rows = [row for part in pool.map(_rows_for_slice, slices) for row in part]
+    rows.sort(key=itemgetter(0))
+    surface = {r.road_id: r.surface for r in roads}
+    return [
+        BuildingMetrics(bid, count, surface[road_id], distance, road_id, PlanePoint(x, y))
+        for bid, count, road_id, distance, x, y in rows
+    ]
 
 
 def connectors_for(

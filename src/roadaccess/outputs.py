@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -22,7 +23,7 @@ from .evaluate import TernaryPoint
 from .grid import CellAggregate, CellId
 from .levels import DeprivationLevel, Surface
 from .metrics import BuildingMetrics, ConnectorLine
-from .projection import inverse_lonlat
+from .projection import clamp_to_bounds, inverse_lonlat
 
 _CELL_FIELDS = [
     "i",
@@ -35,13 +36,76 @@ _CELL_FIELDS = [
 ]
 
 
-def _cell_ring(cell: CellId, cell_size: float) -> list[tuple[float, float]]:
+def _cell_ring(cell: CellId, cell_size: float) -> list[str]:
+    """lon, lat of the cell's four corners, as JSON numbers.
+
+    A corner beyond the projection's edge (past the antimeridian or a pole)
+    is moved onto the edge first: that part of the cell is not on Earth.
+    """
     x0 = cell.i * cell_size
     y0 = cell.j * cell_size
     x1 = x0 + cell_size
     y1 = y0 + cell_size
-    corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0))
-    return [inverse_lonlat(x, y) for x, y in corners]
+    ring: list[str] = []
+    for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1)):
+        ring += map(_json_value, inverse_lonlat(*clamp_to_bounds(x, y)))
+    return ring
+
+
+_INF = float("inf")
+
+
+def _json_value(v: object) -> str:
+    """A scalar as json.dump writes it by default: float and int repr,
+    NaN and +-Infinity, true, false, null, ASCII-escaped strings."""
+    if isinstance(v, float):
+        if v != v:
+            return "NaN"
+        if v == _INF:
+            return "Infinity"
+        if v == -_INF:
+            return "-Infinity"
+        return float.__repr__(v)
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    raise TypeError(f"not a JSON scalar: {v!r}")
+
+
+def _feature_template(geometry_type: str, n_positions: int, properties: Sequence[str]) -> str:
+    """A %-template of one feature as json.dump(indent=2, sort_keys=True)
+    writes it inside a FeatureCollection's list.
+
+    Its %s slots take JSON values: the lon and lat of each position in
+    turn, then the properties in sorted order.
+    """
+    slot = "\0"
+    positions = [[slot, slot]] * n_positions
+    feature = {
+        "type": "Feature",
+        "geometry": {
+            "type": geometry_type,
+            "coordinates": [positions] if geometry_type == "Polygon" else positions,
+        },
+        "properties": dict.fromkeys(properties, slot),
+    }
+    text = json.dumps(feature, indent=2, sort_keys=True).replace("%", "%%")
+    return text.replace("\n", "\n    ").replace(json.dumps(slot), "%s")
+
+
+_CELL_FEATURE = _feature_template("Polygon", 5, _CELL_FIELDS)
+_CONNECTOR_FEATURE = _feature_template(
+    "LineString",
+    2,
+    ("building_id", "nearest_surface", "obstruction_count", "road_distance", "road_id"),
+)
 
 
 @contextmanager
@@ -75,29 +139,39 @@ def write_json(path: Path | str, doc: object) -> None:
         f.write("\n")
 
 
+def _write_feature_collection(path: Path | str, features: Iterable[str]) -> None:
+    """A FeatureCollection of feature texts, written one at a time, with
+    the bytes write_json gives the same document."""
+    with _replacing(path) as f:
+        f.write('{\n  "features": [')
+        sep = "\n    "
+        for text in features:
+            f.write(sep)
+            f.write(text)
+            sep = ",\n    "
+        f.write("]" if sep == "\n    " else "\n  ]")
+        f.write(',\n  "type": "FeatureCollection"\n}\n')
+
+
 def write_cells_geojson(
     path: Path | str, cells: Sequence[ClassifiedCell], cell_size: float
 ) -> None:
-    features = [
-        {
-            "type": "Feature",
-            "geometry": {
-                "type": "Polygon",
-                "coordinates": [_cell_ring(c.cell, cell_size)],
-            },
-            "properties": {
-                "i": c.cell.i,
-                "j": c.cell.j,
-                "level": c.level.label,
-                "building_count": c.building_count,
-                "mean_obstruction": c.mean_obstruction,
-                "modal_surface": c.modal_surface.value if c.modal_surface else None,
-                "empty": c.empty,
-            },
-        }
-        for c in cells
-    ]
-    write_json(path, {"type": "FeatureCollection", "features": features})
+    def features() -> Iterator[str]:
+        for c in cells:
+            ring = _cell_ring(c.cell, cell_size)
+            yield _CELL_FEATURE % (
+                *ring,
+                *ring[:2],  # the closing position
+                _json_value(c.building_count),
+                _json_value(c.empty),
+                _json_value(c.cell.i),
+                _json_value(c.cell.j),
+                _json_value(c.level.label),
+                _json_value(c.mean_obstruction),
+                _json_value(c.modal_surface.value if c.modal_surface else None),
+            )
+
+    _write_feature_collection(path, features())
 
 
 def write_cells_csv(path: Path | str, cells: Sequence[ClassifiedCell]) -> None:
@@ -183,29 +257,20 @@ def write_connectors_geojson(
     connectors: Sequence[ConnectorLine],
     metrics_by_id: Mapping[int, BuildingMetrics],
 ) -> None:
-    features = []
-    for c in connectors:
-        m = metrics_by_id[c.building_id]
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {
-                    "type": "LineString",
-                    "coordinates": [
-                        inverse_lonlat(c.start.x, c.start.y),
-                        inverse_lonlat(c.end.x, c.end.y),
-                    ],
-                },
-                "properties": {
-                    "building_id": c.building_id,
-                    "obstruction_count": m.obstruction_count,
-                    "nearest_surface": m.nearest_surface.value,
-                    "road_distance": c.road_distance,
-                    "road_id": c.road_id,
-                },
-            }
-        )
-    write_json(path, {"type": "FeatureCollection", "features": features})
+    def features() -> Iterator[str]:
+        for c in connectors:
+            m = metrics_by_id[c.building_id]
+            yield _CONNECTOR_FEATURE % (
+                *map(_json_value, inverse_lonlat(c.start.x, c.start.y)),
+                *map(_json_value, inverse_lonlat(c.end.x, c.end.y)),
+                _json_value(c.building_id),
+                _json_value(m.nearest_surface.value),
+                _json_value(m.obstruction_count),
+                _json_value(c.road_distance),
+                _json_value(c.road_id),
+            )
+
+    _write_feature_collection(path, features())
 
 
 def write_ternary_csv(path: Path | str, points: Iterable[TernaryPoint]) -> None:

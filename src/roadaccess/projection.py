@@ -25,6 +25,7 @@ _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 50
 _X_SCALE = SPHERE_RADIUS_M * 2.0 * _SQRT2 / math.pi
 _RAD_PER_DEG = math.pi / 180.0
+_MAX_EASTING_M = _X_SCALE * math.pi  # the equator's half-width, at lon 180
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,22 @@ def project_lonlat(lon: float, lat: float) -> tuple[float, float]:
 def project_forward(p: GeoPoint) -> PlanePoint:
     """Project geographic degrees onto the equal-area plane (meters)."""
     return PlanePoint(*project_lonlat(p.lon, p.lat))
+
+
+def clamp_to_bounds(x: float, y: float) -> tuple[float, float]:
+    """(x, y) moved onto the edge of the projected ellipse when it lies
+    beyond it, and unchanged otherwise: the northing is clamped to
+    +-MAX_NORTHING_M, then the easting to the half-width at that northing,
+    computed as inverse_lonlat computes it, so the result inverts to a lon
+    of at most 180. A non-finite coordinate is returned unchanged, for
+    inverse_lonlat to reject."""
+    s = y / MAX_NORTHING_M
+    u = x / _MAX_EASTING_M
+    if not 1.0 - 1e-9 < u * u + s * s < math.inf:
+        return x, y
+    y = max(-MAX_NORTHING_M, min(MAX_NORTHING_M, y))
+    half = _MAX_EASTING_M * math.cos(math.asin(y / MAX_NORTHING_M))
+    return max(-half, min(half, x)), y
 
 
 def inverse_lonlat(x: float, y: float) -> tuple[float, float]:

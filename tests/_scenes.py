@@ -7,6 +7,9 @@ predicate, written edge by edge, so it does not share code with the
 optimized one in roadaccess.geometry. The forward Mollweide projection
 has a reference here too: the GeoPoint + Newton-solve path as it was before
 roadaccess.projection inlined it, sharing no code with that module.
+The cell and connector GeoJSON layers have reference writers: one
+json.dump of the whole document, which the streamed writers must match
+byte for byte.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from roadaccess.geometry import (
 )
 from roadaccess.ingest import Building, RoadSegment
 from roadaccess.levels import Surface
+from roadaccess.projection import clamp_to_bounds, inverse_lonlat
 
 SURFACE_CHOICES = (Surface.PAVED, Surface.UNPAVED, Surface.UNKNOWN)
 
@@ -350,3 +354,73 @@ def reference_project_inverse(x: float, y: float) -> tuple[float, float]:
         raise ValueError(f"point outside projection bounds: ({x!r}, {y!r})")
     g = _RefGeoPoint(max(-180.0, min(180.0, lon)), lat)
     return g.lon, g.lat
+
+
+# ---------------------------------------------------------------------------
+# reference GeoJSON writers: feature dicts and one json.dump, as
+# roadaccess.outputs wrote the cell and connector layers before it streamed
+# them feature by feature
+
+
+def _reference_write_json(path: Path | str, doc: object) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def _reference_cell_ring(cell, cell_size: float) -> list[tuple[float, float]]:
+    x0 = cell.i * cell_size
+    y0 = cell.j * cell_size
+    x1 = x0 + cell_size
+    y1 = y0 + cell_size
+    corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0))
+    return [inverse_lonlat(*clamp_to_bounds(x, y)) for x, y in corners]
+
+
+def reference_write_cells_geojson(path: Path | str, cells, cell_size: float) -> None:
+    features = [
+        {
+            "type": "Feature",
+            "geometry": {
+                "type": "Polygon",
+                "coordinates": [_reference_cell_ring(c.cell, cell_size)],
+            },
+            "properties": {
+                "i": c.cell.i,
+                "j": c.cell.j,
+                "level": c.level.label,
+                "building_count": c.building_count,
+                "mean_obstruction": c.mean_obstruction,
+                "modal_surface": c.modal_surface.value if c.modal_surface else None,
+                "empty": c.empty,
+            },
+        }
+        for c in cells
+    ]
+    _reference_write_json(path, {"type": "FeatureCollection", "features": features})
+
+
+def reference_write_connectors_geojson(path: Path | str, connectors, metrics_by_id) -> None:
+    features = []
+    for c in connectors:
+        m = metrics_by_id[c.building_id]
+        features.append(
+            {
+                "type": "Feature",
+                "geometry": {
+                    "type": "LineString",
+                    "coordinates": [
+                        inverse_lonlat(c.start.x, c.start.y),
+                        inverse_lonlat(c.end.x, c.end.y),
+                    ],
+                },
+                "properties": {
+                    "building_id": c.building_id,
+                    "obstruction_count": m.obstruction_count,
+                    "nearest_surface": m.nearest_surface.value,
+                    "road_distance": c.road_distance,
+                    "road_id": c.road_id,
+                },
+            }
+        )
+    _reference_write_json(path, {"type": "FeatureCollection", "features": features})

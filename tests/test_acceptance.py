@@ -9,6 +9,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import random
 import time
 
@@ -222,7 +223,8 @@ def test_archetypes_reproduce_expected_levels(tmp_path):
 
 
 @criterion(7, "determinism and conservation")
-def test_determinism_and_conservation(tmp_path):
+def test_determinism_and_conservation(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # a real pool of 3 on any machine
     files = generate(
         SceneSpec(seed=4001, layout="mixed", extent=600, road_surface_mix=0.5),
         tmp_path / "scene",

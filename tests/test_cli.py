@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -94,7 +95,8 @@ def test_run_writes_all_outputs(formal_fixture):
     assert set(props) == {"i", "j", "level", "building_count", "mean_obstruction", "modal_surface", "empty"}
 
 
-def test_run_is_deterministic_across_worker_counts(informal_fixture):
+def test_run_is_deterministic_across_worker_counts(informal_fixture, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool on any machine
     tmp, files = informal_fixture
     cfg1 = write_config(tmp, files, out_name="w1", workers=1)
     cfg2 = write_config(tmp, files, out_name="w2", workers=2)
@@ -378,6 +380,82 @@ def test_malformed_roads_json_exits_with_data_error(tmp_path, formal_fixture):
         )
     )
     assert main(["run", "--config", str(cfg)]) == 3
+
+
+@pytest.mark.parametrize(
+    "target, text",
+    [
+        ("boundary", '], "type": "FeatureCollection"} trailing'),
+        ("boundary", ', {"type": "Feature"'),
+        ("buildings", '], "type": "Feature", "properties": {}, "geometry": null}'),
+        ("buildings", '], "features": [], "type": "FeatureCollection"}'),
+    ],
+    ids=["boundary-trailing-text", "boundary-truncated", "features-in-a-feature", "features-twice"],
+)
+def test_geojson_rejected_after_its_features_exits_with_data_error(
+    tmp_path, formal_fixture, capsys, target, text
+):
+    # the document goes wrong only after its features were read
+    _, files = formal_fixture
+    doc = json.loads(getattr(files, target).read_text())
+    features = doc["features"] if doc["type"] == "FeatureCollection" else [doc]
+    bad = tmp_path / f"{target}.geojson"
+    bad.write_text('{"features": ' + json.dumps(features)[:-1] + text)
+    cfg = write_config(tmp_path, files, **{target: str(bad)})
+    assert main(["run", "--config", str(cfg)]) == 3
+    (line,) = capsys.readouterr().err.strip().splitlines()[-1:]
+    assert line.startswith("data-error: ") and str(bad) in line
+
+
+def _edge_scene(tmp_path, boundary_ring, road, building_ring=None):
+    def collection(gtype, coordinates_list, **props):
+        features = [
+            {"type": "Feature", "geometry": {"type": gtype, "coordinates": c}, "properties": props}
+            for c in coordinates_list
+        ]
+        return json.dumps({"type": "FeatureCollection", "features": features})
+
+    files = SimpleNamespace(
+        buildings=tmp_path / "buildings.geojson",
+        roads=tmp_path / "roads.geojson",
+        boundary=tmp_path / "boundary.geojson",
+    )
+    files.buildings.write_text(collection("Polygon", [[building_ring]] if building_ring else []))
+    files.roads.write_text(collection("LineString", [road], **{"class": "residential"}))
+    files.boundary.write_text(collection("Polygon", [[boundary_ring]]))
+    return write_config(tmp_path, files)
+
+
+@pytest.mark.parametrize(
+    "boundary_ring, road, building_ring",
+    [
+        (
+            [[179.99, 0.0], [180.0, 0.0], [180.0, 0.01], [179.99, 0.01], [179.99, 0.0]],
+            [[179.99, 0.005], [179.999, 0.005]],
+            None,
+        ),
+        (
+            [[-180.0, 89.99], [180.0, 89.99], [180.0, 90.0], [-180.0, 90.0], [-180.0, 89.99]],
+            [[-20.0, 89.995], [20.0, 89.995]],
+            [[-10.0, 89.996], [10.0, 89.996], [10.0, 89.998], [-10.0, 89.998], [-10.0, 89.996]],
+        ),
+    ],
+    ids=["antimeridian", "pole"],
+)
+def test_cells_reaching_past_the_projection_edge_stay_on_earth(
+    tmp_path, boundary_ring, road, building_ring
+):
+    # a cell square can reach past lon 180 or a pole; that part is not on Earth
+    cfg = _edge_scene(tmp_path, boundary_ring, road, building_ring)
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert main(["export-connectors", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    cells = json.loads((out / "cells.geojson").read_text())["features"]
+    assert len(cells) == len(read_cells(out)) > 0
+    positions = [p for f in cells for p in f["geometry"]["coordinates"][0]]
+    assert max(lon for lon, _ in positions) == 180.0 or max(lat for _, lat in positions) == 90.0
+    for lon, lat in positions:
+        assert -180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0
 
 
 def test_run_with_zero_buildings_classifies_everything_low(tmp_path, formal_fixture):

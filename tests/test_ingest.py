@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -318,6 +319,101 @@ def test_load_boundary_zero_area_is_data_error(tmp_path):
     path = geojson(tmp_path, "boundary.geojson", [polygon_feature([degenerate])])
     with pytest.raises(DataError):
         load_boundary(path)
+
+
+def _building_rows(buildings):
+    return [(b.building_id, b.footprint.rings, b.centroid, b.confidence) for b in buildings]
+
+
+@pytest.mark.parametrize("sort_keys", [True, False], ids=["features-first", "type-first"])
+def test_truncated_buildings_file_never_loads_fewer_buildings(tmp_path, sort_keys):
+    multi = {
+        "type": "Feature",
+        "geometry": {"type": "MultiPolygon", "coordinates": [[tiny_square(0.001, 0.0)], [tiny_square(0.002, 0.0)]]},
+        "properties": {"name": "caf\u00e9"},
+    }
+    features = [polygon_feature([tiny_square(0.0, 0.0)], confidence=0.9), multi, polygon_feature([tiny_square(0.0, 0.001)])]
+    doc = {"type": "FeatureCollection", "name": "Kibera", "features": features}
+    data = (json.dumps(doc, indent=1, sort_keys=sort_keys, ensure_ascii=False) + " \n\t\n").encode()
+    path = tmp_path / "b.geojson"
+    path.write_bytes(data)
+    full = _building_rows(load_buildings(path))
+    assert len(full) == 4
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        stats = LoadStats()
+        try:
+            got = load_buildings(path, stats=stats)
+        except DataError:
+            continue
+        assert data[cut:].strip() == b"", cut  # only trailing blank text was cut
+        assert _building_rows(got) == full
+        assert stats.total == 3
+
+
+def test_load_buildings_transient_memory_stays_near_the_file_size(tmp_path):
+    rng = random.Random(5)
+    features = [
+        polygon_feature([tiny_square(rng.uniform(0.0, 0.05), rng.uniform(0.0, 0.05))], confidence=0.8)
+        for _ in range(2000)
+    ]
+    path = geojson(tmp_path, "b.geojson", features)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        buildings = load_buildings(path)
+        returned, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(buildings) == 2000
+    # The file's text is held while its features are decoded one at a time;
+    # the whole parsed document would take several times the file's size.
+    assert peak - returned <= 1.5 * size
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"type": "Feature", "features": [], "geometry": null, "properties": {}}',
+        '{"features": [], "type": "Polygon", "coordinates": []}',
+        '{"features": 1, "type": "Feature", "properties": {}}',
+        '{"features": [], "features": [], "type": "FeatureCollection"}',
+        '{"features": 1, "type": "FeatureCollection", "features": []}',
+    ],
+    ids=["in-feature", "in-geometry", "non-list-in-feature", "twice", "twice-first-not-a-list"],
+)
+def test_features_outside_a_collection_or_twice_is_data_error(tmp_path, text):
+    # features already yielded cannot be taken back, so both are rejected
+    path = tmp_path / "doc.geojson"
+    path.write_text(text)
+    for loader in (load_roads, load_buildings, load_boundary):
+        with pytest.raises(DataError, match="'features' member"):
+            loader(path)
+
+
+@pytest.mark.parametrize(
+    "tail",
+    ["] x", '], "type": "FeatureCollection"} {}', ', {"type": "Feat', ", 1 2]}", "]"],
+    ids=["garbage", "second-value", "truncated-feature", "bad-array", "unterminated"],
+)
+def test_boundary_with_bad_text_after_its_polygon_is_data_error(tmp_path, tail):
+    polygon = json.dumps(polygon_feature([tiny_square(0.0, 0.0, d=0.01)]))
+    path = tmp_path / "boundary.geojson"
+    path.write_text('{"type": "FeatureCollection", "features": [' + polygon + tail)
+    with pytest.raises(DataError, match="cannot read GeoJSON"):
+        load_boundary(path)
+    path.write_text('{"type": "FeatureCollection", "features": [' + polygon + "]}\n")
+    assert isinstance(load_boundary(path), Polygon)
+
+
+def test_bare_feature_and_geometry_documents_still_load(tmp_path):
+    feature = polygon_feature([tiny_square(0.0, 0.0)])
+    for doc in (feature, feature["geometry"]):
+        path = tmp_path / "b.geojson"
+        path.write_text(json.dumps(doc, sort_keys=True))
+        stats = LoadStats()
+        assert len(load_buildings(path, stats=stats)) == 1
+        assert (stats.total, stats.loaded, stats.skipped) == (1, 1, 0)
 
 
 def plane_square(x0, y0, size):

@@ -1,4 +1,7 @@
+import concurrent.futures
 import math
+import os
+import pickle
 import random
 
 import pytest
@@ -285,7 +288,44 @@ def test_building_outside_connector_bounds_changes_nothing():
     assert [m for m in extended if m.building_id != far.building_id] == metrics
 
 
-def test_parallel_workers_match_serial():
+def test_parallel_workers_match_serial(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool on any machine
     rng = random.Random(60)
     buildings, roads = random_scene(rng, 90, 12)
     assert run_pipeline(buildings, roads, workers=2) == run_pipeline(buildings, roads)
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs the
+    slices in this process, so no process is ever started."""
+
+    created: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.created.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        # the slices come back pickled, as from a worker process
+        return [pickle.loads(pickle.dumps(fn(item))) for item in items]
+
+
+@pytest.mark.parametrize(
+    "cpus, workers, expected",
+    [(3, 5000, [3]), (None, 5000, []), (1, 8, []), (4, 2, [2]), (8, 4, [4])],
+)
+def test_pool_has_at_most_one_process_per_cpu(monkeypatch, cpus, workers, expected):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "created", [])
+    rng = random.Random(61)
+    buildings, roads = random_scene(rng, 60, 10)
+    serial = run_pipeline(buildings, roads)
+    assert run_pipeline(buildings, roads, workers=workers) == serial
+    assert RecordingExecutor.created == expected

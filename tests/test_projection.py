@@ -9,6 +9,7 @@ from roadaccess.projection import (
     MAX_NORTHING_M,
     SPHERE_RADIUS_M,
     GeoPoint,
+    clamp_to_bounds,
     inverse_lonlat,
     project_forward,
     project_inverse,
@@ -245,3 +246,25 @@ def test_inverse_lonlat_rejects_non_finite_as_planepoint_does():
         with pytest.raises(ValueError) as got:
             inverse_lonlat(x, y)
         assert str(got.value) == str(want.value)
+
+
+def test_clamp_to_bounds_keeps_points_on_earth_and_moves_the_rest_onto_the_edge():
+    rng = random.Random(8)
+    for _ in range(2000):
+        x, y = project_lonlat(rng.uniform(-179.9, 179.9), rng.uniform(-89.9, 89.9))
+        assert clamp_to_bounds(x, y) == (x, y)  # well inside: unchanged
+        # on the edge, or beyond it by up to 100 km: onto the edge
+        lat = rng.choice([rng.uniform(-90.0, 90.0), rng.uniform(89.9, 90.0), rng.uniform(-90.0, -89.9)])
+        x, y = project_lonlat(rng.choice([-180.0, 180.0]), lat)
+        for d in (0.0, 1.0, 1e3, 1e5):
+            px = x + math.copysign(d * rng.random(), x)
+            py = y + math.copysign(d * rng.random(), y)
+            cx, cy = clamp_to_bounds(px, py)
+            assert abs(cx) <= abs(px) and cy == max(-MAX_NORTHING_M, min(MAX_NORTHING_M, py))
+            lon, _ = inverse_lonlat(cx, cy)  # no longer out of bounds
+            assert abs(lon) == 180.0 or abs(cx) < 1e-6 or abs(lon) > 179.999
+    assert inverse_lonlat(*clamp_to_bounds(1e8, 0.0)) == (180.0, 0.0)
+    assert inverse_lonlat(*clamp_to_bounds(-5.0, -1e8)) == (0.0, -90.0)
+    for x, y in ((math.nan, 1e9), (math.inf, 0.0), (0.0, -math.inf)):
+        with pytest.raises(ValueError, match="non-finite"):
+            inverse_lonlat(*clamp_to_bounds(x, y))
