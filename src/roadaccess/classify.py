@@ -8,8 +8,7 @@ absorb footprint digitization noise in formal areas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .grid import CellAggregate, CellId
 from .levels import LEVELS, DeprivationLevel, Surface
@@ -17,8 +16,7 @@ from .levels import LEVELS, DeprivationLevel, Surface
 DEFAULT_OBSTRUCTION_THRESHOLD = 1.0
 
 
-@dataclass(frozen=True)
-class ClassifiedCell:
+class ClassifiedCell(NamedTuple):
     cell: CellId
     level: DeprivationLevel
     building_count: int
@@ -67,8 +65,7 @@ def classify_all(
     return cells
 
 
-@dataclass(frozen=True)
-class LevelDistribution:
+class LevelDistribution(NamedTuple):
     counts: dict[DeprivationLevel, int]
     percentages: dict[DeprivationLevel, float]
     total: int

@@ -56,13 +56,24 @@ def _load_inputs(config: PipelineConfig, counts: dict) -> tuple:
     return buildings, motorable, boundary
 
 
+def _output_dir(config: PipelineConfig, stale: str | None = None) -> Path:
+    """The output directory, created if missing, with the file named stale
+    removed from it; one that cannot be is a ConfigurationError."""
+    out_dir = Path(config.output_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if stale is not None:
+            (out_dir / stale).unlink(missing_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot use output_dir {out_dir}: {exc}") from exc
+    return out_dir
+
+
 def cmd_run(config: PipelineConfig) -> int:
     config.validate()
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     # A manifest left by an earlier run would vouch for outputs this run is
     # about to replace; it is written again, last, once they are all in place.
-    (out_dir / "manifest.json").unlink(missing_ok=True)
+    out_dir = _output_dir(config, stale="manifest.json")
     counts: dict = {}
     buildings, motorable, boundary = _load_inputs(config, counts)
     n_cells = box_cell_count(boundary.bounds(), config.cell_size)
@@ -159,8 +170,7 @@ def cmd_evaluate(config: PipelineConfig) -> int:
 
 def cmd_export_connectors(config: PipelineConfig) -> int:
     config.validate()
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(config)
     counts: dict = {}
     buildings, motorable, _ = _load_inputs(config, counts)
     building_metrics = metrics.compute_all(

@@ -4,26 +4,56 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigurationError
 
 
-@dataclass
 class PipelineConfig:
-    buildings: Path
-    roads: Path
-    boundary: Path
-    output_dir: Path
-    validations: Path | None = None
-    class_property: str = "class"
-    surface_property: str = "surface"
-    min_confidence: float | None = None
-    threshold: float = 1.0
-    cell_size: float = 100.0
-    include_empty_in_distribution: bool = False
-    workers: int | None = None
+    """The run's settings; its slots are the config file's keys."""
+
+    __slots__ = (
+        "buildings",
+        "roads",
+        "boundary",
+        "output_dir",
+        "validations",
+        "class_property",
+        "surface_property",
+        "min_confidence",
+        "threshold",
+        "cell_size",
+        "include_empty_in_distribution",
+        "workers",
+    )
+
+    def __init__(
+        self,
+        buildings: Path,
+        roads: Path,
+        boundary: Path,
+        output_dir: Path,
+        validations: Path | None = None,
+        class_property: str = "class",
+        surface_property: str = "surface",
+        min_confidence: float | None = None,
+        threshold: float = 1.0,
+        cell_size: float = 100.0,
+        include_empty_in_distribution: bool = False,
+        workers: int | None = None,
+    ):
+        self.buildings = buildings
+        self.roads = roads
+        self.boundary = boundary
+        self.output_dir = output_dir
+        self.validations = validations
+        self.class_property = class_property
+        self.surface_property = surface_property
+        self.min_confidence = min_confidence
+        self.threshold = threshold
+        self.cell_size = cell_size
+        self.include_empty_in_distribution = include_empty_in_distribution
+        self.workers = workers
 
     def validate(self, require_validations: bool = False) -> None:
         for name in ("threshold", "cell_size"):
@@ -95,7 +125,7 @@ def load_config(path: Path | str) -> PipelineConfig:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config {path} must be a JSON object")
-    known = {f.name for f in fields(PipelineConfig)}
+    known = set(PipelineConfig.__slots__)
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")

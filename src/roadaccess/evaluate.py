@@ -9,8 +9,7 @@ counts, and ternary vote proportions for multi-validated cells.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .classify import ClassifiedCell
 from .errors import EvaluationError
@@ -19,8 +18,7 @@ from .ingest import ValidationRecord
 from .levels import LEVELS, DeprivationLevel
 
 
-@dataclass(frozen=True)
-class ConsensusCell:
+class ConsensusCell(NamedTuple):
     cell: CellId
     level: DeprivationLevel
 
@@ -115,8 +113,7 @@ def f1_per_class(cm: Sequence[Sequence[int]]) -> tuple[float, float, float]:
     return scores[0], scores[1], scores[2]
 
 
-@dataclass(frozen=True)
-class TernaryPoint:
+class TernaryPoint(NamedTuple):
     cell: CellId
     p_low: float
     p_medium: float

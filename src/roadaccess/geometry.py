@@ -2,14 +2,14 @@
 
 All coordinates are projected meters. Types are immutable and every
 operation is a pure function, so values can be shared freely across
-threads or forked worker processes.
+threads or forked worker processes. Points and segments are NamedTuples:
+they compare and hash as tuples of their fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 # (min_x, min_y, max_x, max_y) axis-aligned bounding box
 Bounds = tuple[float, float, float, float]
@@ -17,20 +17,24 @@ Bounds = tuple[float, float, float, float]
 ZERO_AREA_EPS_M2 = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class PlanePoint:
-    """A point in projected (easting, northing) meters."""
-
+class _PlanePoint(NamedTuple):
     x: float
     y: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite plane coordinates ({self.x!r}, {self.y!r})")
+
+class PlanePoint(_PlanePoint):
+    """A point in projected (easting, northing) meters."""
+
+    __slots__ = ()
+
+    # Unpickling calls __new__ too, so a worker process checks what it gets.
+    def __new__(cls, x: float, y: float) -> "PlanePoint":
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite plane coordinates ({x!r}, {y!r})")
+        return tuple.__new__(cls, (x, y))
 
 
-@dataclass(frozen=True, slots=True)
-class Segment:
+class Segment(NamedTuple):
     """Closed straight segment between two points; zero length is allowed."""
 
     a: PlanePoint

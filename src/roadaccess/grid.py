@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .geometry import Bounds, PlanePoint, Polygon, point_in_rings
 from .levels import Surface
@@ -25,14 +24,12 @@ DEFAULT_CELL_SIZE_M = 100.0
 MAX_CELLS = 10_000_000
 
 
-@dataclass(frozen=True, order=True)
-class CellId:
+class CellId(NamedTuple):
     i: int
     j: int
 
 
-@dataclass(frozen=True)
-class CellAggregate:
+class CellAggregate(NamedTuple):
     cell: CellId
     building_count: int
     mean_obstruction: float | None

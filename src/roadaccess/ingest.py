@@ -12,9 +12,8 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DataError
 from .geometry import (
@@ -52,16 +51,14 @@ MOTORABLE_CLASSES = frozenset(
 ROAD_CLIP_MARGIN_M = 500.0
 
 
-@dataclass(frozen=True)
-class RoadSegment:
+class RoadSegment(NamedTuple):
     road_id: int
     geometry: Polyline
     road_class: str
     surface: Surface = Surface.UNKNOWN
 
 
-@dataclass(frozen=True)
-class Building:
+class Building(NamedTuple):
     building_id: int
     footprint: Polygon
     centroid: PlanePoint
@@ -74,22 +71,30 @@ class Building:
         return cls(building_id, footprint, polygon_centroid(footprint), confidence)
 
 
-@dataclass(frozen=True)
-class ValidationRecord:
+class ValidationRecord(NamedTuple):
     cell: CellId
     validator_id: str
     level: DeprivationLevel
 
 
-@dataclass
 class LoadStats:
     """Per-file conservation counters: total == loaded + skipped."""
 
-    total: int = 0
-    loaded: int = 0
-    skipped: int = 0
-    records: int = 0
-    rejected_lines: list[int] = field(default_factory=list)
+    __slots__ = ("total", "loaded", "skipped", "records", "rejected_lines")
+
+    def __init__(
+        self,
+        total: int = 0,
+        loaded: int = 0,
+        skipped: int = 0,
+        records: int = 0,
+        rejected_lines: list[int] | None = None,
+    ):
+        self.total = total
+        self.loaded = loaded
+        self.skipped = skipped
+        self.records = records
+        self.rejected_lines: list[int] = [] if rejected_lines is None else rejected_lines
 
     def as_dict(self) -> dict:
         out = {
@@ -229,26 +234,35 @@ def _lonlat(pos: Sequence[float]) -> tuple[float, float]:
     return lon, lat
 
 
-def _project_position(pos: Sequence[float]) -> tuple[float, float]:
-    return project_lonlat(*_lonlat(pos))
+def _project_positions(coords: Sequence[Sequence[float]]) -> list[float]:
+    """Flat projected coordinates (x0, y0, x1, y1, ...) of positions, each
+    checked as _lonlat checks it."""
+    flat: list[float] = []
+    for pos in coords:
+        # _lonlat, inline: this runs once per input vertex
+        lon = pos[0]
+        lat = pos[1]
+        if type(lon) not in _NUMBER_TYPES or type(lat) not in _NUMBER_TYPES:
+            raise ValueError(f"position coordinates must be numbers, got {pos!r}")
+        flat += project_lonlat(lon, lat)
+    return flat
 
 
 def _project_line(coords: Sequence[Sequence[float]]) -> Polyline:
-    return Polyline(PlanePoint(*_project_position(pos)) for pos in coords)
+    it = iter(_project_positions(coords))
+    return Polyline(map(PlanePoint, it, it))
 
 
 def _project_ring(coords: Sequence[Sequence[float]]) -> list[float]:
     """Flat projected coordinates (x0, y0, x1, y1, ...) of a ring's positions."""
-    flat: list[float] = []
-    for pos in coords[:-1]:
-        flat += _project_position(pos)
+    flat = _project_positions(coords[:-1])
     last = coords[-1]
     if flat and last == coords[0]:
         # the closing position repeats the first: reuse its coordinates
         _lonlat(last)
         flat += flat[:2]
     else:
-        flat += _project_position(last)
+        flat += project_lonlat(*_lonlat(last))
     return flat
 
 

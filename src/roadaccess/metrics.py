@@ -10,9 +10,8 @@ deliberately distance-agnostic: only intersection topology matters.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .geometry import PlanePoint, Segment
 from .ingest import Building, RoadSegment
@@ -20,8 +19,7 @@ from .levels import Surface
 from .spatial_index import PolygonIndex, SegmentIndex
 
 
-@dataclass(frozen=True)
-class ConnectorLine:
+class ConnectorLine(NamedTuple):
     building_id: int
     start: PlanePoint
     end: PlanePoint
@@ -29,8 +27,7 @@ class ConnectorLine:
     road_distance: float
 
 
-@dataclass(frozen=True)
-class BuildingMetrics:
+class BuildingMetrics(NamedTuple):
     building_id: int
     obstruction_count: int
     nearest_surface: Surface
@@ -125,11 +122,11 @@ def compute_all(
         ) as pool:
             rows = [row for part in pool.map(_rows_for_slice, slices) for row in part]
     rows.sort(key=itemgetter(0))
+    # each row in place: the rows and the metrics are never all held at once
     surface = {r.road_id: r.surface for r in roads}
-    return [
-        BuildingMetrics(bid, count, surface[road_id], distance, road_id, PlanePoint(x, y))
-        for bid, count, road_id, distance, x, y in rows
-    ]
+    for k, (bid, count, road_id, distance, x, y) in enumerate(rows):
+        rows[k] = BuildingMetrics(bid, count, surface[road_id], distance, road_id, PlanePoint(x, y))
+    return rows
 
 
 def connectors_for(

@@ -9,7 +9,6 @@ the target, so a failed write never leaves a partial file under that name.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import os
 from contextlib import contextmanager
@@ -18,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .classify import ClassifiedCell
-from .errors import DataError
+from .errors import ConfigurationError, DataError
 from .evaluate import TernaryPoint
 from .grid import CellAggregate, CellId
 from .levels import DeprivationLevel, Surface
@@ -114,13 +113,22 @@ def _replacing(path: Path | str, newline: str | None = None) -> Iterator[TextIO]
 
     It replaces path only once the block completes, so an error part-way
     leaves the previous file, or none, and never a truncated one.
+    An output directory that cannot take the file (the target a
+    directory, no permission) is a ConfigurationError naming the path.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline=newline, encoding="utf-8") as f:
+        try:
+            f = open(tmp, "w", newline=newline, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+        with f:
             yield f
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write {path}: {exc}") from exc
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -252,6 +260,20 @@ def write_building_metrics_csv(
     _write_csv(path, header, rows)
 
 
+def _end_lonlat(x: float, y: float) -> tuple[float, float]:
+    """lon, lat of a connector end.
+
+    A point projected from lon +-180 within about 10 m of a pole can invert
+    just past lon 180, as asin and cos lose precision there; only such a
+    point is moved onto the projection's edge, so every other end keeps
+    inverse_lonlat's bytes.
+    """
+    try:
+        return inverse_lonlat(x, y)
+    except ValueError:
+        return inverse_lonlat(*clamp_to_bounds(x, y))
+
+
 def write_connectors_geojson(
     path: Path | str,
     connectors: Sequence[ConnectorLine],
@@ -261,8 +283,8 @@ def write_connectors_geojson(
         for c in connectors:
             m = metrics_by_id[c.building_id]
             yield _CONNECTOR_FEATURE % (
-                *map(_json_value, inverse_lonlat(c.start.x, c.start.y)),
-                *map(_json_value, inverse_lonlat(c.end.x, c.end.y)),
+                *map(_json_value, _end_lonlat(*c.start)),
+                *map(_json_value, _end_lonlat(*c.end)),
                 _json_value(c.building_id),
                 _json_value(m.nearest_surface.value),
                 _json_value(m.obstruction_count),
@@ -282,6 +304,8 @@ def write_ternary_csv(path: Path | str, points: Iterable[TernaryPoint]) -> None:
 
 
 def file_sha256(path: Path | str) -> str:
+    import hashlib  # not at the top: OpenSSL is slow to load and only run's manifest digests
+
     digest = hashlib.sha256()
     with open(path, "rb") as f:
         for block in iter(lambda: f.read(1 << 16), b""):

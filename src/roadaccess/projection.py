@@ -9,8 +9,8 @@ on the same projection. Forward solves the auxiliary angle theta from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import cos, isfinite, sin
+from typing import NamedTuple
 
 from .geometry import PlanePoint
 
@@ -28,15 +28,19 @@ _RAD_PER_DEG = math.pi / 180.0
 _MAX_EASTING_M = _X_SCALE * math.pi  # the equator's half-width, at lon 180
 
 
-@dataclass(frozen=True)
-class GeoPoint:
-    """Geographic coordinates in degrees, lon in [-180, 180], lat in [-90, 90]."""
-
+class _GeoPoint(NamedTuple):
     lon: float
     lat: float
 
-    def __post_init__(self) -> None:
-        _check_lonlat(self.lon, self.lat)
+
+class GeoPoint(_GeoPoint):
+    """Geographic coordinates in degrees, lon in [-180, 180], lat in [-90, 90]."""
+
+    __slots__ = ()
+
+    def __new__(cls, lon: float, lat: float) -> "GeoPoint":
+        _check_lonlat(lon, lat)
+        return tuple.__new__(cls, (lon, lat))
 
 
 def _check_lonlat(lon: float, lat: float) -> None:

@@ -458,6 +458,27 @@ def test_cells_reaching_past_the_projection_edge_stay_on_earth(
         assert -180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0
 
 
+def test_connector_ends_at_the_antimeridian_near_a_pole_stay_on_earth(tmp_path):
+    # the road's end at (-180, 89.9999) projects to a point that inverts a
+    # hair past lon -180, as asin and cos lose precision near the pole
+    edge = [[-180.0, 89.999 + k * 1e-5] for k in range(99)] + [[-180.0, 89.99999]]
+    boundary_ring = edge + [[-170.0, 89.99999], [-170.0, 89.999], [-180.0, 89.999]]
+    road = [[-180.0, 89.9999], [-179.0, 89.9999]]
+    building_ring = [
+        [-179.6, 89.9997], [-179.4, 89.9997], [-179.4, 89.9998], [-179.6, 89.9998], [-179.6, 89.9997]
+    ]
+    cfg = _edge_scene(tmp_path, boundary_ring, road, building_ring)
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert main(["export-connectors", "--config", str(cfg)]) == 0
+    features = json.loads((tmp_path / "out" / "connectors.geojson").read_text())["features"]
+    assert len(features) == 1
+    positions = features[0]["geometry"]["coordinates"]
+    (road_end,) = [(lon, lat) for lon, lat in positions if lon == -180.0]
+    assert abs(road_end[1] - 89.9999) < 1e-6
+    for lon, lat in positions:
+        assert -180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0
+
+
 def test_run_with_zero_buildings_classifies_everything_low(tmp_path, formal_fixture):
     _, files = formal_fixture
     empty = tmp_path / "empty.geojson"
@@ -575,10 +596,82 @@ def test_cli_import_loads_no_process_pool():
     src = str(Path(roadaccess.__file__).resolve().parent.parent)
     code = (
         "import sys, roadaccess.cli; "
-        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+        "print([m for m in ('concurrent.futures', 'multiprocessing', 'dataclasses', 'hashlib') "
+        "if m in sys.modules])"
     )
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command, target", [
+    ("run", "cells.csv"), ("export-connectors", "connectors.geojson"),
+])
+@pytest.mark.parametrize("case", ["dir-is-a-file", "dir-under-a-file", "target-is-a-dir"])
+def test_unusable_output_dir_is_a_configuration_error(tmp_path, capsys, command, target, case):
+    files = write_lonlat_scene(tmp_path, random.Random(3), n_buildings=12, n_roads=3, span_deg=0.002)
+    out = tmp_path / "out"
+    if case == "dir-is-a-file":
+        out.write_text("a file")
+        named = out
+    elif case == "dir-under-a-file":
+        (tmp_path / "file").write_text("a file")
+        out = tmp_path / "file" / "out"
+        named = out
+    else:
+        (out / target).mkdir(parents=True)
+        named = out / target
+    cfg = cfg_with(tmp_path, write_config(tmp_path, files), output_dir=str(out))
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("configuration-error: cannot ") and str(named) in err[-1]
+    if case == "target-is-a-dir":
+        # the temporary file is gone and no manifest vouches for anything
+        names = [p.name for p in out.iterdir()]
+        assert "manifest.json" not in names and not any(n.endswith(".tmp") for n in names)
+
+
+def _run_cli_in_subprocess(args, code, python_flags=()):
+    src = str(Path(roadaccess.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, *python_flags, "-c", code, *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_evaluate_and_export_connectors_load_no_openssl(tmp_path):
+    files = write_lonlat_scene(tmp_path, random.Random(3), n_buildings=12, n_roads=3, span_deg=0.002)
+    votes = tmp_path / "votes.csv"
+    cfg = write_config(tmp_path, files, validations=str(votes))
+    assert main(["run", "--config", str(cfg)]) == 0
+    cell = read_cells(tmp_path / "out")[0]
+    votes.write_text(f"cell_i,cell_j,validator_id,level\n{cell['i']},{cell['j']},v1,{cell['level']}\n")
+    code = (
+        "import sys; from roadaccess.cli import main; "
+        "code = main(sys.argv[1:]); print(code, 'hashlib' in sys.modules)"
+    )
+    for command in ("evaluate", "export-connectors"):
+        done = _run_cli_in_subprocess([command, "--config", str(cfg)], code)
+        assert done.stdout.split() == ["0", "False"], (command, done.stderr)
+
+
+def test_commands_are_warning_free_in_dev_mode(tmp_path):
+    # unclosed files and deprecations are errors here; in-process tests miss them
+    files = write_lonlat_scene(tmp_path, random.Random(3), n_buildings=12, n_roads=3, span_deg=0.002)
+    votes = tmp_path / "votes.csv"
+    cfg = write_config(tmp_path, files, validations=str(votes), workers=1)
+    code = "import sys; from roadaccess.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = _run_cli_in_subprocess(["run", "--config", str(cfg)], code, ("-X", "dev", "-W", "error"))
+    assert done.returncode == 0, done.stderr
+    cells = read_cells(tmp_path / "out")[:6]
+    votes.write_text(
+        "cell_i,cell_j,validator_id,level\n"
+        + "".join(f"{c['i']},{c['j']},v{n % 2},{c['level']}\n" for n, c in enumerate(cells))
+    )
+    for command in ("evaluate", "export-connectors"):
+        done = _run_cli_in_subprocess([command, "--config", str(cfg)], code, ("-X", "dev", "-W", "error"))
+        assert done.returncode == 0, (command, done.stderr)

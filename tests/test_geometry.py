@@ -1,5 +1,7 @@
 import math
+import pickle
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -20,6 +22,18 @@ from roadaccess.geometry import (
 )
 
 from _scenes import reference_segment_intersects_polygon, ring_points
+
+
+def test_plane_point_checks_what_it_is_built_or_unpickled_from():
+    p = PlanePoint(1.5, -2.25)
+    assert pickle.loads(pickle.dumps(p)) == p
+    assert type(pickle.loads(pickle.dumps(p))) is PlanePoint
+    with pytest.raises(ValueError, match=r"non-finite plane coordinates \(nan, 0.0\)"):
+        PlanePoint(math.nan, 0.0)
+    # a worker process unpickles its points through the same check
+    tampered = pickle.dumps(p).replace(struct.pack(">d", 1.5), struct.pack(">d", math.inf))
+    with pytest.raises(ValueError, match="non-finite plane coordinates"):
+        pickle.loads(tampered)
 
 
 def square(x0, y0, x1, y1):

@@ -3,6 +3,7 @@ import math
 import os
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -329,3 +330,20 @@ def test_pool_has_at_most_one_process_per_cpu(monkeypatch, cpus, workers, expect
     serial = run_pipeline(buildings, roads)
     assert run_pipeline(buildings, roads, workers=workers) == serial
     assert RecordingExecutor.created == expected
+
+
+def test_serial_metric_stage_holds_its_results_once():
+    # a diagonal_random-sized scene: 5,000 rotated rectangles, 50 road segments
+    buildings, roads = random_scene(random.Random(62), 5000, 50)
+    road_index = SegmentIndex(roads)
+    building_index = PolygonIndex(buildings)
+    tracemalloc.start()
+    try:
+        metrics = compute_all(buildings, road_index, building_index, roads, workers=1)
+        returned, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(metrics) == len(buildings)
+    # Each row becomes its BuildingMetrics in place; a second list built next
+    # to the rows would add 0.2-0.4x the result's size.
+    assert peak - returned <= 0.05 * returned
