@@ -13,6 +13,7 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from . import ingest, metrics, outputs
@@ -69,12 +70,13 @@ def _output_dir(config: PipelineConfig, stale: str | None = None) -> Path:
     return out_dir
 
 
-def cmd_run(config: PipelineConfig) -> int:
-    config.validate()
-    # A manifest left by an earlier run would vouch for outputs this run is
-    # about to replace; it is written again, last, once they are all in place.
-    out_dir = _output_dir(config, stale="manifest.json")
-    counts: dict = {}
+def _cell_aggregates(config: PipelineConfig, counts: dict) -> tuple:
+    """The aggregates of the occupied cells, and the boundary.
+
+    Each building's metrics are folded into its cell's sums as they come,
+    never all held, and the buildings and both indexes are released once
+    this returns, before the writers and the manifest's digests run.
+    """
     buildings, motorable, boundary = _load_inputs(config, counts)
     n_cells = box_cell_count(boundary.bounds(), config.cell_size)
     if n_cells > MAX_CELLS:
@@ -82,13 +84,27 @@ def cmd_run(config: PipelineConfig) -> int:
             f"cell_size {config.cell_size} m puts about {n_cells:.3g} cells in the boundary's box; "
             f"the limit is {MAX_CELLS:,}"
         )
-
-    building_metrics = metrics.compute_all(
-        buildings, SegmentIndex(motorable), PolygonIndex(buildings), motorable, config.workers
+    surface = {r.road_id: r.surface for r in motorable}
+    rows = metrics.metric_rows(
+        buildings, SegmentIndex(motorable), PolygonIndex(buildings), config.workers
     )
-    log.info("computed metrics for %d buildings", len(building_metrics))
+    with closing(rows):  # an error part-way still reaps the children
+        aggregates = aggregate(
+            ((bid, count, surface[road_id]) for bid, count, road_id, _, _, _ in rows),
+            buildings,
+            config.cell_size,
+        )
+    log.info("computed metrics for %d buildings", len(buildings))
+    return aggregates, boundary
 
-    aggregates = aggregate(building_metrics, buildings, config.cell_size)
+
+def cmd_run(config: PipelineConfig) -> int:
+    config.validate()
+    # A manifest left by an earlier run would vouch for outputs this run is
+    # about to replace; it is written again, last, once they are all in place.
+    out_dir = _output_dir(config, stale="manifest.json")
+    counts: dict = {}
+    aggregates, boundary = _cell_aggregates(config, counts)
     empty_cells = enumerate_empty_cells(boundary, aggregates, config.cell_size)
     cells = classify_all(aggregates, empty_cells, config.threshold)
     counts["built_cells"] = len(aggregates)

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .geometry import Bounds, PlanePoint, Polygon, point_in_rings
 from .levels import Surface
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ingest import Building
-    from .metrics import BuildingMetrics
 
 DEFAULT_CELL_SIZE_M = 100.0
 # A run enumerates every cell of the boundary's box: 100 m cells over a
@@ -46,28 +45,34 @@ def cell_of(p: PlanePoint, cell_size: float = DEFAULT_CELL_SIZE_M) -> CellId:
 
 
 def aggregate(
-    metrics: Iterable["BuildingMetrics"],
+    metrics: Iterable[Sequence],
     buildings: Iterable["Building"],
     cell_size: float = DEFAULT_CELL_SIZE_M,
 ) -> dict[CellId, CellAggregate]:
     """Group metrics into cells by building centroid; mean counts, modal surface.
+
+    Each metric starts (building_id, obstruction_count, nearest_surface), as
+    a BuildingMetrics does. One pass folds them into integer sums per cell,
+    so none is kept and their order does not matter.
 
     Surfaces vote paved vs unpaved; unknowns abstain, and a tie (or a cell
     with only unknowns) resolves to unpaved so missing surface evidence never
     grants low deprivation.
     """
     centroids = {b.building_id: b.centroid for b in buildings}
-    groups: dict[CellId, list["BuildingMetrics"]] = defaultdict(list)
+    # per cell: buildings, obstructions, paved votes, unpaved votes
+    sums: dict[CellId, list[int]] = defaultdict(lambda: [0, 0, 0, 0])
     for m in metrics:
-        groups[cell_of(centroids[m.building_id], cell_size)].append(m)
+        s = sums[cell_of(centroids[m[0]], cell_size)]
+        s[0] += 1
+        s[1] += m[1]
+        s[2] += m[2] is Surface.PAVED
+        s[3] += m[2] is Surface.UNPAVED
     out: dict[CellId, CellAggregate] = {}
-    for cell in sorted(groups):
-        members = groups[cell]
-        mean = sum(m.obstruction_count for m in members) / len(members)
-        paved = sum(1 for m in members if m.nearest_surface is Surface.PAVED)
-        unpaved = sum(1 for m in members if m.nearest_surface is Surface.UNPAVED)
+    for cell in sorted(sums):
+        n, total, paved, unpaved = sums[cell]
         modal = Surface.PAVED if paved > unpaved else Surface.UNPAVED
-        out[cell] = CellAggregate(cell, len(members), mean, modal)
+        out[cell] = CellAggregate(cell, n, total / n, modal)
     return out
 
 

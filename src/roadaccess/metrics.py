@@ -5,13 +5,24 @@ nearest point on the nearest motorable road. The accessibility value is the
 number of distinct other buildings whose footprint touches that connector;
 the nearest road also contributes its surface type. The metric is
 deliberately distance-agnostic: only intersection topology matters.
+
+The per-building work is a fork-join (metric_rows): shares by stride, one
+computed in this process and the others in forked children, which send
+their rows back through pipes with marshal (its binary floats round-trip
+bit for bit). compute_all sorts the rows into BuildingMetrics; the CLI's
+run folds them into the cell sums as they come.
 """
 
 from __future__ import annotations
 
+import marshal
 import os
+import sys
+from functools import partial
+from itertools import islice
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from signal import SIGKILL
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .geometry import PlanePoint, Segment
 from .ingest import Building, RoadSegment
@@ -70,22 +81,107 @@ def _metric_row(
     )
 
 
-# Worker-process state, installed once per worker by the pool initializer.
-_WORKER_STATE: tuple | None = None
+# Rows per marshalled chunk a child sends; the parent decodes one at a time.
+_CHUNK = 4096
 
 
-def _init_worker(buildings, road_index, building_index):
-    global _WORKER_STATE
-    _WORKER_STATE = (buildings, road_index, building_index)
+def _send_rows(write_end: int, rows: Iterator[tuple]) -> None:
+    """Write rows to write_end as marshalled chunks. All are computed before
+    the first is written: the parent reads the pipe only after its own
+    share, and a full pipe would stall the computation."""
+    chunks = []
+    while chunk := list(islice(rows, _CHUNK)):
+        chunks.append(marshal.dumps(chunk))
+    with open(write_end, "wb", closefd=False) as f:
+        f.writelines(chunks)
 
 
-def _rows_for_slice(bounds: tuple[int, int]) -> list[tuple]:
-    # plain tuples: they pickle back to the parent far smaller and faster
-    # than BuildingMetrics
-    assert _WORKER_STATE is not None
-    buildings, road_index, building_index = _WORKER_STATE
-    lo, hi = bounds
-    return [_metric_row(b, road_index, building_index) for b in buildings[lo:hi]]
+def _fork(job: Callable[[], None], read_ends: list[int]) -> int:
+    """Run job in a forked child and return its pid. The child exits with
+    status 0 once job returns, or 1 after printing the traceback if it
+    raises; it never returns into the caller's frames.
+
+    The child first closes the pipe read ends it inherits, so that its
+    write fails, and it exits, if the parent dies before reading. Forking
+    is safe only while the process runs no other thread, as the CLI never
+    does.
+    """
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            for fd in read_ends:
+                os.close(fd)
+            job()
+            status = 0
+        except BaseException:  # the child's last act: report, then exit
+            sys.excepthook(*sys.exc_info())
+        finally:
+            os._exit(status)
+    return pid
+
+
+def metric_rows(
+    buildings: Sequence[Building],
+    road_index: SegmentIndex,
+    building_index: PolygonIndex,
+    workers: int | None = None,
+) -> Iterator[tuple[int, int, int, float, float, float]]:
+    """Every building's (building_id, obstruction_count, road_id,
+    road_distance, x, y), in no particular order; (x, y) is the connector's
+    end on the nearest road.
+
+    With n = min(workers, CPUs) > 1, building k goes to share k mod n. This
+    process computes share 0 and yields its rows as it goes; each other
+    share is computed by a child forked once both indexes exist, which
+    inherits them copy-on-write and sends its rows back through a pipe.
+    Every child is reaped before the stream ends, and killed first if the
+    stream is closed early or fails. Without os.fork, n is 1.
+    """
+    n = min(workers or 1, os.cpu_count() or 1)
+    if len(buildings) < 2 * n or not hasattr(os, "fork"):
+        n = 1
+
+    def share(k: int) -> Iterator[tuple]:
+        for i in range(k, len(buildings), n):
+            yield _metric_row(buildings[i], road_index, building_index)
+
+    children: list[tuple[int, BinaryIO]] = []  # (pid, read end), not yet reaped
+    try:
+        for k in range(1, n):
+            read_end, write_end = os.pipe()
+            pipe = open(read_end, "rb")
+            try:
+                pid = _fork(
+                    partial(_send_rows, write_end, share(k)),
+                    [read_end, *(p.fileno() for _, p in children)],
+                )
+            except BaseException:
+                pipe.close()
+                raise
+            finally:
+                os.close(write_end)
+            children.append((pid, pipe))
+        yield from share(0)
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                while True:
+                    try:
+                        chunk = marshal.load(pipe)
+                    except EOFError:  # the child has written all it will
+                        break
+                    yield from chunk
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"metric stage child {pid} failed: exit status {code}")
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def compute_all(
@@ -98,29 +194,9 @@ def compute_all(
     """One BuildingMetrics per building, ordered by building_id.
 
     The per-building computation is pure against read-only indexes, so the
-    result is identical for any worker count or input order. The pool gets
-    at most one process per CPU: it starts all of them at once.
+    result is identical for any worker count or input order.
     """
-    if not buildings:
-        return []
-    workers = min(workers or 1, os.cpu_count() or 1)
-    if workers <= 1 or len(buildings) < 2 * workers:
-        rows = [_metric_row(b, road_index, building_index) for b in buildings]
-    else:
-        # imported here so that a serial run never loads the pool machinery
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, (len(buildings) + workers * 4 - 1) // (workers * 4))
-        slices = [
-            (lo, min(lo + chunk, len(buildings)))
-            for lo in range(0, len(buildings), chunk)
-        ]
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(list(buildings), road_index, building_index),
-        ) as pool:
-            rows = [row for part in pool.map(_rows_for_slice, slices) for row in part]
+    rows: list = list(metric_rows(buildings, road_index, building_index, workers))
     rows.sort(key=itemgetter(0))
     # each row in place: the rows and the metrics are never all held at once
     surface = {r.road_id: r.surface for r in roads}

@@ -113,22 +113,17 @@ def _replacing(path: Path | str, newline: str | None = None) -> Iterator[TextIO]
 
     It replaces path only once the block completes, so an error part-way
     leaves the previous file, or none, and never a truncated one.
-    An output directory that cannot take the file (the target a
-    directory, no permission) is a ConfigurationError naming the path.
+    A file the output directory cannot take (the target a directory, no
+    permission, a full disk) is a ConfigurationError naming the path.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        try:
-            f = open(tmp, "w", newline=newline, encoding="utf-8")
-        except OSError as exc:
-            raise ConfigurationError(f"cannot write {path}: {exc}") from exc
-        with f:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as f:
             yield f
-        try:
-            os.replace(tmp, path)
-        except OSError as exc:
-            raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
     finally:
         tmp.unlink(missing_ok=True)
 

@@ -108,6 +108,32 @@ def test_run_is_deterministic_across_worker_counts(informal_fixture, monkeypatch
         assert a == b, name
 
 
+def test_run_failing_part_way_through_the_metric_stage_reaps_its_child(informal_fixture, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    started = []
+    real_fork = cli.metrics._fork
+
+    def fork(job, read_ends):
+        started.append(real_fork(job, read_ends))
+        return started[-1]
+
+    monkeypatch.setattr(cli.metrics, "_fork", fork)
+    tmp, files = informal_fixture
+    cfg = write_config(tmp, files, out_name="partway", workers=2)
+
+    def failing_aggregate(metrics, buildings, cell_size):
+        next(iter(metrics))
+        raise LookupError("aggregate fails")
+
+    monkeypatch.setattr(cli, "aggregate", failing_aggregate)
+    # the kept traceback keeps the stream's frames alive: only closing it reaps
+    with pytest.raises(LookupError, match="aggregate fails") as failed:
+        main(["run", "--config", str(cfg)])
+    assert len(started) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_rerun_is_byte_identical(formal_fixture):
     tmp, files = formal_fixture
     cfg = write_config(tmp, files, out_name="rerun")
@@ -313,7 +339,7 @@ def test_run_with_too_many_cells_exits_with_configuration_error(tmp_path, capsys
         raise AssertionError("the cell count is checked before the metric stage")
 
     # without the check, enumerating the cells would take minutes and gigabytes
-    monkeypatch.setattr(cli.metrics, "compute_all", metric_stage)
+    monkeypatch.setattr(cli.metrics, "metric_rows", metric_stage)
     start = time.perf_counter()
     assert main(["run", "--config", str(cfg)]) == 2
     assert time.perf_counter() - start < 1.0
@@ -553,7 +579,7 @@ def test_export_connectors_reuses_the_metric_pass(tmp_path, monkeypatch):
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
-def test_failed_rerun_leaves_no_manifest_that_disagrees(tmp_path, formal_fixture, monkeypatch):
+def test_failed_rerun_leaves_no_manifest_that_disagrees(tmp_path, formal_fixture, monkeypatch, capsys):
     _, files = formal_fixture
     validations = tmp_path / "votes.csv"
     validations.write_text("cell_i,cell_j,validator_id,level\n0,0,a,low\n")
@@ -578,9 +604,11 @@ def test_failed_rerun_leaves_no_manifest_that_disagrees(tmp_path, formal_fixture
             self._writer.writerow(row)
 
     monkeypatch.setattr(outputs.csv, "writer", FailingWriter)
-    with pytest.raises(OSError, match="disk full"):
-        main(["run", "--config", str(cfg_with(tmp_path, cfg, cell_size=200.0))])
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg_with(tmp_path, cfg, cell_size=200.0))]) == 2
     monkeypatch.undo()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == f"configuration-error: cannot write {out / 'cells.csv'}: disk full"
 
     assert (out / "cells.csv").read_bytes() == cells_csv  # not truncated
     assert sorted(os.listdir(out)) == [n for n in names if n != "manifest.json"]
@@ -592,7 +620,7 @@ def test_failed_rerun_leaves_no_manifest_that_disagrees(tmp_path, formal_fixture
     assert main(["evaluate", "--config", str(cfg)]) == 4
 
 
-def test_cli_import_loads_no_process_pool():
+def test_cli_import_loads_no_process_pool(tmp_path):
     src = str(Path(roadaccess.__file__).resolve().parent.parent)
     code = (
         "import sys, roadaccess.cli; "
@@ -604,6 +632,17 @@ def test_cli_import_loads_no_process_pool():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     )
     assert done.stdout.strip() == "[]"
+
+    # nor does a run whose metric stage forks
+    files = write_lonlat_scene(tmp_path, random.Random(3), n_buildings=12, n_roads=3, span_deg=0.002)
+    cfg = write_config(tmp_path, files, workers=2)
+    code = (
+        "import os, sys; from roadaccess.cli import main; os.cpu_count = lambda: 2; "
+        "code = main(sys.argv[1:]); "
+        "print(code, [m for m in ('concurrent.futures', 'multiprocessing', 'pickle') if m in sys.modules])"
+    )
+    done = _run_cli_in_subprocess(["run", "--config", str(cfg)], code)
+    assert done.stdout.strip() == "0 []", done.stderr
 
 
 @pytest.mark.parametrize("command, target", [
@@ -667,6 +706,17 @@ def test_commands_are_warning_free_in_dev_mode(tmp_path):
     code = "import sys; from roadaccess.cli import main; sys.exit(main(sys.argv[1:]))"
     done = _run_cli_in_subprocess(["run", "--config", str(cfg)], code, ("-X", "dev", "-W", "error"))
     assert done.returncode == 0, done.stderr
+    # at workers=2 the metric stage forks: its pipes must be closed too, and
+    # no log line may be written twice
+    forked = "import os; os.cpu_count = lambda: 2; " + code
+    w2 = cfg_with(tmp_path, cfg, workers=2, output_dir=str(tmp_path / "w2"))
+    done = _run_cli_in_subprocess(["run", "--config", str(w2)], forked, ("-X", "dev", "-W", "error"))
+    assert done.returncode == 0, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == len(set(lines)), done.stderr
+    computed = [line for line in lines if "computed metrics for" in line]
+    assert len(computed) == 1 and int(computed[0].split()[-2]) >= 4, done.stderr  # two shares
+    assert (tmp_path / "w2" / "cells.csv").read_bytes() == (tmp_path / "out" / "cells.csv").read_bytes()
     cells = read_cells(tmp_path / "out")[:6]
     votes.write_text(
         "cell_i,cell_j,validator_id,level\n"

@@ -1,12 +1,14 @@
-import concurrent.futures
 import math
 import os
-import pickle
 import random
+import signal
+import time
 import tracemalloc
+from contextlib import closing
 
 import pytest
 
+import roadaccess.metrics as metric_stage
 from roadaccess.errors import ConfigurationError
 from roadaccess.geometry import PlanePoint, Polygon, Polyline, nearest_point_on_segment
 from roadaccess.ingest import Building, RoadSegment
@@ -296,25 +298,20 @@ def test_parallel_workers_match_serial(monkeypatch):
     assert run_pipeline(buildings, roads, workers=2) == run_pipeline(buildings, roads)
 
 
-class RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers and runs the
-    slices in this process, so no process is ever started."""
+FAKE_PID = 1 << 30  # above any pid_max: never a real process
 
-    created: list = []
 
-    def __init__(self, max_workers, initializer, initargs):
-        self.created.append(max_workers)
-        initializer(*initargs)
+class InProcessFork:
+    """Stands in for metric_stage._fork: runs each child's job in this process,
+    so no process is ever started; the rows still cross a real pipe."""
 
-    def __enter__(self):
-        return self
+    def __init__(self):
+        self.jobs = 0
 
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        # the slices come back pickled, as from a worker process
-        return [pickle.loads(pickle.dumps(fn(item))) for item in items]
+    def __call__(self, job, read_ends):
+        job()
+        self.jobs += 1
+        return FAKE_PID + self.jobs
 
 
 @pytest.mark.parametrize(
@@ -322,14 +319,114 @@ class RecordingExecutor:
     [(3, 5000, [3]), (None, 5000, []), (1, 8, []), (4, 2, [2]), (8, 4, [4])],
 )
 def test_pool_has_at_most_one_process_per_cpu(monkeypatch, cpus, workers, expected):
+    # expected: the number of processes computing shares, when there are several
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(RecordingExecutor, "created", [])
+    fork = InProcessFork()
+    monkeypatch.setattr(metric_stage, "_fork", fork)
+    real_waitpid = os.waitpid
+    monkeypatch.setattr(
+        os, "waitpid", lambda pid, options: (pid, 0) if pid > FAKE_PID else real_waitpid(pid, options)
+    )
     rng = random.Random(61)
     buildings, roads = random_scene(rng, 60, 10)
     serial = run_pipeline(buildings, roads)
     assert run_pipeline(buildings, roads, workers=workers) == serial
-    assert RecordingExecutor.created == expected
+    assert ([fork.jobs + 1] if fork.jobs else []) == expected
+
+
+def test_metric_stage_without_fork_is_serial(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    buildings, roads = random_scene(random.Random(63), 60, 10)
+    serial = run_pipeline(buildings, roads)
+
+    def no_fork(job, read_ends):
+        raise AssertionError("no process may start without os.fork")
+
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(metric_stage, "_fork", no_fork)
+    assert run_pipeline(buildings, roads, workers=2) == serial
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def counting_fork(monkeypatch):
+    """metric_stage._fork, counting the children it starts."""
+    started = []
+    real_fork = metric_stage._fork
+
+    def fork(job, read_ends):
+        started.append(real_fork(job, read_ends))
+        return started[-1]
+
+    monkeypatch.setattr(metric_stage, "_fork", fork)
+    return started
+
+
+def test_forked_metric_stage_reaps_its_child(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    started = counting_fork(monkeypatch)
+    buildings, roads = random_scene(random.Random(64), 40, 8)
+    assert run_pipeline(buildings, roads, workers=2) == run_pipeline(buildings, roads)
+    assert len(started) == 1
+    assert_no_child_left()
+
+
+def test_failing_child_share_is_an_error_naming_its_exit_status(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    started = counting_fork(monkeypatch)
+    buildings, roads = random_scene(random.Random(65), 40, 8)
+    doomed = buildings[1].building_id  # share 1 of 2: the child's
+    real_row = metric_stage._metric_row
+
+    def failing_row(building, road_index, building_index):
+        if building.building_id == doomed:
+            raise ValueError("share fails")
+        return real_row(building, road_index, building_index)
+
+    monkeypatch.setattr(metric_stage, "_metric_row", failing_row)
+    with pytest.raises(RuntimeError, match=r"metric stage child \d+ failed: exit status 1$"):
+        run_pipeline(buildings, roads, workers=2)
+    assert len(started) == 1
+    assert_no_child_left()
+
+
+def test_child_exits_once_its_reader_is_gone():
+    # as when the parent is killed: the child must not block on a full pipe
+    read_end, write_end = os.pipe()
+
+    def job():
+        with open(write_end, "wb", closefd=False) as f:
+            f.write(bytes(1 << 20))  # more than a pipe holds
+
+    pid = metric_stage._fork(job, [read_end])
+    os.close(write_end)
+    os.close(read_end)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG)) == (0, 0) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done == (0, 0):
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the child blocked writing to a pipe nobody reads")
+    assert os.waitstatus_to_exitcode(done[1]) == 1  # BrokenPipeError
+
+
+@pytest.mark.parametrize("stop_after", [1, 39], ids=["own-share", "child-share"])
+def test_consumer_failing_part_way_reaps_the_children(monkeypatch, stop_after):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    started = counting_fork(monkeypatch)
+    buildings, roads = random_scene(random.Random(66), 40, 8)
+    rows = metric_stage.metric_rows(buildings, SegmentIndex(roads), PolygonIndex(buildings), workers=2)
+    with pytest.raises(LookupError, match="consumer fails"):
+        with closing(rows):
+            for n, _ in enumerate(rows, 1):
+                if n == stop_after:
+                    raise LookupError("consumer fails")
+    assert len(started) == 1
+    assert_no_child_left()
 
 
 def test_serial_metric_stage_holds_its_results_once():
