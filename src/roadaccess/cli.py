@@ -21,6 +21,7 @@ from .classify import classify_all, distribution
 from .config import PipelineConfig, load_config
 from .errors import ConfigurationError, EvaluationError, PipelineError
 from .evaluate import evaluation_report, ternary_proportions
+from .geometry import PlanePoint
 from .grid import MAX_CELLS, aggregate, box_cell_count, enumerate_empty_cells
 from .spatial_index import PolygonIndex, SegmentIndex
 
@@ -192,12 +193,10 @@ def cmd_export_connectors(config: PipelineConfig) -> int:
     building_metrics = metrics.compute_all(
         buildings, SegmentIndex(motorable), PolygonIndex(buildings), motorable, config.workers
     )
-    centroids = {b.building_id: b.centroid for b in buildings}
+    # both in building_id order, one metric per building
     connectors = [
-        metrics.ConnectorLine(
-            m.building_id, centroids[m.building_id], m.road_point, m.road_id, m.road_distance
-        )
-        for m in building_metrics
+        metrics.ConnectorLine(m.building_id, PlanePoint(x, y), m.road_point, m.road_id, m.road_distance)
+        for m, x, y in zip(building_metrics, buildings.xs, buildings.ys)
     ]
     by_id = {m.building_id: m for m in building_metrics}
     outputs.write_connectors_geojson(out_dir / "connectors.geojson", connectors, by_id)

@@ -89,6 +89,14 @@ def _close_ring(ring: Sequence[PlanePoint] | Sequence[float]) -> FlatRing:
     return flat
 
 
+def close_rings(
+    exterior: Sequence[PlanePoint] | Sequence[float],
+    holes: Iterable[Sequence[PlanePoint] | Sequence[float]] = (),
+) -> tuple[FlatRing, ...]:
+    """The flat closed rings of a polygon, exterior first, as Polygon keeps them."""
+    return (_close_ring(exterior), *map(_close_ring, holes))
+
+
 class Polygon:
     """Polygon as a closed exterior ring plus optional hole rings.
 
@@ -104,7 +112,7 @@ class Polygon:
         exterior: Sequence[PlanePoint] | Sequence[float],
         holes: Iterable[Sequence[PlanePoint] | Sequence[float]] = (),
     ):
-        self.rings: tuple[FlatRing, ...] = (_close_ring(exterior), *map(_close_ring, holes))
+        self.rings: tuple[FlatRing, ...] = close_rings(exterior, holes)
 
     @property
     def exterior(self) -> FlatRing:
@@ -308,26 +316,32 @@ def polygon_area(poly: Polygon) -> float:
 
 
 def polygon_centroid(poly: Polygon) -> PlanePoint:
-    """Area-weighted centroid of exterior minus holes.
+    """Area-weighted centroid of exterior minus holes; see rings_centroid."""
+    return PlanePoint(*rings_centroid(poly.rings))
+
+
+def rings_centroid(rings: Sequence[FlatRing]) -> tuple[float, float]:
+    """x, y of the area-weighted centroid of a polygon's flat rings,
+    exterior first, minus the holes.
 
     Falls back to the arithmetic mean of the exterior vertices when the net
     area is below 1e-9 m^2 (degenerate footprints).
     """
-    area_ext, cx_ext, cy_ext = _ring_area_centroid(poly.exterior)
+    area_ext, cx_ext, cy_ext = _ring_area_centroid(rings[0])
     net = abs(area_ext)
     wx = abs(area_ext) * cx_ext
     wy = abs(area_ext) * cy_ext
-    for hole in poly.holes:
+    for hole in rings[1:]:
         area_h, cx_h, cy_h = _ring_area_centroid(hole)
         net -= abs(area_h)
         wx -= abs(area_h) * cx_h
         wy -= abs(area_h) * cy_h
     if abs(net) < ZERO_AREA_EPS_M2:
-        ext = poly.exterior
+        ext = rings[0]
         xs = ext[0:-2:2]  # the closing vertex would double-count
         ys = ext[1:-2:2]
-        return PlanePoint(sum(xs) / len(xs), sum(ys) / len(ys))
-    return PlanePoint(wx / net, wy / net)
+        return sum(xs) / len(xs), sum(ys) / len(ys)
+    return wx / net, wy / net
 
 
 def nearest_point_on_segment(p: PlanePoint, s: Segment) -> tuple[PlanePoint, float]:

@@ -9,13 +9,11 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from .buildings import Building, as_table
 from .geometry import Bounds, PlanePoint, Polygon, point_in_rings
 from .levels import Surface
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .ingest import Building
 
 DEFAULT_CELL_SIZE_M = 100.0
 # A run enumerates every cell of the boundary's box: 100 m cells over a
@@ -46,32 +44,40 @@ def cell_of(p: PlanePoint, cell_size: float = DEFAULT_CELL_SIZE_M) -> CellId:
 
 def aggregate(
     metrics: Iterable[Sequence],
-    buildings: Iterable["Building"],
+    buildings: Iterable[Building],
     cell_size: float = DEFAULT_CELL_SIZE_M,
 ) -> dict[CellId, CellAggregate]:
     """Group metrics into cells by building centroid; mean counts, modal surface.
 
     Each metric starts (building_id, obstruction_count, nearest_surface), as
     a BuildingMetrics does. One pass folds them into integer sums per cell,
-    so none is kept and their order does not matter.
+    so none is kept and their order does not matter. A building's centroid
+    is read from the table's columns (buildings.as_table).
 
     Surfaces vote paved vs unpaved; unknowns abstain, and a tie (or a cell
     with only unknowns) resolves to unpaved so missing surface evidence never
     grants low deprivation.
     """
-    centroids = {b.building_id: b.centroid for b in buildings}
-    # per cell: buildings, obstructions, paved votes, unpaved votes
-    sums: dict[CellId, list[int]] = defaultdict(lambda: [0, 0, 0, 0])
+    table = as_table(buildings)
+    position = table.position
+    xs = table.xs
+    ys = table.ys
+    floor = math.floor
+    # per cell (i, j): buildings, obstructions, paved votes, unpaved votes
+    sums: dict[tuple[int, int], list[int]] = defaultdict(lambda: [0, 0, 0, 0])
     for m in metrics:
-        s = sums[cell_of(centroids[m[0]], cell_size)]
+        k = position(m[0])
+        # cell_of's arithmetic
+        s = sums[floor(xs[k] / cell_size), floor(ys[k] / cell_size)]
         s[0] += 1
         s[1] += m[1]
         s[2] += m[2] is Surface.PAVED
         s[3] += m[2] is Surface.UNPAVED
     out: dict[CellId, CellAggregate] = {}
-    for cell in sorted(sums):
-        n, total, paved, unpaved = sums[cell]
+    for i, j in sorted(sums):
+        n, total, paved, unpaved = sums[i, j]
         modal = Surface.PAVED if paved > unpaved else Surface.UNPAVED
+        cell = CellId(i, j)
         out[cell] = CellAggregate(cell, n, total / n, modal)
     return out
 

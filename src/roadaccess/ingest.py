@@ -4,26 +4,35 @@ Geometries arrive in lon/lat degrees (RFC 7946) and leave in projected
 meters. Malformed features are skipped with a logged warning instead of
 failing the run; callers that care about conservation pass a LoadStats to
 collect total/loaded/skipped counts for the run summary.
+
+What loading holds is set by the data: a GeoJSON file is decoded from
+fixed-size blocks of bytes and its features one at a time, and buildings
+go straight into a columnar BuildingTable, with no record per building.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import json
 import logging
 import math
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from .buildings import Building, BuildingTable, as_table
 from .errors import DataError
 from .geometry import (
+    FlatRing,
     PlanePoint,
     Polygon,
     Polyline,
+    close_rings,
     point_in_rings,
     polygon_area,
-    polygon_centroid,
     rect_polygon_distance,
+    rings_centroid,
 )
 from .grid import CellId
 from .levels import DeprivationLevel, Surface, normalize_surface
@@ -56,19 +65,6 @@ class RoadSegment(NamedTuple):
     geometry: Polyline
     road_class: str
     surface: Surface = Surface.UNKNOWN
-
-
-class Building(NamedTuple):
-    building_id: int
-    footprint: Polygon
-    centroid: PlanePoint
-    confidence: float | None = None
-
-    @classmethod
-    def from_footprint(
-        cls, building_id: int, footprint: Polygon, confidence: float | None = None
-    ) -> "Building":
-        return cls(building_id, footprint, polygon_centroid(footprint), confidence)
 
 
 class ValidationRecord(NamedTuple):
@@ -110,85 +106,230 @@ class LoadStats:
 
 _DECODER = json.JSONDecoder()
 _skip_ws = json.decoder.WHITESPACE.match
+# Bytes read from a GeoJSON file at a time. A read is at least as large as
+# the text held unconsumed, so the reads double while one value spans them.
+_BLOCK_BYTES = 1 << 16
+# How far past a decoded value's end, or a decoding error, more text could
+# change the outcome: the longest literal (-Infinity) and escape
+# (\uXXXX\uXXXX) are shorter, and so is a number's cut-off suffix.
+_LOOKAHEAD = 16
+
+
+class _BlockText:
+    """The UTF-8 text of a GeoJSON file, decoded from blocks of _BLOCK_BYTES.
+
+    text holds what is read and not yet dropped, and pos is the next
+    character to read in it. Reading more drops text[:pos] first, and
+    counts the characters and lines it drops, so that where() gives a
+    position from the start of the file, as in a walk of the whole text.
+    Newlines are translated as in a file opened in text mode.
+    """
+
+    __slots__ = (
+        "_file", "_path", "_decoder", "_bytes", "_chars", "_lines", "_line_start",
+        "text", "pos", "eof", "bom",
+    )
+
+    def __init__(self, f: BinaryIO, path: Path | str):
+        self._file = f
+        self._path = path
+        self._decoder = io.IncrementalNewlineDecoder(
+            codecs.getincrementaldecoder("utf-8")(), translate=True
+        )
+        self._bytes = 0  # bytes read
+        self._chars = 0  # characters dropped
+        self._lines = 0  # newlines dropped
+        self._line_start = 0  # file position of the first character after the last dropped newline
+        self.text = ""
+        self.pos = 0
+        self.eof = False
+        self.more()
+        self.bom = self.text.startswith("\ufeff")
+
+    def more(self) -> None:
+        """Drop text[:pos], then read at least one more character unless
+        the file ends: a block, or more if as much is held unconsumed."""
+        text = self.text
+        pos = self.pos
+        self._lines += text.count("\n", 0, pos)
+        nl = text.rfind("\n", 0, pos)
+        if nl >= 0:
+            self._line_start = self._chars + nl + 1
+        self._chars += pos
+        size = max(_BLOCK_BYTES, len(text) - pos)
+        chunk = ""
+        while not chunk and not self.eof:
+            held = len(self._decoder.getstate()[0])  # bytes of a cut-off sequence
+            try:
+                data = self._file.read(size)
+                self.eof = not data
+                chunk = self._decoder.decode(data, final=self.eof)
+            except UnicodeDecodeError as exc:
+                self.eof = True  # nothing after the first bad byte is read
+                start = self._bytes - held + exc.start
+                raise DataError(f"cannot read GeoJSON {self._path}: {_decode_error(exc, start)}") from exc
+            except OSError as exc:
+                self.eof = True
+                raise DataError(f"cannot read GeoJSON {self._path}: {exc}") from exc
+            self._bytes += len(data)
+        self.text = text[pos:] + chunk
+        self.pos = 0
+
+    def drain(self) -> None:
+        """Decode the rest of the file, keeping none of it: a byte that is
+        not UTF-8 anywhere in it raises its DataError, as the whole-text
+        read did before any other error."""
+        while not self.eof:
+            self.pos = len(self.text)
+            self.more()
+
+    def next_char(self) -> str:
+        """The next character after whitespace, with pos at it; '' at the end."""
+        text = self.text
+        pos = _skip_ws(text, self.pos).end()
+        while pos == len(text) and not self.eof:
+            self.pos = pos
+            self.more()
+            text = self.text
+            pos = _skip_ws(text, 0).end()
+        self.pos = pos
+        return text[pos : pos + 1]
+
+    def value(self, decode: Callable[[str, int], tuple] = _DECODER.raw_decode) -> object:
+        """decode(text, pos)'s value, by default the JSON value at pos, with
+        pos moved past it; decoded again with more text while text's end
+        may have cut the value short."""
+        while True:
+            text = self.text
+            try:
+                value, end = decode(text, self.pos)
+            except json.JSONDecodeError as exc:
+                cut = exc.msg.startswith("Unterminated string") or exc.pos > len(text) - _LOOKAHEAD
+                if self.eof or not cut:
+                    raise
+            except ValueError:  # an integer too long to convert: its length may change
+                if self.eof:
+                    raise
+            else:
+                if end <= len(text) - _LOOKAHEAD or self.eof:
+                    self.pos = end
+                    return value
+            self.more()
+
+    def key(self) -> str:
+        """The string whose opening quote is at pos."""
+        return self.value(lambda text, pos: json.decoder.scanstring(text, pos + 1))
+
+    def error(self, msg: str) -> json.JSONDecodeError:
+        return json.JSONDecodeError(msg, self.text, self.pos)
+
+    def where(self, exc: ValueError) -> str:
+        """exc's message, with a JSONDecodeError's position counted from
+        the start of the file as json.JSONDecodeError counts it."""
+        if not isinstance(exc, json.JSONDecodeError):
+            return str(exc)
+        pos = exc.pos
+        nl = self.text.rfind("\n", 0, pos)
+        line_start = self._line_start if nl < 0 else self._chars + nl + 1
+        line = self._lines + self.text.count("\n", 0, pos) + 1
+        char = self._chars + pos
+        return f"{exc.msg}: line {line} column {char - line_start + 1} (char {char})"
+
+
+def _decode_error(exc: UnicodeDecodeError, start: int) -> str:
+    """str(exc) for the bad bytes at start, counted from the start of the file."""
+    if exc.end - exc.start == 1:
+        return (
+            f"'{exc.encoding}' codec can't decode byte 0x{exc.object[exc.start]:02x} "
+            f"in position {start}: {exc.reason}"
+        )
+    end = start + exc.end - exc.start - 1
+    return f"'{exc.encoding}' codec can't decode bytes in position {start}-{end}: {exc.reason}"
 
 
 def _read_geojson_features(path: Path | str) -> Iterator[object]:
     """The features of a GeoJSON document, each yielded once it is decoded.
 
-    A FeatureCollection's features are decoded one at a time from the
-    file's text, so the parsed document never sits in memory whole; a bare
-    Feature or geometry document yields itself as one feature. The whole
-    text is checked: bad JSON, text after the top-level value (RFC 8259),
-    a duplicate 'features' key, a 'features' that is not a list and a
-    'features' member outside a FeatureCollection (RFC 7946 section 7.1)
-    raise DataError. The type is known only at the end, as writers that
-    sort keys put 'features' first, so the last two wait for it.
+    The file is decoded from blocks of _BLOCK_BYTES, and a FeatureCollection's
+    features one at a time, so neither its text nor the parsed document
+    ever sits in memory whole; a bare Feature or geometry document yields
+    itself as one feature. The whole document is checked: bad UTF-8, bad
+    JSON, text after the top-level value (RFC 8259), a duplicate 'features'
+    key, a 'features' that is not a list and a 'features' member outside a
+    FeatureCollection (RFC 7946 section 7.1) raise DataError, with the
+    message a walk of the whole text gives. The type is known only at the
+    end, as writers that sort keys put 'features' first, so the last two
+    wait for it.
     """
     try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8
+        f = open(path, "rb")
+    except OSError as exc:
         raise DataError(f"cannot read GeoJSON {path}: {exc}") from exc
-    pos = _skip_ws(text, 0).end()
-    if text[pos : pos + 1] != "{":
-        # not an object: json.loads says why (BOM, bad JSON, other value)
+    with f:
+        src = _BlockText(f, path)
+        members: dict = {}
         try:
-            json.loads(text)
-        except ValueError as exc:
-            raise DataError(f"cannot read GeoJSON {path}: {exc}") from exc
-        raise DataError(f"{path}: GeoJSON top level is not an object")
-    members: dict = {}
-    try:
-        # the object walk of json.decoder.JSONObject, with the messages it raises
-        pos = _skip_ws(text, pos + 1).end()
-        if text[pos : pos + 1] == "}":
-            pos += 1
-        else:
-            while True:
-                if text[pos : pos + 1] != '"':
-                    raise json.JSONDecodeError(
-                        "Expecting property name enclosed in double quotes", text, pos
-                    )
-                key, pos = json.decoder.scanstring(text, pos + 1)
-                pos = _skip_ws(text, pos).end()
-                if text[pos : pos + 1] != ":":
-                    raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
-                pos = _skip_ws(text, pos + 1).end()
-                if key == "features" and key in members:
-                    # the first one's features may already be yielded
-                    raise DataError(f"{path}: duplicate 'features' member")
-                if key == "features" and text[pos : pos + 1] == "[":
-                    members[key] = []  # streamed below, not kept
-                    pos = _skip_ws(text, pos + 1).end()
-                    if text[pos : pos + 1] == "]":
-                        pos += 1
+            if src.next_char() != "{":
+                # not an object: the error json.loads gives (BOM, bad JSON,
+                # other value)
+                if src.bom:
+                    raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", src.text, 0)
+                src.value()
+                if src.next_char():
+                    raise src.error("Extra data")
+                raise DataError(f"{path}: GeoJSON top level is not an object")
+            # the object walk of json.decoder.JSONObject, with the messages it raises
+            src.pos += 1
+            sep = src.next_char()
+            if sep == "}":
+                src.pos += 1
+            else:
+                while True:
+                    if sep != '"':
+                        raise src.error("Expecting property name enclosed in double quotes")
+                    key = src.key()
+                    if src.next_char() != ":":
+                        raise src.error("Expecting ':' delimiter")
+                    src.pos += 1
+                    start = src.next_char()
+                    if key == "features" and key in members:
+                        # the first one's features may already be yielded
+                        raise DataError(f"{path}: duplicate 'features' member")
+                    if key == "features" and start == "[":
+                        members[key] = []  # streamed below, not kept
+                        src.pos += 1
+                        if src.next_char() == "]":
+                            src.pos += 1
+                        else:
+                            while True:
+                                yield src.value()
+                                sep = src.next_char()
+                                if sep == "]":
+                                    src.pos += 1
+                                    break
+                                if sep != ",":
+                                    raise src.error("Expecting ',' delimiter")
+                                src.pos += 1
+                                src.next_char()
                     else:
-                        while True:
-                            feature, pos = _DECODER.raw_decode(text, pos)
-                            yield feature
-                            pos = _skip_ws(text, pos).end()
-                            sep = text[pos : pos + 1]
-                            if sep == "]":
-                                pos += 1
-                                break
-                            if sep != ",":
-                                raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
-                            pos = _skip_ws(text, pos + 1).end()
-                else:
-                    members[key], pos = _DECODER.raw_decode(text, pos)
-                pos = _skip_ws(text, pos).end()
-                sep = text[pos : pos + 1]
-                if sep == "}":
-                    pos += 1
-                    break
-                if sep != ",":
-                    raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
-                pos = _skip_ws(text, pos + 1).end()
-        pos = _skip_ws(text, pos).end()
-        if pos != len(text):
-            raise json.JSONDecodeError("Extra data", text, pos)
-    except ValueError as exc:  # json.JSONDecodeError
-        raise DataError(f"cannot read GeoJSON {path}: {exc}") from exc
+                        members[key] = src.value()
+                    sep = src.next_char()
+                    if sep == "}":
+                        src.pos += 1
+                        break
+                    if sep != ",":
+                        raise src.error("Expecting ',' delimiter")
+                    src.pos += 1
+                    sep = src.next_char()
+            if src.next_char():
+                raise src.error("Extra data")
+        except ValueError as exc:  # json.JSONDecodeError
+            msg = src.where(exc)
+            src.drain()
+            raise DataError(f"cannot read GeoJSON {path}: {msg}") from exc
+        except DataError:
+            src.drain()
+            raise
     gtype = members.get("type")
     if gtype == "FeatureCollection":
         if not isinstance(members.get("features"), list):
@@ -266,10 +407,11 @@ def _project_ring(coords: Sequence[Sequence[float]]) -> list[float]:
     return flat
 
 
-def _polygon_from_rings(rings: Sequence[Sequence[Sequence[float]]]) -> Polygon:
+def _project_rings(rings: Sequence[Sequence[Sequence[float]]]) -> tuple[FlatRing, ...]:
+    """The flat closed projected rings of a GeoJSON polygon's coordinates."""
     if not rings:
         raise ValueError("polygon without rings")
-    return Polygon(_project_ring(rings[0]), [_project_ring(r) for r in rings[1:]])
+    return close_rings(_project_ring(rings[0]), [_project_ring(r) for r in rings[1:]])
 
 
 def load_roads(
@@ -363,34 +505,46 @@ def parse_wkt_polygons(text: str) -> list[list[list[list[float]]]]:
     raise ValueError(f"unsupported WKT geometry: {text[:30]!r}")
 
 
-def _building_polygons(geom: dict) -> list[Polygon]:
+def _building_parts(geom: dict) -> list[tuple[tuple[FlatRing, ...], float, float]]:
+    """(rings, centroid x, centroid y) of each footprint of a building geometry."""
     gtype = geom.get("type")
     if gtype == "Polygon":
-        return [_polygon_from_rings(geom["coordinates"])]
-    if gtype == "MultiPolygon":
+        polygons = [geom["coordinates"]]
+    elif gtype == "MultiPolygon":
         # one building per part: the metric operates on individual structures
-        return [_polygon_from_rings(rings) for rings in geom["coordinates"]]
-    raise ValueError(f"unsupported geometry type {gtype!r}")
+        polygons = geom["coordinates"]
+    else:
+        raise ValueError(f"unsupported geometry type {gtype!r}")
+    parts = []
+    for coords in polygons:
+        rings = _project_rings(coords)
+        x, y = rings_centroid(rings)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite centroid ({x!r}, {y!r})")
+        parts.append((rings, x, y))
+    return parts
 
 
 def load_buildings(
     path: Path | str,
     min_confidence: float | None = None,
     stats: LoadStats | None = None,
-) -> list[Building]:
-    """Load building footprints from GeoJSON or CSV-with-WKT.
+) -> BuildingTable:
+    """Load building footprints from GeoJSON or CSV-with-WKT into a table.
 
-    MultiPolygons split into one Building per part. When min_confidence is
-    set, features carrying a lower confidence are dropped; features without
-    a confidence value are always kept. A confidence that is a bool, NaN or
-    infinite makes the feature malformed, so it is skipped.
+    MultiPolygons split into one building per part, with ids 0, 1, ... in
+    input order. When min_confidence is set, features carrying a lower
+    confidence are dropped; features without a confidence value are always
+    kept. A confidence that is a bool, NaN or infinite makes the feature
+    malformed, so it is skipped, as is a footprint whose centroid is not
+    finite.
     """
     stats = stats if stats is not None else LoadStats()
     if str(path).lower().endswith(".csv"):
         features = _read_building_csv_features(path)
     else:
         features = _read_geojson_features(path)
-    buildings: list[Building] = []
+    buildings = BuildingTable()
     for n, feature in enumerate(features):
         stats.total += 1
         try:
@@ -404,13 +558,13 @@ def load_buildings(
             if confidence is not None and min_confidence is not None and confidence < min_confidence:
                 stats.loaded += 1  # valid feature, filtered by choice
                 continue
-            polygons = _building_polygons(geom)
+            parts = _building_parts(geom)
         except (ValueError, TypeError, KeyError, IndexError, OverflowError) as exc:
             stats.skipped += 1
             log.warning("skipping building feature %d in %s: %s", n, path, exc)
             continue
-        for poly in polygons:
-            buildings.append(Building.from_footprint(len(buildings), poly, confidence))
+        for rings, x, y in parts:
+            buildings.append(len(buildings.ids), rings, x, y, confidence)
         stats.loaded += 1
     stats.records = len(buildings)
     log.info(
@@ -467,11 +621,12 @@ def load_boundary(path: Path | str) -> Polygon:
             gtype = geom.get("type")
             try:
                 if gtype == "Polygon":
-                    poly = _polygon_from_rings(geom["coordinates"])
+                    rings = _project_rings(geom["coordinates"])
                 elif gtype == "MultiPolygon" and len(geom["coordinates"]) == 1:
-                    poly = _polygon_from_rings(geom["coordinates"][0])
+                    rings = _project_rings(geom["coordinates"][0])
                 else:
                     continue
+                poly = Polygon(rings[0], rings[1:])
             except (ValueError, TypeError, KeyError, IndexError, OverflowError) as exc:
                 raise DataError(f"{path}: malformed boundary polygon: {exc}") from exc
             if polygon_area(poly) < 1e-9:
@@ -490,21 +645,24 @@ def clip_to_boundary(
     roads: Iterable[RoadSegment],
     boundary: Polygon,
     road_margin_m: float = ROAD_CLIP_MARGIN_M,
-) -> tuple[list[Building], list[RoadSegment]]:
+) -> tuple[BuildingTable, list[RoadSegment]]:
     """Clip inputs to the boundary.
 
-    Buildings are kept iff their centroid falls inside the boundary polygon.
-    Roads are kept while within road_margin_m of the boundary, so segments
-    just outside still serve nearest-road queries at the edge.
+    Buildings are kept iff their centroid falls inside the boundary polygon;
+    a table is compacted in place and returned, other buildings are first
+    made into one (as_table). Roads are kept while within road_margin_m of
+    the boundary, so segments just outside still serve nearest-road queries
+    at the edge.
     """
     rings = boundary.rings
-    kept_buildings = [b for b in buildings if point_in_rings(b.centroid.x, b.centroid.y, rings)]
+    table = as_table(buildings)
+    table.compact([point_in_rings(x, y, rings) for x, y in zip(table.xs, table.ys)])
     kept_roads = [
         r
         for r in roads
         if rect_polygon_distance(r.geometry.bounds(), boundary) <= road_margin_m
     ]
-    return kept_buildings, kept_roads
+    return table, kept_roads
 
 
 _VALIDATION_COLUMNS = ("cell_i", "cell_j", "validator_id", "level")

@@ -24,8 +24,9 @@ from operator import itemgetter
 from signal import SIGKILL
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from .buildings import Building, centroid_rows
 from .geometry import PlanePoint, Segment
-from .ingest import Building, RoadSegment
+from .ingest import RoadSegment
 from .levels import Surface
 from .spatial_index import PolygonIndex, SegmentIndex
 
@@ -64,21 +65,22 @@ def count_obstructions(
 
 
 def _metric_row(
-    building: Building, road_index: SegmentIndex, building_index: PolygonIndex
+    building_id: int,
+    x: float,
+    y: float,
+    road_index: SegmentIndex,
+    building_index: PolygonIndex,
 ) -> tuple[int, int, int, float, float, float]:
-    """(building_id, obstruction_count, road_id, road_distance, x, y) of the
-    building, where (x, y) is the connector's end on the nearest road."""
-    # build_connector's query, without the ConnectorLine
-    start = building.centroid
-    road_id, end, distance = road_index.nearest(start)
-    return (
-        building.building_id,
-        count_obstructions(building.building_id, start, end, building_index),
-        road_id,
-        distance,
-        end.x,
-        end.y,
-    )
+    """(building_id, obstruction_count, road_id, road_distance, qx, qy) of
+    the building whose centroid is (x, y), where (qx, qy) is the
+    connector's end on the nearest road."""
+    # build_connector and count_obstructions, on plain floats
+    road_id, qx, qy, distance = road_index.nearest_xy(x, y)
+    if x == qx and y == qy:
+        count = 0
+    else:
+        count = building_index.count_obstructions_xy(x, y, qx, qy, building_id)
+    return building_id, count, road_id, distance, qx, qy
 
 
 # Rows per marshalled chunk a child sends; the parent decodes one at a time.
@@ -143,8 +145,8 @@ def metric_rows(
         n = 1
 
     def share(k: int) -> Iterator[tuple]:
-        for i in range(k, len(buildings), n):
-            yield _metric_row(buildings[i], road_index, building_index)
+        for building_id, x, y in islice(centroid_rows(buildings), k, None, n):
+            yield _metric_row(building_id, x, y, road_index, building_index)
 
     children: list[tuple[int, BinaryIO]] = []  # (pid, read end), not yet reaped
     try:

@@ -4,6 +4,8 @@ All writers are deterministic for identical inputs (sorted keys, fixed
 newlines, repr-based float formatting), which is what makes byte-identical
 re-runs possible. Each writes to a temporary name and then renames it over
 the target, so a failed write never leaves a partial file under that name.
+The manifest's SHA-256 digests come from CPython's own implementation,
+not from hashlib, whose OpenSSL would be the largest thing a run maps.
 """
 
 from __future__ import annotations
@@ -298,10 +300,21 @@ def write_ternary_csv(path: Path | str, points: Iterable[TernaryPoint]) -> None:
     _write_csv(path, ["i", "j", "p_low", "p_medium", "p_high", "n_votes"], rows)
 
 
-def file_sha256(path: Path | str) -> str:
-    import hashlib  # not at the top: OpenSSL is slow to load and only run's manifest digests
+def _sha256():
+    """A new SHA-256 hash object, from CPython's own implementation."""
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10-3.11
+        except ImportError:
+            # a build without them: hashlib maps OpenSSL, 3-4 MB of resident memory
+            from hashlib import sha256
+    return sha256()
 
-    digest = hashlib.sha256()
+
+def file_sha256(path: Path | str) -> str:
+    digest = _sha256()
     with open(path, "rb") as f:
         for block in iter(lambda: f.read(1 << 16), b""):
             digest.update(block)

@@ -14,14 +14,16 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from collections import defaultdict
+from array import array
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from .buildings import Building, as_table
 from .errors import ConfigurationError
-from .geometry import Bounds, FlatRing, PlanePoint, Segment, segment_hits_rings
+from .geometry import Bounds, PlanePoint, Segment, segment_hits_rings
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .ingest import Building, RoadSegment
+    from .ingest import RoadSegment
 
 _NODE_CAPACITY = 16
 
@@ -116,16 +118,19 @@ class SegmentIndex:
         return self._size
 
     def nearest(self, p: PlanePoint) -> tuple[int, PlanePoint, float]:
-        """Globally nearest (road_id, point on road, distance) for p.
+        """Globally nearest (road_id, point on road, distance) for p."""
+        road_id, qx, qy, d = self.nearest_xy(p.x, p.y)
+        return road_id, PlanePoint(qx, qy), d
+
+    def nearest_xy(self, px: float, py: float) -> tuple[int, float, float, float]:
+        """Globally nearest (road_id, x, y, distance) for (px, py), where
+        (x, y) is the point on the road.
 
         Best-first expansion over bbox lower bounds; distance ties resolve
         to the lowest (road_id, segment_id). A segment is skipped when its
         box is already farther than the best; the others get exactly the
-        arithmetic of geometry.nearest_point_on_segment, and only the
-        winner's point becomes a PlanePoint.
+        arithmetic of geometry.nearest_point_on_segment.
         """
-        px = p.x
-        py = p.y
         hypot = math.hypot
         heappush = heapq.heappush
         heappop = heapq.heappop
@@ -175,7 +180,7 @@ class SegmentIndex:
                     best_ids = (road_id, seg_id)
                     qx, qy = sx, sy
         assert best_ids is not None
-        return best_ids[0], PlanePoint(qx, qy), best_d
+        return best_ids[0], qx, qy, best_d
 
 
 # Bucket side: this many median footprint spans (the upper median for an even
@@ -187,6 +192,8 @@ _MIN_BUCKET_M = 1.0
 # transform into grid units, so a connector that runs along a bucket line or
 # through a bucket corner also visits the buckets on the other side.
 _WALK_MARGIN = 1e-6
+# The bucket grid has at most this many buckets per footprint.
+_CELLS_PER_FOOTPRINT = 4
 # The line-side filter drops a box only when all four corners lie at least
 # about this far (m) on one side of the connector's line.
 _SIDE_TOL_M = 1e-6
@@ -195,55 +202,77 @@ _SIDE_TOL_M = 1e-6
 class PolygonIndex:
     """Uniform grid of buckets over building footprint bounding boxes.
 
-    Each footprint's bounds are computed once, here, and its position is
-    listed in every bucket its box overlaps. Buckets are keyed by
-    column * rows + row over the occupied extent only. The index holds a
-    reference to each footprint's flat rings for the exact test.
+    The buildings are a BuildingTable, or records made into one
+    (buildings.as_table). The index reads the footprints' boxes, ids and
+    flat rings from the table's columns. Each footprint's row is listed in
+    every bucket its box overlaps, and the buckets are stored compressed:
+    bucket key = column * rows + row over the occupied extent, its rows are
+    members[starts[key]:starts[key + 1]], so a column's run of buckets is
+    one slice. The grid has at most _CELLS_PER_FOOTPRINT buckets per
+    footprint; a sparser extent gets larger buckets.
     """
 
-    def __init__(self, buildings: Iterable["Building"]):
-        self._ids: list[int] = []
-        self._bounds: list[Bounds] = []
-        self._rings: list[tuple[FlatRing, ...]] = []
-        for b in buildings:
-            footprint = b.footprint
-            self._ids.append(b.building_id)
-            self._bounds.append(footprint.bounds())
-            self._rings.append(footprint.rings)
-        self._buckets: defaultdict[int, list[int]] = defaultdict(list)
-        if not self._bounds:
+    def __init__(self, buildings: Iterable[Building]):
+        self._table = table = as_table(buildings)
+        self._members = array("i")
+        if not table:
             return
-        x0s, y0s, x1s, y1s = zip(*self._bounds)
+        x0s, y0s, x1s, y1s = table.x0s, table.y0s, table.x1s, table.y1s
         spans = sorted(map(max, map(operator.sub, x1s, x0s), map(operator.sub, y1s, y0s)))
         side = max(_BUCKET_SPANS * spans[len(spans) // 2], _MIN_BUCKET_M)
         ox = min(x0s)
         oy = min(y0s)
+        width = max(x1s) - ox
+        height = max(y1s) - oy
+        while (int(width / side) + 1) * (int(height / side) + 1) > _CELLS_PER_FOOTPRINT * len(table):
+            side *= 2.0
         self._origin = (ox, oy)
         self._side = side
-        self._cols = int((max(x1s) - ox) / side) + 1
-        self._rows = rows = int((max(y1s) - oy) / side) + 1
-        buckets = self._buckets
-        for k, (x0, y0, x1, y1) in enumerate(self._bounds):
+        self._cols = int(width / side) + 1
+        self._rows = rows = int(height / side) + 1
+
+        # every (bucket key, row) pair, then a counting sort of them by key
+        keys = array("q")
+        owners = array("i")
+        for k, (x0, y0, x1, y1) in enumerate(zip(x0s, y0s, x1s, y1s)):
             r0 = int((y0 - oy) / side)
             r1 = int((y1 - oy) / side)
             for c in range(int((x0 - ox) / side), int((x1 - ox) / side) + 1):
                 for key in range(c * rows + r0, c * rows + r1 + 1):
-                    buckets[key].append(k)
+                    keys.append(key)
+                    owners.append(k)
+        counts = array("i", bytes(4 * self._cols * rows))
+        for key in keys:
+            counts[key] += 1
+        starts = array("i", accumulate(counts, initial=0))
+        members = array("i", bytes(4 * len(keys)))
+        fill = starts[:-1]
+        for key, k in zip(keys, owners):
+            members[fill[key]] = k
+            fill[key] += 1
+        self._starts = starts
+        self._members = members
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._table)
 
     def candidates_for_segment(self, s: Segment) -> set[int]:
         """Superset of the buildings whose footprint may touch the closed segment s."""
-        ids = self._ids
+        ids = self._table.ids
         return {ids[k] for k in self._candidates(s.a.x, s.a.y, s.b.x, s.b.y)}
 
     def count_obstructions(self, s: Segment, building_id: int) -> int:
         """Distinct buildings, other than building_id, whose footprint
-        touches the closed segment s: the candidates, then the exact test."""
-        ax, ay, bx, by = s.a.x, s.a.y, s.b.x, s.b.y
-        ids = self._ids
-        rings = self._rings
+        touches the closed segment s."""
+        return self.count_obstructions_xy(s.a.x, s.a.y, s.b.x, s.b.y, building_id)
+
+    def count_obstructions_xy(
+        self, ax: float, ay: float, bx: float, by: float, building_id: int
+    ) -> int:
+        """count_obstructions of the segment (ax, ay)-(bx, by): the
+        candidates, then the exact test."""
+        ids = self._table.ids
+        rings = self._table.rings
         count = 0
         for k in self._candidates(ax, ay, bx, by):
             if ids[k] != building_id and segment_hits_rings(ax, ay, bx, by, rings[k]):
@@ -258,7 +287,7 @@ class PolygonIndex:
         and does not lie wholly on one side of the segment's line.
         """
         found: list[int] = []
-        if not self._buckets:
+        if not self._members:
             return found
         if bx < ax:
             ax, ay, bx, by = bx, by, ax, ay
@@ -281,7 +310,8 @@ class PolygonIndex:
             first = 0
         if last >= self._cols:
             last = self._cols - 1
-        buckets = self._buckets
+        starts = self._starts
+        members = self._members
         positions: set[int] = set()
         for c in range(first, last + 1):
             if du > 0.0:
@@ -298,19 +328,27 @@ class PolygonIndex:
                 r0 = 0
             if r1 >= rows:
                 r1 = rows - 1
-            for key in range(c * rows + r0, c * rows + r1 + 1):
-                bucket = buckets.get(key)
-                if bucket is not None:
-                    positions.update(bucket)
+            if r0 > r1:
+                continue
+            start = starts[c * rows + r0]
+            end = starts[c * rows + r1 + 1]
+            if start != end:
+                positions.update(members[start:end])
 
         sy0, sy1 = (ay, by) if ay <= by else (by, ay)
         dx = bx - ax
         dy = by - ay
         tol = _SIDE_TOL_M * (abs(dx) + abs(dy))
-        bounds = self._bounds
+        table = self._table
+        x0s, y0s, x1s, y1s = table.x0s, table.y0s, table.x1s, table.y1s
         for k in positions:
-            x0, y0, x1, y1 = bounds[k]
-            if x0 > bx or x1 < ax or y0 > sy1 or y1 < sy0:
+            x0 = x0s[k]
+            x1 = x1s[k]
+            if x0 > bx or x1 < ax:
+                continue
+            y0 = y0s[k]
+            y1 = y1s[k]
+            if y0 > sy1 or y1 < sy0:
                 continue
             # a corner's side of the line is dx * (y - ay) - dy * (x - ax);
             # take the extremes of both terms over the four corners

@@ -9,7 +9,9 @@ has a reference here too: the GeoPoint + Newton-solve path as it was before
 roadaccess.projection inlined it, sharing no code with that module.
 The cell and connector GeoJSON layers have reference writers: one
 json.dump of the whole document, which the streamed writers must match
-byte for byte.
+byte for byte. reference_cells runs the whole pipeline, from the input
+files to the rows of cells.csv and aggregates.csv, with plain loops, these
+oracles and no index.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -28,9 +31,9 @@ from roadaccess.geometry import (
     Segment,
     nearest_point_on_segment,
 )
-from roadaccess.ingest import Building, RoadSegment
-from roadaccess.levels import Surface
-from roadaccess.projection import clamp_to_bounds, inverse_lonlat
+from roadaccess.ingest import MOTORABLE_CLASSES, Building, RoadSegment
+from roadaccess.levels import Surface, normalize_surface
+from roadaccess.projection import clamp_to_bounds, inverse_lonlat, project_lonlat
 
 SURFACE_CHOICES = (Surface.PAVED, Surface.UNPAVED, Surface.UNKNOWN)
 
@@ -255,6 +258,106 @@ def brute_metrics(
         count = brute_obstructions(buildings, b, q)
         out[b.building_id] = (count, road_id, q, d)
     return out
+
+
+# ---------------------------------------------------------------------------
+# end-to-end reference: input files to cells.csv and aggregates.csv rows
+
+
+def reference_polygon(rings) -> Polygon:
+    """The projected Polygon of a GeoJSON polygon's lon/lat rings."""
+    flat = [[c for lon, lat in ring for c in project_lonlat(lon, lat)] for ring in rings]
+    return Polygon(flat[0], flat[1:])
+
+
+def _reference_rect_polygon_distance(box, poly: Polygon) -> float:
+    """Distance from an axis-aligned box to a polygon's area, edge by edge."""
+    x0, y0, x1, y1 = box
+    corners = [PlanePoint(x0, y0), PlanePoint(x1, y0), PlanePoint(x1, y1), PlanePoint(x0, y1)]
+    if any(_inside(c, poly) for c in corners):
+        return 0.0
+    if any(x0 <= p.x <= x1 and y0 <= p.y <= y1 for p in ring_points(poly.exterior)):
+        return 0.0
+    best = math.inf
+    for ring in map(ring_points, poly.rings):
+        for a, b in zip(ring, ring[1:]):
+            for c, d in zip(corners, corners[1:] + corners[:1]):
+                if _segments_intersect(a, b, c, d):
+                    return 0.0
+                for p, s in ((a, Segment(c, d)), (b, Segment(c, d)), (c, Segment(a, b)), (d, Segment(a, b))):
+                    best = min(best, nearest_point_on_segment(p, s)[1])
+    return best
+
+
+def reference_cells(
+    buildings_path, roads_path, boundary_path, cell_size: float = 100.0, threshold: float = 1.0
+) -> tuple[list[list[str]], list[list[str]]]:
+    """The data rows of cells.csv and of aggregates.csv for the inputs, as
+    the run writes them, computed from scratch: json.load, a building per
+    polygon part, the clip by the boundary's area (centroids) and by 500 m
+    (road boxes), brute_metrics, a per-cell dict of sums, the empty cells
+    of the boundary's box and the level rule. No building may carry a
+    confidence: there is no confidence filter here."""
+
+    def features(path):
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)["features"]
+
+    buildings = []
+    for feature in features(buildings_path):
+        geom = feature["geometry"]
+        parts = [geom["coordinates"]] if geom["type"] == "Polygon" else geom["coordinates"]
+        for rings in parts:
+            buildings.append(Building.from_footprint(len(buildings), reference_polygon(rings)))
+    roads = []
+    for feature in features(roads_path):
+        geom = feature["geometry"]
+        lines = [geom["coordinates"]] if geom["type"] == "LineString" else geom["coordinates"]
+        props = feature["properties"]
+        for line in lines:
+            vertices = [PlanePoint(*project_lonlat(lon, lat)) for lon, lat in line]
+            roads.append(RoadSegment(len(roads), Polyline(vertices), props["class"], normalize_surface(props.get("surface"))))
+    boundary = reference_polygon(features(boundary_path)[0]["geometry"]["coordinates"])
+
+    buildings = [b for b in buildings if _inside(b.centroid, boundary)]
+    roads = [
+        r
+        for r in roads
+        if r.road_class in MOTORABLE_CLASSES
+        and _reference_rect_polygon_distance(r.geometry.bounds(), boundary) <= 500.0
+    ]
+    surface = {r.road_id: r.surface for r in roads}
+    sums = defaultdict(lambda: [0, 0, 0, 0])  # buildings, obstructions, paved, unpaved
+    metrics = brute_metrics(buildings, roads)
+    for b in buildings:
+        count, road_id, _, _ = metrics[b.building_id]
+        cell = (math.floor(b.centroid.x / cell_size), math.floor(b.centroid.y / cell_size))
+        sums[cell][0] += 1
+        sums[cell][1] += count
+        sums[cell][2] += surface[road_id] is Surface.PAVED
+        sums[cell][3] += surface[road_id] is Surface.UNPAVED
+
+    xs = boundary.exterior[0::2]
+    ys = boundary.exterior[1::2]
+    cells = []
+    aggregates = []
+    for i in range(math.floor(min(xs) / cell_size), math.floor(max(xs) / cell_size) + 1):
+        for j in range(math.floor(min(ys) / cell_size), math.floor(max(ys) / cell_size) + 1):
+            if (i, j) in sums:
+                n, total, paved, unpaved = sums[i, j]
+                mean = total / n
+                modal = "paved" if paved > unpaved else "unpaved"
+                if mean > threshold:
+                    level = "high"
+                elif modal == "paved":
+                    level = "low"
+                else:
+                    level = "medium"
+                cells.append([str(i), str(j), level, str(n), repr(mean), modal, "false"])
+                aggregates.append([str(i), str(j), str(n), repr(mean), modal])
+            elif _inside(PlanePoint((i + 0.5) * cell_size, (j + 0.5) * cell_size), boundary):
+                cells.append([str(i), str(j), "low", "0", "", "", "true"])
+    return cells, aggregates
 
 
 # ---------------------------------------------------------------------------

@@ -550,13 +550,13 @@ def test_export_connectors_reuses_the_metric_pass(tmp_path, monkeypatch):
     files = write_lonlat_scene(tmp_path, random.Random(8), n_buildings=400, n_roads=12)
     cfg = write_config(tmp_path, files, out_name="one_pass")
     calls = []
-    real_nearest = SegmentIndex.nearest
+    real_nearest = SegmentIndex.nearest_xy
 
-    def counting_nearest(self, p):
-        calls.append(p)
-        return real_nearest(self, p)
+    def counting_nearest(self, px, py):
+        calls.append((px, py))
+        return real_nearest(self, px, py)
 
-    monkeypatch.setattr(SegmentIndex, "nearest", counting_nearest)
+    monkeypatch.setattr(SegmentIndex, "nearest_xy", counting_nearest)
     assert main(["export-connectors", "--config", str(cfg)]) == 0
     monkeypatch.undo()
     out = tmp_path / "one_pass"
@@ -691,11 +691,12 @@ def test_evaluate_and_export_connectors_load_no_openssl(tmp_path):
     votes.write_text(f"cell_i,cell_j,validator_id,level\n{cell['i']},{cell['j']},v1,{cell['level']}\n")
     code = (
         "import sys; from roadaccess.cli import main; "
-        "code = main(sys.argv[1:]); print(code, 'hashlib' in sys.modules)"
+        "code = main(sys.argv[1:]); print(code, 'hashlib' in sys.modules, '_hashlib' in sys.modules)"
     )
-    for command in ("evaluate", "export-connectors"):
+    # run's manifest digests come from CPython's own SHA-256
+    for command in ("run", "evaluate", "export-connectors"):
         done = _run_cli_in_subprocess([command, "--config", str(cfg)], code)
-        assert done.stdout.split() == ["0", "False"], (command, done.stderr)
+        assert done.stdout.split() == ["0", "False", "False"], (command, done.stderr)
 
 
 def test_commands_are_warning_free_in_dev_mode(tmp_path):

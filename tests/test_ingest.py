@@ -1,9 +1,12 @@
 import json
+import math
 import random
 import tracemalloc
 
 import pytest
 
+from roadaccess import ingest
+from roadaccess.buildings import as_table
 from roadaccess.errors import DataError
 from roadaccess.geometry import PlanePoint, Polygon, Polyline, point_in_rings
 from roadaccess.grid import CellId
@@ -20,6 +23,8 @@ from roadaccess.ingest import (
     load_validations,
 )
 from roadaccess.levels import DeprivationLevel, Surface
+
+from _scenes import reference_polygon
 
 
 def geojson(tmp_path, name, features):
@@ -352,34 +357,41 @@ def test_truncated_buildings_file_never_loads_fewer_buildings(tmp_path, sort_key
 
 
 def test_load_buildings_transient_memory_stays_near_the_file_size(tmp_path):
-    rng = random.Random(5)
-    features = [
-        polygon_feature([tiny_square(rng.uniform(0.0, 0.05), rng.uniform(0.0, 0.05))], confidence=0.8)
-        for _ in range(2000)
-    ]
-    path = geojson(tmp_path, "b.geojson", features)
-    size = path.stat().st_size
-    tracemalloc.start()
-    try:
-        buildings = load_buildings(path)
-        returned, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(buildings) == 2000
-    # The file's text is held while its features are decoded one at a time;
-    # the whole parsed document would take several times the file's size.
-    assert peak - returned <= 1.5 * size
+    # The file is decoded from fixed-size blocks and its features one at a
+    # time, so what loading holds besides the table it returns does not
+    # grow with the file: the same bound holds at 2,000 and 8,000 features,
+    # and the whole text of the smaller file would already exceed it.
+    bound = 5 * ingest._BLOCK_BYTES
+    for n in (2000, 8000):
+        rng = random.Random(5)
+        features = [
+            polygon_feature([tiny_square(rng.uniform(0.0, 0.05), rng.uniform(0.0, 0.05))], confidence=0.8)
+            for _ in range(n)
+        ]
+        path = geojson(tmp_path, f"b{n}.geojson", features)
+        assert path.stat().st_size > bound
+        tracemalloc.start()
+        try:
+            buildings = load_buildings(path)
+            returned, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(buildings) == n
+        assert peak - returned <= bound, n
+
+
+FEATURES_MEMBER_TEXTS = [
+    '{"type": "Feature", "features": [], "geometry": null, "properties": {}}',
+    '{"features": [], "type": "Polygon", "coordinates": []}',
+    '{"features": 1, "type": "Feature", "properties": {}}',
+    '{"features": [], "features": [], "type": "FeatureCollection"}',
+    '{"features": 1, "type": "FeatureCollection", "features": []}',
+]
 
 
 @pytest.mark.parametrize(
     "text",
-    [
-        '{"type": "Feature", "features": [], "geometry": null, "properties": {}}',
-        '{"features": [], "type": "Polygon", "coordinates": []}',
-        '{"features": 1, "type": "Feature", "properties": {}}',
-        '{"features": [], "features": [], "type": "FeatureCollection"}',
-        '{"features": 1, "type": "FeatureCollection", "features": []}',
-    ],
+    FEATURES_MEMBER_TEXTS,
     ids=["in-feature", "in-geometry", "non-list-in-feature", "twice", "twice-first-not-a-list"],
 )
 def test_features_outside_a_collection_or_twice_is_data_error(tmp_path, text):
@@ -391,9 +403,12 @@ def test_features_outside_a_collection_or_twice_is_data_error(tmp_path, text):
             loader(path)
 
 
+BOUNDARY_TAILS = ["] x", '], "type": "FeatureCollection"} {}', ', {"type": "Feat', ", 1 2]}", "]"]
+
+
 @pytest.mark.parametrize(
     "tail",
-    ["] x", '], "type": "FeatureCollection"} {}', ', {"type": "Feat', ", 1 2]}", "]"],
+    BOUNDARY_TAILS,
     ids=["garbage", "second-value", "truncated-feature", "bad-array", "unterminated"],
 )
 def test_boundary_with_bad_text_after_its_polygon_is_data_error(tmp_path, tail):
@@ -520,3 +535,103 @@ def test_load_validations_missing_column_is_data_error(tmp_path):
     path.write_text("cell_i,validator_id,level\n0,a,low\n")
     with pytest.raises(DataError):
         load_validations(path)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_reader_cases_hold_at_tiny_blocks(tmp_path, monkeypatch, block):
+    # every value and token then spans reads, and is decoded again with more text
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", block)
+    for sort_keys in (True, False):
+        directory = tmp_path / f"truncated-{sort_keys}"
+        directory.mkdir()
+        test_truncated_buildings_file_never_loads_fewer_buildings(directory, sort_keys)
+    for k, text in enumerate(FEATURES_MEMBER_TEXTS):
+        directory = tmp_path / f"features-{k}"
+        directory.mkdir()
+        test_features_outside_a_collection_or_twice_is_data_error(directory, text)
+    for k, tail in enumerate(BOUNDARY_TAILS):
+        directory = tmp_path / f"tail-{k}"
+        directory.mkdir()
+        test_boundary_with_bad_text_after_its_polygon_is_data_error(directory, tail)
+    test_bare_feature_and_geometry_documents_still_load(tmp_path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_malformed_feature_after_the_first_block_reports_its_file_position(tmp_path, monkeypatch, newline):
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 256)
+    features = [polygon_feature([tiny_square(0.001 * k, 0.0)], name="caf\u00e9") for k in range(40)]
+    text = json.dumps({"type": "FeatureCollection", "features": features}, indent=2, ensure_ascii=False)
+    at = text.index('"Polygon"', len(text) * 3 // 4)
+    for bad in (
+        text[:at] + '"Polygon" ' + text[at + len('"Polygon",') :],  # a missing comma
+        text[:at] + '"Poly\x01gon"' + text[at + len('"Polygon"') :],  # a control character
+        text[:at] + "tru" + text[at + len('"Polygon"') :],  # a bad literal
+        text[: at + 4],  # cut inside a string
+    ):
+        path = tmp_path / "b.geojson"
+        path.write_bytes(bad.replace("\n", newline).encode())
+        with pytest.raises(json.JSONDecodeError) as whole:
+            json.loads(path.read_text(encoding="utf-8"))
+        assert "line 1 " not in str(whole.value)
+        with pytest.raises(DataError) as streamed:
+            load_buildings(path)
+        assert str(streamed.value) == f"cannot read GeoJSON {path}: {whole.value}"
+
+
+def test_a_feature_many_blocks_long_loads(tmp_path, monkeypatch):
+    ring = [[0.01 * math.cos(a / 500 * math.tau), 0.01 * math.sin(a / 500 * math.tau)] for a in range(500)]
+    path = geojson(tmp_path, "b.geojson", [polygon_feature([ring + [ring[0]]]), polygon_feature([tiny_square(0.0, 0.0)])])
+    assert path.stat().st_size > 100 * 64
+    whole = load_buildings(path)
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64)
+    assert load_buildings(path) == whole
+    assert len(whole) == 2 and len(whole[0].footprint.exterior) == 1002
+
+
+def _wkt_rings(rings):
+    return "(" + ", ".join("(" + ", ".join(f"{lon!r} {lat!r}" for lon, lat in ring) + ")" for ring in rings) + ")"
+
+
+def test_table_records_equal_building_from_footprint(tmp_path):
+    courtyard = [tiny_square(0.02, 0.0, d=0.001), tiny_square(0.0202, 0.0002, d=0.0002)]
+    shapes = [  # (parts, confidence)
+        ([[tiny_square(0.0, 0.0)]], 0.9),
+        ([[tiny_square(0.01, 0.0)]], None),
+        ([courtyard], 0.5),
+        ([[tiny_square(0.03, 0.0)], courtyard, [tiny_square(0.04, 0.001, d=0.0003)]], None),
+    ]
+    expected = []
+    for parts, confidence in shapes:
+        for rings in parts:
+            expected.append(Building.from_footprint(len(expected), reference_polygon(rings), confidence))
+
+    features = []
+    csv_rows = ["confidence,geometry"]
+    for parts, confidence in shapes:
+        props = {} if confidence is None else {"confidence": confidence}
+        if len(parts) == 1:
+            features.append(polygon_feature(parts[0], **props))
+            wkt = "POLYGON " + _wkt_rings(parts[0])
+        else:
+            features.append({"type": "Feature", "geometry": {"type": "MultiPolygon", "coordinates": parts}, "properties": props})
+            wkt = "MULTIPOLYGON (" + ", ".join(map(_wkt_rings, parts)) + ")"
+        csv_rows.append(f'{"" if confidence is None else confidence},"{wkt}"')
+    csv_path = tmp_path / "b.csv"
+    csv_path.write_text("\n".join(csv_rows) + "\n")
+
+    for table in (load_buildings(geojson(tmp_path, "b.geojson", features)), load_buildings(csv_path)):
+        assert list(table) == expected
+        assert [b.confidence for b in table] == [0.9, None, 0.5, None, None, None]
+        for k, b in enumerate(expected):
+            assert table[k] == b and table[k - len(expected)] == b
+            assert (table.x0s[k], table.y0s[k], table.x1s[k], table.y1s[k]) == b.footprint.bounds()
+            assert (table.xs[k], table.ys[k]) == tuple(b.centroid)
+            assert table.position(b.building_id) == k
+        assert as_table(reversed(expected)) == table
+
+        # the clip compacts the table in place, keeping the rows in order
+        boundary = plane_square(table.x0s[2] - 1.0, table.y0s[2] - 1.0, 150.0)
+        clipped, _ = clip_to_boundary(table, [], boundary)
+        assert clipped is table
+        assert list(table) == [b for b in expected if point_in_rings(*b.centroid, boundary.rings)]
+        assert 0 < len(table) < len(expected)

@@ -381,10 +381,10 @@ def test_failing_child_share_is_an_error_naming_its_exit_status(monkeypatch):
     doomed = buildings[1].building_id  # share 1 of 2: the child's
     real_row = metric_stage._metric_row
 
-    def failing_row(building, road_index, building_index):
-        if building.building_id == doomed:
+    def failing_row(building_id, *args):
+        if building_id == doomed:
             raise ValueError("share fails")
-        return real_row(building, road_index, building_index)
+        return real_row(building_id, *args)
 
     monkeypatch.setattr(metric_stage, "_metric_row", failing_row)
     with pytest.raises(RuntimeError, match=r"metric stage child \d+ failed: exit status 1$"):

@@ -131,3 +131,37 @@ def test_cell_rings_at_the_projection_edge_stay_on_earth(tmp_path):
     lats = [p[1] for f in doc["features"] for p in f["geometry"]["coordinates"][0]]
     assert max(lons) == 180.0 and min(lons) == -180.0
     assert max(lats) == 90.0 and min(lats) == -90.0
+
+
+_DIGEST_SIZES = [0, 1, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 12345]
+
+
+def _digest_files(tmp_path):
+    rng = random.Random(9)
+    paths = []
+    for size in _DIGEST_SIZES:
+        path = tmp_path / f"blob-{size}"
+        path.write_bytes(rng.randbytes(size))
+        paths.append(path)
+    return paths
+
+
+def test_file_sha256_matches_hashlib(tmp_path):
+    import hashlib
+
+    for path in _digest_files(tmp_path):
+        assert outputs.file_sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest(), path.name
+    # CPython's own SHA-256, not the OpenSSL one hashlib prefers
+    assert type(outputs._sha256()).__module__ in ("_sha256", "_sha2")
+
+
+def test_file_sha256_falls_back_to_hashlib(tmp_path, monkeypatch):
+    import hashlib
+    import sys
+
+    paths = _digest_files(tmp_path)
+    want = [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths]
+    monkeypatch.setitem(sys.modules, "_sha256", None)  # 3.10-3.11
+    monkeypatch.setitem(sys.modules, "_sha2", None)  # 3.12+
+    assert type(outputs._sha256()) is type(hashlib.sha256())
+    assert [outputs.file_sha256(p) for p in paths] == want

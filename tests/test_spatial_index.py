@@ -321,6 +321,17 @@ def test_grid_identical_and_zero_span_footprints():
     assert lone.candidates_for_segment(_seg(0, 0, 2e6, -2e6 + 1)) == set()
 
 
+def test_sparse_extent_gets_larger_buckets():
+    # two clusters 200 km apart: 20 m buckets would number 10**8
+    buildings = [square_building(i, 10.0 * i, 0.0) for i in range(3)]
+    buildings += [square_building(3 + i, 2e5 + 10.0 * i, 2e5) for i in range(3)]
+    idx = PolygonIndex(buildings)
+    assert idx._cols * idx._rows <= 4 * len(buildings) and idx._side > 20.0
+    for seg in (_seg(5, 5, 2e5 + 5, 2e5 + 5), _seg(-1, 3, 35, 3), _seg(2e5 + 3, 2e5 - 1, 2e5 + 3, 2e5 + 11)):
+        assert _touching(buildings, seg) <= idx.candidates_for_segment(seg)
+        assert idx.count_obstructions(seg, -1) == len(_touching(buildings, seg))
+
+
 _COORD = st.integers(-16, 16).map(lambda k: k / 2)
 
 
