@@ -4,6 +4,10 @@ All coordinates are projected meters. Types are immutable and every
 operation is a pure function, so values can be shared freely across
 threads or forked worker processes. Points and segments are NamedTuples:
 they compare and hash as tuples of their fields.
+
+The brute-force oracles in tests/_scenes.py (obstructions, nearest road,
+road clip) are written apart from this module and call none of its
+predicates, so an agreement between the two is not a shared mistake.
 """
 
 from __future__ import annotations
@@ -139,44 +143,6 @@ class Polygon:
 # predicates
 
 
-def orientation(a: PlanePoint, b: PlanePoint, c: PlanePoint) -> int:
-    """Sign of the cross product (b-a) x (c-a): 1 ccw, -1 cw, 0 collinear."""
-    v = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-    if v > 0.0:
-        return 1
-    if v < 0.0:
-        return -1
-    return 0
-
-
-def _within_span(p: PlanePoint, a: PlanePoint, b: PlanePoint) -> bool:
-    return (
-        min(a.x, b.x) <= p.x <= max(a.x, b.x)
-        and min(a.y, b.y) <= p.y <= max(a.y, b.y)
-    )
-
-
-def segments_intersect(
-    p1: PlanePoint, p2: PlanePoint, q1: PlanePoint, q2: PlanePoint
-) -> bool:
-    """Closed-segment intersection; endpoint and collinear touching count."""
-    o1 = orientation(p1, p2, q1)
-    o2 = orientation(p1, p2, q2)
-    o3 = orientation(q1, q2, p1)
-    o4 = orientation(q1, q2, p2)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and _within_span(q1, p1, p2):
-        return True
-    if o2 == 0 and _within_span(q2, p1, p2):
-        return True
-    if o3 == 0 and _within_span(p1, q1, q2):
-        return True
-    if o4 == 0 and _within_span(p2, q1, q2):
-        return True
-    return False
-
-
 def point_in_rings(x: float, y: float, rings: Iterable[FlatRing]) -> bool:
     """Even-odd ray-crossing test of (x, y) against closed flat rings.
 
@@ -223,11 +189,14 @@ def segment_hits_rings(
     """True iff the closed segment (ax, ay)-(bx, by) shares a point with the
     area the flat rings bound (exterior first, even-odd).
 
-    Callers reject footprints whose box misses the segment's box first.
-    Per ring edge this is segments_intersect, with the same arithmetic, but
-    each vertex's side of the segment's line is computed once for both
-    edges that meet there, and the edge's own orientations of the segment
-    endpoints only where they can decide the result.
+    Per ring edge this is the four-sided closed-segment test: the edge and
+    the segment meet iff each has its ends on opposite sides of the other's
+    line (the sign of a cross product), or an end of one lies on the other
+    (sign zero, within its box). Each vertex's side of the segment's line
+    is computed once for both edges that meet there, and the sides of the
+    segment endpoints only where they can decide the result. The test is
+    symmetric in the edge and the segment. Callers may reject footprints
+    whose box misses the segment's box first.
     """
     sx0, sx1 = (ax, bx) if ax <= bx else (bx, ax)
     sy0, sy1 = (ay, by) if ay <= by else (by, ay)
@@ -264,7 +233,7 @@ def segment_hits_rings(
                     return True
             else:
                 # no proper crossing; a segment endpoint may still lie on the
-                # edge (orientation 0: neither > 0 nor < 0, as in orientation)
+                # edge (sign zero: the cross product neither > 0 nor < 0)
                 if (qx <= ax <= rx or rx <= ax <= qx) and (qy <= ay <= ry or ry <= ay <= qy):
                     w = ex * (ay - qy) - ey * (ax - qx)
                     if not (w > 0.0 or w < 0.0):
@@ -277,6 +246,54 @@ def segment_hits_rings(
             qy = ry
             o1 = o2
     return point_in_rings(ax, ay, rings) or point_in_rings(bx, by, rings)
+
+
+def box_near_rings(b: Bounds, rings: Sequence[FlatRing], margin: float) -> bool:
+    """True iff the closed box b = (x0, y0, x1, y1) lies within margin >= 0
+    of the area the flat rings bound (exterior first, even-odd).
+
+    The distance is zero when the box touches or overlaps the area, a box
+    wholly inside included; a box inside a hole is measured to the hole's
+    ring. The tests run in this order and the first hit decides: a box
+    corner inside the area, an exterior vertex inside the box, a box edge
+    touching a ring edge, then a ring edge within margin of a box corner or
+    a ring vertex within margin of a box edge.
+    """
+    x0, y0, x1, y1 = b
+    corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
+    if any(point_in_rings(x, y, rings) for x, y in corners):
+        return True
+    ext = rings[0]
+    if any(x0 <= x <= x1 and y0 <= y <= y1 for x, y in zip(ext[0::2], ext[1::2])):
+        return True
+    edges = [(*c, *d) for c, d in zip(corners, corners[1:] + corners[:1])]
+    if any(segment_hits_rings(*edge, rings) for edge in edges):
+        return True
+    for ring in rings:
+        vertices = list(zip(ring[0::2], ring[1::2]))
+        for (ax, ay), (bx, by) in zip(vertices, vertices[1:]):
+            if any(_point_segment_distance(x, y, ax, ay, bx, by) <= margin for x, y in corners):
+                return True
+            # the ring is closed, so each edge's start covers every vertex
+            if any(_point_segment_distance(ax, ay, *edge) <= margin for edge in edges):
+                return True
+    return False
+
+
+def _point_segment_distance(
+    px: float, py: float, ax: float, ay: float, bx: float, by: float
+) -> float:
+    """Distance from (px, py) to the closed segment (ax, ay)-(bx, by): the
+    orthogonal projection clamped to the segment, then math.hypot."""
+    dx = bx - ax
+    dy = by - ay
+    d2 = dx * dx + dy * dy
+    t = 0.0 if d2 == 0.0 else ((px - ax) * dx + (py - ay) * dy) / d2
+    if t <= 0.0:
+        return math.hypot(px - ax, py - ay)
+    if t >= 1.0:
+        return math.hypot(px - bx, py - by)
+    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
 # ---------------------------------------------------------------------------
@@ -342,71 +359,3 @@ def rings_centroid(rings: Sequence[FlatRing]) -> tuple[float, float]:
         ys = ext[1:-2:2]
         return sum(xs) / len(xs), sum(ys) / len(ys)
     return wx / net, wy / net
-
-
-def nearest_point_on_segment(p: PlanePoint, s: Segment) -> tuple[PlanePoint, float]:
-    """Orthogonal projection of p clamped to the segment, with its distance."""
-    ax = s.a.x
-    ay = s.a.y
-    dx = s.b.x - ax
-    dy = s.b.y - ay
-    d2 = dx * dx + dy * dy
-    if d2 == 0.0:
-        q = s.a
-    else:
-        t = ((p.x - ax) * dx + (p.y - ay) * dy) / d2
-        if t <= 0.0:
-            q = s.a
-        elif t >= 1.0:
-            q = s.b
-        else:
-            q = PlanePoint(ax + t * dx, ay + t * dy)
-    return q, math.hypot(p.x - q.x, p.y - q.y)
-
-
-def segment_distance(s1: Segment, s2: Segment) -> float:
-    """Minimum distance between two closed segments (0 when they touch)."""
-    if segments_intersect(s1.a, s1.b, s2.a, s2.b):
-        return 0.0
-    return min(
-        nearest_point_on_segment(s2.a, s1)[1],
-        nearest_point_on_segment(s2.b, s1)[1],
-        nearest_point_on_segment(s1.a, s2)[1],
-        nearest_point_on_segment(s1.b, s2)[1],
-    )
-
-
-def _rect_edges(b: Bounds) -> list[Segment]:
-    p00 = PlanePoint(b[0], b[1])
-    p10 = PlanePoint(b[2], b[1])
-    p11 = PlanePoint(b[2], b[3])
-    p01 = PlanePoint(b[0], b[3])
-    return [Segment(p00, p10), Segment(p10, p11), Segment(p11, p01), Segment(p01, p00)]
-
-
-def rect_polygon_distance(b: Bounds, poly: Polygon) -> float:
-    """Minimum distance between an axis-aligned rect and a polygon.
-
-    Zero when the rect touches or overlaps the polygon area (rects fully
-    inside count as distance zero; rects inside a hole do not).
-    """
-    rings = poly.rings
-    corners = ((b[0], b[1]), (b[2], b[1]), (b[2], b[3]), (b[0], b[3]))
-    if any(point_in_rings(x, y, rings) for x, y in corners):
-        return 0.0
-    ext = poly.exterior
-    if any(b[0] <= x <= b[2] and b[1] <= y <= b[3] for x, y in zip(ext[0::2], ext[1::2])):
-        return 0.0
-    edges = _rect_edges(b)
-    best = math.inf
-    for ring in rings:
-        points = [PlanePoint(x, y) for x, y in zip(ring[0::2], ring[1::2])]
-        for i in range(len(points) - 1):
-            ring_seg = Segment(points[i], points[i + 1])
-            for edge in edges:
-                d = segment_distance(ring_seg, edge)
-                if d == 0.0:
-                    return 0.0
-                if d < best:
-                    best = d
-    return best

@@ -28,10 +28,10 @@ from .geometry import (
     PlanePoint,
     Polygon,
     Polyline,
+    box_near_rings,
     close_rings,
     point_in_rings,
     polygon_area,
-    rect_polygon_distance,
     rings_centroid,
 )
 from .grid import CellId
@@ -575,9 +575,10 @@ def load_buildings(
 
 
 def _read_building_csv_features(path: Path | str) -> Iterator[dict]:
-    """One GeoJSON-style feature per CSV row, carrying only its confidence."""
+    """One GeoJSON-style feature per CSV row, carrying only its confidence.
+    A UTF-8 byte order mark (spreadsheet exports) is skipped."""
     try:
-        with open(path, newline="", encoding="utf-8") as f:
+        with open(path, newline="", encoding="utf-8-sig") as f:
             reader = csv.DictReader(f)
             fieldnames = [fn.strip().lower() for fn in reader.fieldnames or []]
             geom_col = None
@@ -644,24 +645,19 @@ def clip_to_boundary(
     buildings: Iterable[Building],
     roads: Iterable[RoadSegment],
     boundary: Polygon,
-    road_margin_m: float = ROAD_CLIP_MARGIN_M,
 ) -> tuple[BuildingTable, list[RoadSegment]]:
     """Clip inputs to the boundary.
 
     Buildings are kept iff their centroid falls inside the boundary polygon;
     a table is compacted in place and returned, other buildings are first
-    made into one (as_table). Roads are kept while within road_margin_m of
-    the boundary, so segments just outside still serve nearest-road queries
-    at the edge.
+    made into one (as_table). Roads are kept while their bounding box lies
+    within ROAD_CLIP_MARGIN_M of the boundary's area (box_near_rings), so
+    segments just outside still serve nearest-road queries at the edge.
     """
     rings = boundary.rings
     table = as_table(buildings)
     table.compact([point_in_rings(x, y, rings) for x, y in zip(table.xs, table.ys)])
-    kept_roads = [
-        r
-        for r in roads
-        if rect_polygon_distance(r.geometry.bounds(), boundary) <= road_margin_m
-    ]
+    kept_roads = [r for r in roads if box_near_rings(r.geometry.bounds(), rings, ROAD_CLIP_MARGIN_M)]
     return table, kept_roads
 
 
@@ -677,10 +673,11 @@ def load_validations(
     unknown level, an unparseable cell index or a blank or missing
     validator id are rejected, and their line numbers reported. Duplicate
     (cell, validator) rows keep the last occurrence: one person, one vote.
+    A UTF-8 byte order mark (spreadsheet exports) is skipped.
     """
     stats = stats if stats is not None else LoadStats()
     try:
-        with open(path, newline="", encoding="utf-8") as f:
+        with open(path, newline="", encoding="utf-8-sig") as f:
             reader = csv.DictReader(f)
             missing = [c for c in _VALIDATION_COLUMNS if c not in (reader.fieldnames or [])]
             if missing:

@@ -25,7 +25,7 @@ from signal import SIGKILL
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .buildings import Building, centroid_rows
-from .geometry import PlanePoint, Segment
+from .geometry import PlanePoint
 from .ingest import RoadSegment
 from .levels import Surface
 from .spatial_index import PolygonIndex, SegmentIndex
@@ -54,16 +54,6 @@ def build_connector(building: Building, road_index: SegmentIndex) -> ConnectorLi
     return ConnectorLine(building.building_id, building.centroid, point, road_id, distance)
 
 
-def count_obstructions(
-    building_id: int, start: PlanePoint, end: PlanePoint, building_index: PolygonIndex
-) -> int:
-    """Distinct other buildings whose footprint touches the closed connector
-    from start to end; none for a zero-length connector."""
-    if start == end:
-        return 0
-    return building_index.count_obstructions(Segment(start, end), building_id)
-
-
 def _metric_row(
     building_id: int,
     x: float,
@@ -73,8 +63,8 @@ def _metric_row(
 ) -> tuple[int, int, int, float, float, float]:
     """(building_id, obstruction_count, road_id, road_distance, qx, qy) of
     the building whose centroid is (x, y), where (qx, qy) is the
-    connector's end on the nearest road."""
-    # build_connector and count_obstructions, on plain floats
+    connector's end on the nearest road. A zero-length connector counts
+    no obstructions."""
     road_id, qx, qy, distance = road_index.nearest_xy(x, y)
     if x == qx and y == qy:
         count = 0

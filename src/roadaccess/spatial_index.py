@@ -128,8 +128,8 @@ class SegmentIndex:
 
         Best-first expansion over bbox lower bounds; distance ties resolve
         to the lowest (road_id, segment_id). A segment is skipped when its
-        box is already farther than the best; the others get exactly the
-        arithmetic of geometry.nearest_point_on_segment.
+        box is already farther than the best; the others get the orthogonal
+        projection clamped to the segment, then math.hypot.
         """
         hypot = math.hypot
         heappush = heapq.heappush
@@ -261,16 +261,12 @@ class PolygonIndex:
         ids = self._table.ids
         return {ids[k] for k in self._candidates(s.a.x, s.a.y, s.b.x, s.b.y)}
 
-    def count_obstructions(self, s: Segment, building_id: int) -> int:
-        """Distinct buildings, other than building_id, whose footprint
-        touches the closed segment s."""
-        return self.count_obstructions_xy(s.a.x, s.a.y, s.b.x, s.b.y, building_id)
-
     def count_obstructions_xy(
         self, ax: float, ay: float, bx: float, by: float, building_id: int
     ) -> int:
-        """count_obstructions of the segment (ax, ay)-(bx, by): the
-        candidates, then the exact test."""
+        """Distinct buildings, other than building_id, whose footprint
+        touches the closed segment (ax, ay)-(bx, by): the candidates, then
+        the exact test."""
         ids = self._table.ids
         rings = self._table.rings
         count = 0

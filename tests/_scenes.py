@@ -3,10 +3,13 @@
 The oracles here are deliberately exhaustive scans (O(N*M) nearest road,
 O(N^2) obstruction counting) so the indexed pipeline can be checked for
 exact agreement. The obstruction oracle uses its own segment-polygon
-predicate, written edge by edge, so it does not share code with the
-optimized one in roadaccess.geometry. The forward Mollweide projection
-has a reference here too: the GeoPoint + Newton-solve path as it was before
-roadaccess.projection inlined it, sharing no code with that module.
+predicate, written edge by edge. The nearest-road oracle and the road
+clip's rect-polygon distance use nearest_point_on_segment and
+_segments_intersect, kept here on PlanePoints. None of them shares code
+with the predicates of roadaccess.geometry or roadaccess.spatial_index.
+The forward Mollweide projection has a reference here too: the GeoPoint +
+Newton-solve path as it was before roadaccess.projection inlined it,
+sharing no code with that module.
 The cell and connector GeoJSON layers have reference writers: one
 json.dump of the whole document, which the streamed writers must match
 byte for byte. reference_cells runs the whole pipeline, from the input
@@ -24,13 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
-from roadaccess.geometry import (
-    PlanePoint,
-    Polygon,
-    Polyline,
-    Segment,
-    nearest_point_on_segment,
-)
+from roadaccess.geometry import PlanePoint, Polygon, Polyline, Segment
 from roadaccess.ingest import MOTORABLE_CLASSES, Building, RoadSegment
 from roadaccess.levels import Surface, normalize_surface
 from roadaccess.projection import clamp_to_bounds, inverse_lonlat, project_lonlat
@@ -207,6 +204,26 @@ def reference_segment_intersects_polygon(s: Segment, poly: Polygon) -> bool:
             if _segments_intersect(s.a, s.b, ring[i], ring[i + 1]):
                 return True
     return _inside(s.a, poly) or _inside(s.b, poly)
+
+
+def nearest_point_on_segment(p: PlanePoint, s: Segment) -> tuple[PlanePoint, float]:
+    """Orthogonal projection of p clamped to the segment, with its distance."""
+    ax = s.a.x
+    ay = s.a.y
+    dx = s.b.x - ax
+    dy = s.b.y - ay
+    d2 = dx * dx + dy * dy
+    if d2 == 0.0:
+        q = s.a
+    else:
+        t = ((p.x - ax) * dx + (p.y - ay) * dy) / d2
+        if t <= 0.0:
+            q = s.a
+        elif t >= 1.0:
+            q = s.b
+        else:
+            q = PlanePoint(ax + t * dx, ay + t * dy)
+    return q, math.hypot(p.x - q.x, p.y - q.y)
 
 
 def road_segments(road: RoadSegment) -> list[Segment]:

@@ -284,6 +284,21 @@ def test_evaluate_rerun_identical(formal_fixture):
     assert (tmp / "eval" / "evaluation.json").read_bytes() == first
 
 
+def test_evaluate_accepts_a_byte_order_mark(formal_fixture):
+    tmp, files = formal_fixture
+    votes = "cell_i,cell_j,validator_id,level\n0,0,v1,low\n0,0,v2,high\n1,0,v1,medium\n1,0,v2,severe\n"
+    (tmp / "plain.csv").write_text(votes, encoding="utf-8")
+    (tmp / "bom.csv").write_text("\ufeff" + votes, encoding="utf-8")
+    outputs = []
+    for name in ("plain.csv", "bom.csv"):
+        cfg = write_config(tmp, files, out_name="bom", validations=str(tmp / name))
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert main(["evaluate", "--config", str(cfg)]) == 0
+        outputs.append([(tmp / "bom" / f).read_bytes() for f in ("evaluation.json", "ternary.csv")])
+    assert outputs[1] == outputs[0]
+    assert json.loads(outputs[0][0])["validation_rows"]["skipped"] == 1
+
+
 def test_evaluate_all_votes_outside_is_evaluation_error(formal_fixture):
     tmp, files = formal_fixture
     validations = tmp / "outside.csv"

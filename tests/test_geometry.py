@@ -11,17 +11,22 @@ from roadaccess.geometry import (
     Polygon,
     Polyline,
     Segment,
-    nearest_point_on_segment,
+    box_near_rings,
     point_in_rings,
     polygon_area,
     polygon_centroid,
-    rect_polygon_distance,
-    segment_distance,
+    rings_centroid,
+    segment_hits_rings,
     segment_intersects_polygon,
-    segments_intersect,
 )
 
-from _scenes import reference_segment_intersects_polygon, ring_points
+from _scenes import (
+    _reference_rect_polygon_distance,
+    _segments_intersect,
+    nearest_point_on_segment,
+    reference_segment_intersects_polygon,
+    ring_points,
+)
 
 
 def test_plane_point_checks_what_it_is_built_or_unpickled_from():
@@ -141,12 +146,14 @@ def test_nearest_point_on_degenerate_segment():
 
 
 def test_segments_intersect_touching_counts():
-    a, b = PlanePoint(0, 0), PlanePoint(2, 0)
-    assert segments_intersect(a, b, PlanePoint(1, 0), PlanePoint(1, 1))  # T-touch
-    assert segments_intersect(a, b, PlanePoint(2, 0), PlanePoint(3, 5))  # endpoint
-    assert segments_intersect(a, b, PlanePoint(1, 0), PlanePoint(3, 0))  # collinear overlap
-    assert not segments_intersect(a, b, PlanePoint(0, 1), PlanePoint(2, 1))
-    assert not segments_intersect(a, b, PlanePoint(3, 0), PlanePoint(4, 0))
+    # the edge (0, 0)-(2, 0) as a flat ring traced there and back: it bounds
+    # no area, so segment_hits_rings reduces to the closed-segment test
+    edge = ((0.0, 0.0, 2.0, 0.0, 0.0, 0.0),)
+    assert segment_hits_rings(1, 0, 1, 1, edge)  # T-touch
+    assert segment_hits_rings(2, 0, 3, 5, edge)  # endpoint
+    assert segment_hits_rings(1, 0, 3, 0, edge)  # collinear overlap
+    assert not segment_hits_rings(0, 1, 2, 1, edge)
+    assert not segment_hits_rings(3, 0, 4, 0, edge)
 
 
 def test_segment_intersects_polygon_examples():
@@ -203,10 +210,15 @@ def _sampled_intersects(seg: Segment, poly: Polygon, n: int = 10_000) -> bool:
 
 
 def _clearance(seg: Segment, poly: Polygon) -> float:
+    """Distance from the segment to the polygon's rings (0 when they touch)."""
     best = math.inf
     for ring in map(ring_points, poly.rings):
-        for k in range(len(ring) - 1):
-            best = min(best, segment_distance(seg, Segment(ring[k], ring[k + 1])))
+        for a, b in zip(ring, ring[1:]):
+            if _segments_intersect(seg.a, seg.b, a, b):
+                return 0.0
+            edge = Segment(a, b)
+            for p, s in ((a, seg), (b, seg), (seg.a, edge), (seg.b, edge)):
+                best = min(best, nearest_point_on_segment(p, s)[1])
     return best
 
 
@@ -304,9 +316,132 @@ def test_segment_polygon_predicate_matches_reference_on_lattices():
 
 def test_rect_polygon_distance():
     poly = square(0, 0, 1000, 1000)
-    assert rect_polygon_distance((100, 100, 200, 200), poly) == 0.0  # inside
-    assert rect_polygon_distance((900, 900, 1100, 1100), poly) == 0.0  # overlap
-    assert rect_polygon_distance((1300, 0, 1400, 100), poly) == pytest.approx(300.0)
-    assert rect_polygon_distance((1600, 0, 1700, 100), poly) == pytest.approx(600.0)
+    rings = poly.rings
+    nextafter = math.nextafter
+    assert box_near_rings((100, 100, 200, 200), rings, 0.0)  # inside
+    assert box_near_rings((900, 900, 1100, 1100), rings, 0.0)  # overlap
+    # 300 m and 600 m away, each true from its exact distance up
+    assert box_near_rings((1300, 0, 1400, 100), rings, 300.0)
+    assert not box_near_rings((1300, 0, 1400, 100), rings, nextafter(300.0, 0.0))
+    assert box_near_rings((1600, 0, 1700, 100), rings, 600.0)
+    assert not box_near_rings((1600, 0, 1700, 100), rings, 500.0)
+    # 500 m from a box corner to a ring vertex, and the box one ulp farther out
+    assert box_near_rings((1300, 1400, 1400, 1500), rings, 500.0)
+    assert not box_near_rings((nextafter(1300.0, math.inf), 1400, 1400, 1500), rings, 500.0)
     # rect containing the whole polygon
-    assert rect_polygon_distance((-10, -10, 1010, 1010), poly) == 0.0
+    assert box_near_rings((-10, -10, 1010, 1010), rings, 0.0)
+    # a box inside a hole is measured to the hole's ring
+    holed = Polygon(rings[0], [square(300, 300, 700, 700).exterior])
+    assert not box_near_rings((450, 450, 550, 550), holed.rings, nextafter(150.0, 0.0))
+    assert box_near_rings((450, 450, 550, 550), holed.rings, 150.0)
+    assert box_near_rings((450, 450, 550, 550), holed.rings[:1], 0.0)
+
+    # margin-0 boxes against the top edge (0, 0)-(2, 0) of a square: a
+    # T-touch, an end touch, collinear overlaps and a zero-width box crossing
+    # the square with both ends 1 m outside count; 1 m apart does not
+    below = square(0, -2, 2, 0)
+    for box in ((1, 0, 1, 1), (2, 0, 3, 5), (1, 0, 3, 0), (0.5, 0, 1.5, 0), (1, -3, 1, 1)):
+        assert box_near_rings(box, below.rings, 0.0), box
+    for box in ((0, 1, 2, 1), (3, 0, 4, 0)):
+        assert not box_near_rings(box, below.rings, 0.0), box
+        assert box_near_rings(box, below.rings, 1.0), box
+
+    # the reference measures the same distances
+    assert _reference_rect_polygon_distance((1300, 0, 1400, 100), poly) == 300.0
+    assert _reference_rect_polygon_distance((450, 450, 550, 550), holed) == 150.0
+    assert _reference_rect_polygon_distance((1, -3, 1, 1), below) == 0.0
+
+
+def _star_polygon(rng: random.Random, n: int, holed: bool) -> Polygon:
+    """A star of n vertices around the origin or at a city's projected
+    coordinates, 1.5-6 km out, optionally with a 3-12 vertex hole of radius
+    300-500 m at its center."""
+    cx, cy = rng.choice(((0.0, 0.0), (3_550_000.5, -160_000.25)))
+    r_in = rng.uniform(1_500.0, 3_000.0)
+    r_out = r_in * rng.uniform(1.0, 2.0)
+    exterior = []
+    for k in range(n):
+        a = math.tau * (k + rng.uniform(-0.3, 0.3)) / n
+        r = r_out if k % 2 else r_in
+        exterior.append(PlanePoint(cx + r * math.cos(a), cy + r * math.sin(a)))
+    holes = []
+    if holed:
+        hr = rng.uniform(300.0, 500.0)
+        hn = rng.randint(3, 12)
+        angles = [math.tau * k / hn for k in range(hn)]
+        holes.append([PlanePoint(cx + hr * math.cos(a), cy + hr * math.sin(a)) for a in angles])
+    return Polygon(exterior, holes)
+
+
+def _star_boxes(rng: random.Random, poly: Polygon):
+    """Boxes anywhere near the star, zero-width or zero-height ones among
+    them, boxes in and around the hole, boxes with a corner on a vertex,
+    and boxes 500 m to the right of the rightmost vertex and one ulp either
+    side of that."""
+    x0, y0, x1, y1 = poly.bounds()
+
+    def size():
+        return rng.choice((0.0, rng.uniform(0.0, 50.0), rng.uniform(0.0, 1_500.0)))
+
+    for _ in range(6):
+        bx = rng.uniform(x0 - 1_200.0, x1 + 1_200.0)
+        by = rng.uniform(y0 - 1_200.0, y1 + 1_200.0)
+        yield (bx, by, bx + size(), by + size())
+    if poly.holes:
+        hx, hy = rings_centroid(poly.holes[:1])
+        for _ in range(3):
+            bx = hx + rng.uniform(-250.0, 250.0)
+            by = hy + rng.uniform(-250.0, 250.0)
+            w = rng.uniform(0.0, 200.0)
+            yield (bx - w, by - w, bx + w, by + rng.choice((0.0, w)))
+    ring = poly.exterior
+    k = rng.randrange(len(ring) // 2 - 1)
+    vx, vy = ring[2 * k], ring[2 * k + 1]
+    yield (vx, vy, vx + size(), vy + size())
+    yield (vx - size(), vy - size(), vx, vy)
+    k = max(range(0, len(ring), 2), key=ring.__getitem__)
+    vx, vy = ring[k], ring[k + 1]
+    left = vx + 500.0
+    h = rng.choice((0.0, 10.0, 300.0))
+    for x in (math.nextafter(left, -math.inf), left, math.nextafter(left, math.inf)):
+        yield (x, vy - h, x + size(), vy + h)
+
+
+def _lattice_boxes(rng: random.Random, step: float):
+    """Boxes with lattice corners, zero-width and zero-height ones among them."""
+    for _ in range(4):
+        xa, xb = sorted(rng.randint(-6, 14) for _ in range(2))
+        ya, yb = sorted(rng.randint(-6, 14) for _ in range(2))
+        yield (xa * step, ya * step, xb * step, yb * step)
+
+
+def test_box_near_rings_matches_the_reference_distance():
+    rng = random.Random(12)
+    scenes = []
+    for _ in range(1_500):
+        step = rng.choice((50.0, 100.0, 250.0))
+        poly = _lattice_polygon(rng, step)
+        scenes.append((poly, list(_lattice_boxes(rng, step))))
+    for n in (4, 5, 7, 12, 24, 50, 100, 200):
+        for holed in (False, True):
+            for _ in range(8):
+                poly = _star_polygon(rng, n, holed)
+                scenes.append((poly, list(_star_boxes(rng, poly))))
+    cases = hits = exact = 0
+    for poly, boxes in scenes:
+        rings = poly.rings
+        for box in boxes:
+            d = _reference_rect_polygon_distance(box, poly)
+            for m in (0.0, 100.0, 500.0):
+                got = box_near_rings(box, rings, m)
+                assert got == (d <= m), (box, m, d, poly.exterior, poly.holes)
+                cases += 1
+                hits += got
+            if 0.0 < d < math.inf:
+                # the predicate turns true exactly at the distance
+                assert box_near_rings(box, rings, d), (box, d, poly.exterior, poly.holes)
+                assert not box_near_rings(box, rings, math.nextafter(d, 0.0)), (box, d)
+                exact += 1
+    assert cases >= 20_000
+    assert 0.2 * cases < hits < 0.8 * cases
+    assert exact > 3_000

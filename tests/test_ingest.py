@@ -537,6 +537,28 @@ def test_load_validations_missing_column_is_data_error(tmp_path):
         load_validations(path)
 
 
+def test_byte_order_mark_is_skipped_in_validation_and_building_csvs(tmp_path):
+    # spreadsheet exports start with one; the header's first name must still match
+    votes = "cell_i,cell_j,validator_id,level\n0,0,alice,low\n1,2,bob,High\nx,0,carol,low\n"
+    footprints = (
+        "geometry,confidence\n"
+        '"POLYGON ((0 0, 0.0001 0, 0.0001 0.0001, 0 0.0001, 0 0))",0.9\n'
+        '"LINESTRING (0 0, 1 1)",0.8\n'
+    )
+    for name, text, load in (
+        ("votes.csv", votes, load_validations),
+        ("buildings.csv", footprints, load_buildings),
+    ):
+        loaded = []
+        for prefix in ("", "\ufeff"):
+            path = tmp_path / f"{len(prefix)}{name}"
+            path.write_text(prefix + text, encoding="utf-8")
+            stats = LoadStats()
+            loaded.append((list(load(path, stats=stats)), stats.as_dict()))
+        assert loaded[1] == loaded[0]
+        assert loaded[0][0] and loaded[0][1]["skipped"] == 1
+
+
 @pytest.mark.parametrize("block", [1, 7])
 def test_reader_cases_hold_at_tiny_blocks(tmp_path, monkeypatch, block):
     # every value and token then spans reads, and is decoded again with more text

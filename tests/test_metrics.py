@@ -10,13 +10,13 @@ import pytest
 
 import roadaccess.metrics as metric_stage
 from roadaccess.errors import ConfigurationError
-from roadaccess.geometry import PlanePoint, Polygon, Polyline, nearest_point_on_segment
+from roadaccess.geometry import PlanePoint, Polygon, Polyline
 from roadaccess.ingest import Building, RoadSegment
 from roadaccess.levels import Surface
-from roadaccess.metrics import build_connector, compute_all, count_obstructions
+from roadaccess.metrics import build_connector, compute_all
 from roadaccess.spatial_index import PolygonIndex, SegmentIndex
 
-from _scenes import brute_metrics, random_scene, ring_points, road_segments
+from _scenes import brute_metrics, nearest_point_on_segment, random_scene, ring_points, road_segments
 
 
 def plane_square(building_id, cx, cy, half=5.0):
@@ -33,6 +33,11 @@ def horizontal_road(road_id, y, x0=-1000.0, x1=1000.0, surface=Surface.PAVED):
     return RoadSegment(
         road_id, Polyline([PlanePoint(x0, y), PlanePoint(x1, y)]), "residential", surface
     )
+
+
+def obstructions(c, pidx):
+    """Other buildings touching the connector, as the metric stage counts them."""
+    return pidx.count_obstructions_xy(c.start.x, c.start.y, c.end.x, c.end.y, c.building_id)
 
 
 def test_connector_perpendicular_drop():
@@ -54,7 +59,9 @@ def test_connector_zero_length_when_centroid_on_road():
     # zero-length connectors count no obstructions, even overlapping ones
     blocker = plane_square(1, 0, 0)
     pidx = PolygonIndex([b, blocker])
-    assert count_obstructions(c.building_id, c.start, c.end, pidx) == 0
+    assert obstructions(c, pidx) == 1
+    roads = [horizontal_road(0, 0)]
+    assert compute_all([b, blocker], idx, pidx, roads, workers=1)[0].obstruction_count == 0
 
 
 def test_connector_tie_prefers_lower_road_id():
@@ -72,7 +79,7 @@ def test_count_obstructions_single_blocker():
     idx = SegmentIndex([road])
     pidx = PolygonIndex(buildings)
     c = build_connector(source, idx)
-    assert count_obstructions(c.building_id, c.start, c.end, pidx) == 1
+    assert obstructions(c, pidx) == 1
 
 
 def test_count_obstructions_counts_distinct_buildings_once():
@@ -95,7 +102,7 @@ def test_count_obstructions_counts_distinct_buildings_once():
     buildings = [source, blocker]
     c = build_connector(source, SegmentIndex([road]))
     pidx = PolygonIndex(buildings)
-    assert count_obstructions(c.building_id, c.start, c.end, pidx) == 1
+    assert obstructions(c, pidx) == 1
 
 
 def test_overlapping_footprints_still_count():
@@ -106,7 +113,7 @@ def test_overlapping_footprints_still_count():
     buildings = [source, overlapper]
     c = build_connector(source, SegmentIndex([road]))
     pidx = PolygonIndex(buildings)
-    assert count_obstructions(c.building_id, c.start, c.end, pidx) == 1
+    assert obstructions(c, pidx) == 1
 
 
 def test_connector_end_lies_on_road_geometry():

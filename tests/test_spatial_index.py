@@ -12,7 +12,6 @@ from roadaccess.geometry import (
     Polygon,
     Polyline,
     Segment,
-    nearest_point_on_segment,
     segment_intersects_polygon,
 )
 from roadaccess.ingest import Building, RoadSegment, load_buildings, load_roads
@@ -21,6 +20,7 @@ from roadaccess.spatial_index import PolygonIndex, SegmentIndex
 from _scenes import (
     brute_nearest,
     brute_obstructions,
+    nearest_point_on_segment,
     random_roads,
     random_scene,
     reference_segment_intersects_polygon,
@@ -329,7 +329,7 @@ def test_sparse_extent_gets_larger_buckets():
     assert idx._cols * idx._rows <= 4 * len(buildings) and idx._side > 20.0
     for seg in (_seg(5, 5, 2e5 + 5, 2e5 + 5), _seg(-1, 3, 35, 3), _seg(2e5 + 3, 2e5 - 1, 2e5 + 3, 2e5 + 11)):
         assert _touching(buildings, seg) <= idx.candidates_for_segment(seg)
-        assert idx.count_obstructions(seg, -1) == len(_touching(buildings, seg))
+        assert idx.count_obstructions_xy(*seg.a, *seg.b, -1) == len(_touching(buildings, seg))
 
 
 _COORD = st.integers(-16, 16).map(lambda k: k / 2)
@@ -444,7 +444,7 @@ def test_public_candidate_test_pair_equals_fused_count_and_oracle(tmp_path):
                 for other in idx.candidates_for_segment(seg) - {b.building_id}
                 if segment_intersects_polygon(seg, by_id[other].footprint)
             )
-            assert public == idx.count_obstructions(seg, b.building_id)
+            assert public == idx.count_obstructions_xy(*seg.a, *seg.b, b.building_id)
             assert public == brute_obstructions(buildings, b, end)
             pairs += public
     assert pairs > 500
@@ -464,6 +464,6 @@ def test_values_and_a_built_index_survive_pickle():
     for b in buildings:
         probe = Segment(b.centroid, seg.b)
         assert copy.candidates_for_segment(probe) == idx.candidates_for_segment(probe)
-        assert copy.count_obstructions(probe, b.building_id) == idx.count_obstructions(
-            probe, b.building_id
+        assert copy.count_obstructions_xy(*probe.a, *probe.b, b.building_id) == idx.count_obstructions_xy(
+            *probe.a, *probe.b, b.building_id
         )
