@@ -18,10 +18,9 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from itertools import compress
-from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
-from .geometry import FlatRing, PlanePoint, Polygon, polygon_centroid
+from .geometry import FlatRing, PlanePoint, Polygon, flat_bounds
 
 
 class Building(NamedTuple):
@@ -29,12 +28,6 @@ class Building(NamedTuple):
     footprint: Polygon
     centroid: PlanePoint
     confidence: float | None = None
-
-    @classmethod
-    def from_footprint(
-        cls, building_id: int, footprint: Polygon, confidence: float | None = None
-    ) -> "Building":
-        return cls(building_id, footprint, polygon_centroid(footprint), confidence)
 
 
 # the typed columns, in the order compact() keeps them in step
@@ -70,16 +63,14 @@ class BuildingTable(Sequence):
         confidence: float | None = None,
     ) -> None:
         """Add a building after the last; its box is Polygon.bounds of rings."""
-        ext = rings[0]
-        xs = ext[0::2]
-        ys = ext[1::2]
+        x0, y0, x1, y1 = flat_bounds(rings[0])
         self.ids.append(building_id)
         self.xs.append(x)
         self.ys.append(y)
-        self.x0s.append(min(xs))
-        self.y0s.append(min(ys))
-        self.x1s.append(max(xs))
-        self.y1s.append(max(ys))
+        self.x0s.append(x0)
+        self.y0s.append(y0)
+        self.x1s.append(x1)
+        self.y1s.append(y1)
         self.confidences.append(math.nan if confidence is None else confidence)
         self.rings.append(rings)
 
@@ -123,21 +114,3 @@ class BuildingTable(Sequence):
 
     __hash__ = None  # type: ignore[assignment]
 
-
-def as_table(buildings: Iterable[Building]) -> BuildingTable:
-    """buildings itself when it is a table; else a new table of the
-    records, sorted by building_id, with their centroids as given."""
-    if isinstance(buildings, BuildingTable):
-        return buildings
-    table = BuildingTable()
-    for b in sorted(buildings, key=attrgetter("building_id")):
-        table.append(b.building_id, b.footprint.rings, b.centroid.x, b.centroid.y, b.confidence)
-    return table
-
-
-def centroid_rows(buildings: Iterable[Building]) -> Iterator[tuple[int, float, float]]:
-    """(building_id, x, y) of each building's centroid, in order; a table's
-    come from its columns, without making its records."""
-    if isinstance(buildings, BuildingTable):
-        return zip(buildings.ids, buildings.xs, buildings.ys)
-    return ((b.building_id, b.centroid.x, b.centroid.y) for b in buildings)

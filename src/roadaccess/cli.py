@@ -154,7 +154,7 @@ def _check_run_cell_size(manifest_path: Path, cell_size: float) -> None:
     """Votes name cells of the configured grid, so the run must have used it."""
     try:
         run_cell_size = json.loads(manifest_path.read_text(encoding="utf-8"))["parameters"]["cell_size"]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise EvaluationError(f"cannot read the run's cell_size from {manifest_path}: {exc!r}") from exc
     if run_cell_size != cell_size:
         raise EvaluationError(
@@ -193,11 +193,11 @@ def cmd_export_connectors(config: PipelineConfig) -> int:
     building_metrics = metrics.compute_all(
         buildings, SegmentIndex(motorable), PolygonIndex(buildings), motorable, config.workers
     )
-    # both in building_id order, one metric per building
-    connectors = [
+    # in building_id order, one per metric, each made as the writer reaches it
+    connectors = (
         metrics.ConnectorLine(m.building_id, PlanePoint(x, y), m.road_point, m.road_id, m.road_distance)
         for m, x, y in zip(building_metrics, buildings.xs, buildings.ys)
-    ]
+    )
     by_id = {m.building_id: m for m in building_metrics}
     outputs.write_connectors_geojson(out_dir / "connectors.geojson", connectors, by_id)
     outputs.write_building_metrics_csv(out_dir / "building_metrics.csv", building_metrics)

@@ -123,6 +123,8 @@ def load_config(path: Path | str) -> PipelineConfig:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON or bad UTF-8
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigurationError(f"config {path} is not valid JSON: nested too deeply") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config {path} must be a JSON object")
     known = set(PipelineConfig.__slots__)

@@ -45,35 +45,6 @@ class Segment(NamedTuple):
     b: PlanePoint
 
 
-class Polyline:
-    """Open chain of vertices; consecutive duplicates are dropped on construction."""
-
-    __slots__ = ("vertices",)
-
-    def __init__(self, vertices: Iterable[PlanePoint]):
-        pts: list[PlanePoint] = []
-        for v in vertices:
-            if not pts or v != pts[-1]:
-                pts.append(v)
-        if len(pts) < 2:
-            raise ValueError("polyline needs at least two distinct consecutive vertices")
-        self.vertices: tuple[PlanePoint, ...] = tuple(pts)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Polyline) and self.vertices == other.vertices
-
-    def __hash__(self) -> int:
-        return hash(self.vertices)
-
-    def bounds(self) -> Bounds:
-        xs = [p.x for p in self.vertices]
-        ys = [p.y for p in self.vertices]
-        return (min(xs), min(ys), max(xs), max(ys))
-
-
 # A flat ring is one tuple of coordinates, (x0, y0, x1, y1, ..., x0, y0): its
 # vertices in order, closed by repeating the first.
 FlatRing = tuple[float, ...]
@@ -133,10 +104,14 @@ class Polygon:
         return hash(self.rings)
 
     def bounds(self) -> Bounds:
-        ext = self.rings[0]
-        xs = ext[0::2]
-        ys = ext[1::2]
-        return (min(xs), min(ys), max(xs), max(ys))
+        return flat_bounds(self.rings[0])
+
+
+def flat_bounds(flat: Sequence[float]) -> Bounds:
+    """The box of flat coordinates (x0, y0, x1, y1, ...): a ring or a road line."""
+    xs = flat[0::2]
+    ys = flat[1::2]
+    return (min(xs), min(ys), max(xs), max(ys))
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +305,6 @@ def polygon_area(poly: Polygon) -> float:
     for hole in poly.holes:
         area -= abs(_ring_area_centroid(hole)[0])
     return area
-
-
-def polygon_centroid(poly: Polygon) -> PlanePoint:
-    """Area-weighted centroid of exterior minus holes; see rings_centroid."""
-    return PlanePoint(*rings_centroid(poly.rings))
 
 
 def rings_centroid(rings: Sequence[FlatRing]) -> tuple[float, float]:

@@ -11,7 +11,7 @@ import math
 from collections import defaultdict
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .buildings import Building, as_table
+from .buildings import BuildingTable
 from .geometry import Bounds, PlanePoint, Polygon, point_in_rings
 from .levels import Surface
 
@@ -44,7 +44,7 @@ def cell_of(p: PlanePoint, cell_size: float = DEFAULT_CELL_SIZE_M) -> CellId:
 
 def aggregate(
     metrics: Iterable[Sequence],
-    buildings: Iterable[Building],
+    buildings: BuildingTable,
     cell_size: float = DEFAULT_CELL_SIZE_M,
 ) -> dict[CellId, CellAggregate]:
     """Group metrics into cells by building centroid; mean counts, modal surface.
@@ -52,16 +52,15 @@ def aggregate(
     Each metric starts (building_id, obstruction_count, nearest_surface), as
     a BuildingMetrics does. One pass folds them into integer sums per cell,
     so none is kept and their order does not matter. A building's centroid
-    is read from the table's columns (buildings.as_table).
+    is read from the table's columns.
 
     Surfaces vote paved vs unpaved; unknowns abstain, and a tie (or a cell
     with only unknowns) resolves to unpaved so missing surface evidence never
     grants low deprivation.
     """
-    table = as_table(buildings)
-    position = table.position
-    xs = table.xs
-    ys = table.ys
+    position = buildings.position
+    xs = buildings.xs
+    ys = buildings.ys
     floor = math.floor
     # per cell (i, j): buildings, obstructions, paved votes, unpaved votes
     sums: dict[tuple[int, int], list[int]] = defaultdict(lambda: [0, 0, 0, 0])

@@ -21,15 +21,14 @@ import math
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .buildings import Building, BuildingTable, as_table
+from .buildings import BuildingTable
 from .errors import DataError
 from .geometry import (
     FlatRing,
-    PlanePoint,
     Polygon,
-    Polyline,
     box_near_rings,
     close_rings,
+    flat_bounds,
     point_in_rings,
     polygon_area,
     rings_centroid,
@@ -62,7 +61,8 @@ ROAD_CLIP_MARGIN_M = 500.0
 
 class RoadSegment(NamedTuple):
     road_id: int
-    geometry: Polyline
+    # flat (x0, y0, x1, y1, ...): at least two vertices, none repeating the one before
+    geometry: tuple[float, ...]
     road_class: str
     surface: Surface = Surface.UNKNOWN
 
@@ -327,6 +327,9 @@ def _read_geojson_features(path: Path | str) -> Iterator[object]:
             msg = src.where(exc)
             src.drain()
             raise DataError(f"cannot read GeoJSON {path}: {msg}") from exc
+        except RecursionError as exc:  # arrays or objects nested too deeply to decode
+            src.drain()
+            raise DataError(f"cannot read GeoJSON {path}: JSON nested too deeply") from exc
         except DataError:
             src.drain()
             raise
@@ -389,9 +392,17 @@ def _project_positions(coords: Sequence[Sequence[float]]) -> list[float]:
     return flat
 
 
-def _project_line(coords: Sequence[Sequence[float]]) -> Polyline:
-    it = iter(_project_positions(coords))
-    return Polyline(map(PlanePoint, it, it))
+def _project_line(coords: Sequence[Sequence[float]]) -> tuple[float, ...]:
+    """Flat projected coordinates of a line's positions, each vertex that
+    repeats the one before dropped."""
+    flat = _project_positions(coords)
+    line = flat[:2]
+    for k in range(2, len(flat), 2):
+        if flat[k] != line[-2] or flat[k + 1] != line[-1]:
+            line += flat[k : k + 2]
+    if len(line) < 4:
+        raise ValueError("polyline needs at least two distinct consecutive vertices")
+    return tuple(line)
 
 
 def _project_ring(coords: Sequence[Sequence[float]]) -> list[float]:
@@ -574,9 +585,16 @@ def load_buildings(
     return buildings
 
 
+# A footprint's WKT is one CSV field, as long as the footprint needs: the csv
+# module's default limit (131,072 characters) would refuse one GeoJSON loads.
+_CSV_FIELD_LIMIT = 2**31 - 1  # a C long on every platform
+
+
 def _read_building_csv_features(path: Path | str) -> Iterator[dict]:
     """One GeoJSON-style feature per CSV row, carrying only its confidence.
-    A UTF-8 byte order mark (spreadsheet exports) is skipped."""
+    A UTF-8 byte order mark (spreadsheet exports) is skipped. The csv
+    module's field size limit is _CSV_FIELD_LIMIT until the rows are read."""
+    limit = csv.field_size_limit(_CSV_FIELD_LIMIT)
     try:
         with open(path, newline="", encoding="utf-8-sig") as f:
             reader = csv.DictReader(f)
@@ -608,11 +626,17 @@ def _read_building_csv_features(path: Path | str) -> Iterator[dict]:
                 yield feature
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read buildings CSV {path}: {exc}") from exc
+    except csv.Error as exc:  # e.g. a NUL byte, before Python 3.11
+        raise DataError(f"cannot read buildings CSV {path}: line {reader.line_num}: {exc}") from exc
+    finally:
+        csv.field_size_limit(limit)
 
 
 def load_boundary(path: Path | str) -> Polygon:
-    """Load the analysis boundary polygon (single Polygon feature)."""
+    """Load the analysis boundary polygon: the first Polygon feature, or
+    MultiPolygon of one part."""
     features = _read_geojson_features(path)
+    parts = 0  # of the first MultiPolygon with several, named if no polygon is found
     try:
         for feature in features:
             try:
@@ -626,6 +650,8 @@ def load_boundary(path: Path | str) -> Polygon:
                 elif gtype == "MultiPolygon" and len(geom["coordinates"]) == 1:
                     rings = _project_rings(geom["coordinates"][0])
                 else:
+                    if gtype == "MultiPolygon" and not parts:
+                        parts = len(geom["coordinates"])
                     continue
                 poly = Polygon(rings[0], rings[1:])
             except (ValueError, TypeError, KeyError, IndexError, OverflowError) as exc:
@@ -633,6 +659,8 @@ def load_boundary(path: Path | str) -> Polygon:
             if polygon_area(poly) < 1e-9:
                 raise DataError(f"{path}: boundary polygon has no area")
             return poly
+        if parts:
+            raise DataError(f"{path}: boundary MultiPolygon has {parts} parts; one polygon is required")
         raise DataError(f"{path}: no Polygon feature found for the boundary")
     finally:
         # The rest of the document is read either way: text after the first
@@ -642,23 +670,22 @@ def load_boundary(path: Path | str) -> Polygon:
 
 
 def clip_to_boundary(
-    buildings: Iterable[Building],
+    buildings: BuildingTable,
     roads: Iterable[RoadSegment],
     boundary: Polygon,
 ) -> tuple[BuildingTable, list[RoadSegment]]:
     """Clip inputs to the boundary.
 
     Buildings are kept iff their centroid falls inside the boundary polygon;
-    a table is compacted in place and returned, other buildings are first
-    made into one (as_table). Roads are kept while their bounding box lies
-    within ROAD_CLIP_MARGIN_M of the boundary's area (box_near_rings), so
-    segments just outside still serve nearest-road queries at the edge.
+    the table is compacted in place and returned. Roads are kept while their
+    bounding box lies within ROAD_CLIP_MARGIN_M of the boundary's area
+    (box_near_rings), so segments just outside still serve nearest-road
+    queries at the edge.
     """
     rings = boundary.rings
-    table = as_table(buildings)
-    table.compact([point_in_rings(x, y, rings) for x, y in zip(table.xs, table.ys)])
-    kept_roads = [r for r in roads if box_near_rings(r.geometry.bounds(), rings, ROAD_CLIP_MARGIN_M)]
-    return table, kept_roads
+    buildings.compact([point_in_rings(x, y, rings) for x, y in zip(buildings.xs, buildings.ys)])
+    kept_roads = [r for r in roads if box_near_rings(flat_bounds(r.geometry), rings, ROAD_CLIP_MARGIN_M)]
+    return buildings, kept_roads
 
 
 _VALIDATION_COLUMNS = ("cell_i", "cell_j", "validator_id", "level")
@@ -699,6 +726,8 @@ def load_validations(
                 stats.loaded += 1
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read validations CSV {path}: {exc}") from exc
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise DataError(f"cannot read validations CSV {path}: line {reader.line_num}: {exc}") from exc
     if stats.rejected_lines:
         log.error(
             "%s: rejected %d validation rows (lines %s)",

@@ -24,7 +24,7 @@ from operator import itemgetter
 from signal import SIGKILL
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .buildings import Building, centroid_rows
+from .buildings import Building, BuildingTable
 from .geometry import PlanePoint
 from .ingest import RoadSegment
 from .levels import Surface
@@ -114,7 +114,7 @@ def _fork(job: Callable[[], None], read_ends: list[int]) -> int:
 
 
 def metric_rows(
-    buildings: Sequence[Building],
+    buildings: BuildingTable,
     road_index: SegmentIndex,
     building_index: PolygonIndex,
     workers: int | None = None,
@@ -135,7 +135,8 @@ def metric_rows(
         n = 1
 
     def share(k: int) -> Iterator[tuple]:
-        for building_id, x, y in islice(centroid_rows(buildings), k, None, n):
+        centroids = zip(buildings.ids, buildings.xs, buildings.ys)
+        for building_id, x, y in islice(centroids, k, None, n):
             yield _metric_row(building_id, x, y, road_index, building_index)
 
     children: list[tuple[int, BinaryIO]] = []  # (pid, read end), not yet reaped
@@ -177,7 +178,7 @@ def metric_rows(
 
 
 def compute_all(
-    buildings: Sequence[Building],
+    buildings: BuildingTable,
     road_index: SegmentIndex,
     building_index: PolygonIndex,
     roads: Iterable[RoadSegment],

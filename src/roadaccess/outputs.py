@@ -218,6 +218,8 @@ def read_cells_csv(path: Path | str) -> list[ClassifiedCell]:
                 )
     except OSError as exc:
         raise DataError(f"cannot read cells CSV {path}: {exc}") from exc
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise DataError(f"malformed cells CSV {path}: line {reader.line_num}: {exc}") from exc
     except (ValueError, KeyError, TypeError) as exc:  # TypeError: a short row's None
         raise DataError(f"malformed cells CSV {path}: {exc}") from exc
     return cells
@@ -273,7 +275,7 @@ def _end_lonlat(x: float, y: float) -> tuple[float, float]:
 
 def write_connectors_geojson(
     path: Path | str,
-    connectors: Sequence[ConnectorLine],
+    connectors: Iterable[ConnectorLine],
     metrics_by_id: Mapping[int, BuildingMetrics],
 ) -> None:
     def features() -> Iterator[str]:

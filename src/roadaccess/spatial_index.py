@@ -16,9 +16,9 @@ import math
 import operator
 from array import array
 from itertools import accumulate
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .buildings import Building, as_table
+from .buildings import BuildingTable
 from .errors import ConfigurationError
 from .geometry import Bounds, PlanePoint, Segment, segment_hits_rings
 
@@ -101,9 +101,10 @@ class SegmentIndex:
             )
         records: list[tuple] = []
         for road in roads:
-            vs = road.geometry.vertices
-            for a, b in zip(vs, vs[1:]):
-                ax, ay, bx, by = a.x, a.y, b.x, b.y
+            it = iter(road.geometry)
+            ax = next(it)
+            ay = next(it)
+            for bx, by in zip(it, it):
                 dx = bx - ax
                 dy = by - ay
                 records.append((
@@ -111,6 +112,8 @@ class SegmentIndex:
                     ax, ay, bx, by, dx, dy, dx * dx + dy * dy,
                     road.road_id, len(records),
                 ))
+                ax = bx
+                ay = by
         self._root = _build_tree(records)
         self._size = len(records)
 
@@ -202,9 +205,8 @@ _SIDE_TOL_M = 1e-6
 class PolygonIndex:
     """Uniform grid of buckets over building footprint bounding boxes.
 
-    The buildings are a BuildingTable, or records made into one
-    (buildings.as_table). The index reads the footprints' boxes, ids and
-    flat rings from the table's columns. Each footprint's row is listed in
+    The index reads the footprints' boxes, ids and flat rings from the
+    table's columns. Each footprint's row is listed in
     every bucket its box overlaps, and the buckets are stored compressed:
     bucket key = column * rows + row over the occupied extent, its rows are
     members[starts[key]:starts[key + 1]], so a column's run of buckets is
@@ -212,8 +214,8 @@ class PolygonIndex:
     footprint; a sparser extent gets larger buckets.
     """
 
-    def __init__(self, buildings: Iterable[Building]):
-        self._table = table = as_table(buildings)
+    def __init__(self, buildings: BuildingTable):
+        self._table = table = buildings
         self._members = array("i")
         if not table:
             return

@@ -7,6 +7,11 @@ predicate, written edge by edge. The nearest-road oracle and the road
 clip's rect-polygon distance use nearest_point_on_segment and
 _segments_intersect, kept here on PlanePoints. None of them shares code
 with the predicates of roadaccess.geometry or roadaccess.spatial_index.
+Buildings made here get their centroids from reference_centroid, a copy
+of the area-weighted centroid arithmetic kept apart from
+roadaccess.geometry.rings_centroid. Tests hand the core a BuildingTable
+(building_table); the oracles iterate the records, as a table makes a new
+Polygon each time a record is read.
 The forward Mollweide projection has a reference here too: the GeoPoint +
 Newton-solve path as it was before roadaccess.projection inlined it,
 sharing no code with that module.
@@ -19,6 +24,7 @@ oracles and no index.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -27,12 +33,73 @@ from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
-from roadaccess.geometry import PlanePoint, Polygon, Polyline, Segment
-from roadaccess.ingest import MOTORABLE_CLASSES, Building, RoadSegment
+from roadaccess.buildings import Building, BuildingTable
+from roadaccess.geometry import PlanePoint, Polygon, Segment
+from roadaccess.ingest import MOTORABLE_CLASSES, RoadSegment
 from roadaccess.levels import Surface, normalize_surface
 from roadaccess.projection import clamp_to_bounds, inverse_lonlat, project_lonlat
 
 SURFACE_CHOICES = (Surface.PAVED, Surface.UNPAVED, Surface.UNKNOWN)
+
+
+def _reference_ring_area_centroid(ring: list[PlanePoint]) -> tuple[float, float, float]:
+    """Signed area and centroid of a closed ring, the shoelace taken about
+    its first vertex; (0, 0, 0) for a ring without area."""
+    o = ring[0]
+    a2 = 0.0  # twice the signed area
+    cx = 0.0
+    cy = 0.0
+    for p, q in zip(ring, ring[1:]):
+        px = p.x - o.x
+        py = p.y - o.y
+        qx = q.x - o.x
+        qy = q.y - o.y
+        w = px * qy - qx * py
+        a2 += w
+        cx += (px + qx) * w
+        cy += (py + qy) * w
+    if a2 == 0.0:
+        return 0.0, 0.0, 0.0
+    return a2 / 2.0, o.x + cx / (3.0 * a2), o.y + cy / (3.0 * a2)
+
+
+def reference_centroid(poly: Polygon) -> PlanePoint:
+    """Area-weighted centroid of the exterior minus the holes; the mean of
+    the exterior's vertices (the closing one once) below 1e-9 m^2 net area."""
+    area, cx, cy = _reference_ring_area_centroid(ring_points(poly.exterior))
+    net = abs(area)
+    wx = abs(area) * cx
+    wy = abs(area) * cy
+    for hole in poly.holes:
+        area, cx, cy = _reference_ring_area_centroid(ring_points(hole))
+        net -= abs(area)
+        wx -= abs(area) * cx
+        wy -= abs(area) * cy
+    if abs(net) < 1e-9:
+        vertices = ring_points(poly.exterior)[:-1]
+        return PlanePoint(
+            sum(p.x for p in vertices) / len(vertices), sum(p.y for p in vertices) / len(vertices)
+        )
+    return PlanePoint(wx / net, wy / net)
+
+
+def make_building(building_id: int, footprint: Polygon, confidence: float | None = None) -> Building:
+    """A building record, its centroid from reference_centroid."""
+    return Building(building_id, footprint, reference_centroid(footprint), confidence)
+
+
+def building_table(buildings) -> BuildingTable:
+    """The records as a BuildingTable, sorted by building_id, with their
+    centroids as given."""
+    table = BuildingTable()
+    for b in sorted(buildings, key=lambda b: b.building_id):
+        table.append(b.building_id, b.footprint.rings, b.centroid.x, b.centroid.y, b.confidence)
+    return table
+
+
+def flat_line(points) -> tuple[float, ...]:
+    """A road line (x0, y0, x1, y1, ...) of (x, y) pairs."""
+    return tuple(c for p in points for c in p)
 
 
 def random_building(rng: random.Random, building_id: int, span: float = 2000.0) -> Building:
@@ -51,7 +118,7 @@ def random_building(rng: random.Random, building_id: int, span: float = 2000.0) 
         ring.append(
             PlanePoint(cx + dx * cos_a - dy * sin_a, cy + dx * sin_a + dy * cos_a)
         )
-    return Building.from_footprint(building_id, Polygon(ring))
+    return make_building(building_id, Polygon(ring))
 
 
 def random_roads(
@@ -71,7 +138,7 @@ def random_roads(
             vertices.append(PlanePoint(x, y))
         roads.append(
             RoadSegment(
-                len(roads), Polyline(vertices), "residential", rng.choice(SURFACE_CHOICES)
+                len(roads), flat_line(vertices), "residential", rng.choice(SURFACE_CHOICES)
             )
         )
         remaining -= n_seg
@@ -168,7 +235,8 @@ def _segments_intersect(p1, p2, q1, q2) -> bool:
 
 
 def ring_points(ring: tuple[float, ...]) -> list[PlanePoint]:
-    """The vertices of a flat ring (x0, y0, x1, y1, ...) as PlanePoints."""
+    """The vertices of flat coordinates (x0, y0, x1, y1, ...), a ring or a
+    road line, as PlanePoints."""
     return [PlanePoint(ring[i], ring[i + 1]) for i in range(0, len(ring), 2)]
 
 
@@ -226,10 +294,11 @@ def nearest_point_on_segment(p: PlanePoint, s: Segment) -> tuple[PlanePoint, flo
     return q, math.hypot(p.x - q.x, p.y - q.y)
 
 
-def road_segments(road: RoadSegment) -> list[Segment]:
+@functools.cache  # brute_nearest scans every road once per query point
+def road_segments(road: RoadSegment) -> tuple[Segment, ...]:
     """The straight segments of a road, in vertex order."""
-    vs = road.geometry.vertices
-    return [Segment(a, b) for a, b in zip(vs, vs[1:])]
+    vs = ring_points(road.geometry)
+    return tuple(Segment(a, b) for a, b in zip(vs, vs[1:]))
 
 
 def brute_nearest(
@@ -287,6 +356,15 @@ def reference_polygon(rings) -> Polygon:
     return Polygon(flat[0], flat[1:])
 
 
+def _reference_box(points: list[PlanePoint]) -> tuple[float, float, float, float]:
+    return (
+        min(p.x for p in points),
+        min(p.y for p in points),
+        max(p.x for p in points),
+        max(p.y for p in points),
+    )
+
+
 def _reference_rect_polygon_distance(box, poly: Polygon) -> float:
     """Distance from an axis-aligned box to a polygon's area, edge by edge."""
     x0, y0, x1, y1 = box
@@ -306,15 +384,29 @@ def _reference_rect_polygon_distance(box, poly: Polygon) -> float:
     return best
 
 
+def _reference_road_vertices(line) -> list[PlanePoint] | None:
+    """The projected vertices of a road line's lon/lat positions, each one
+    equal to the one before dropped; None when fewer than two remain."""
+    vertices: list[PlanePoint] = []
+    for lon, lat in line:
+        p = PlanePoint(*project_lonlat(lon, lat))
+        if not vertices or p != vertices[-1]:
+            vertices.append(p)
+    return vertices if len(vertices) >= 2 else None
+
+
 def reference_cells(
     buildings_path, roads_path, boundary_path, cell_size: float = 100.0, threshold: float = 1.0
-) -> tuple[list[list[str]], list[list[str]]]:
+) -> tuple[list[list[str]], list[list[str]]] | None:
     """The data rows of cells.csv and of aggregates.csv for the inputs, as
     the run writes them, computed from scratch: json.load, a building per
-    polygon part, the clip by the boundary's area (centroids) and by 500 m
-    (road boxes), brute_metrics, a per-cell dict of sums, the empty cells
-    of the boundary's box and the level rule. No building may carry a
-    confidence: there is no confidence filter here."""
+    polygon part, a road per line with repeated vertices dropped (a feature
+    with a line of fewer than two vertices is skipped whole), the clip by
+    the boundary's area (centroids) and by 500 m (road boxes),
+    brute_metrics, a per-cell dict of sums, the empty cells of the
+    boundary's box and the level rule. None when no motorable road is left
+    in scope, as run then exits 2. No building may carry a confidence:
+    there is no confidence filter here."""
 
     def features(path):
         with open(path, encoding="utf-8") as f:
@@ -325,15 +417,18 @@ def reference_cells(
         geom = feature["geometry"]
         parts = [geom["coordinates"]] if geom["type"] == "Polygon" else geom["coordinates"]
         for rings in parts:
-            buildings.append(Building.from_footprint(len(buildings), reference_polygon(rings)))
+            buildings.append(make_building(len(buildings), reference_polygon(rings)))
     roads = []
     for feature in features(roads_path):
         geom = feature["geometry"]
         lines = [geom["coordinates"]] if geom["type"] == "LineString" else geom["coordinates"]
+        lines = [_reference_road_vertices(line) for line in lines]
+        if None in lines:
+            continue
         props = feature["properties"]
-        for line in lines:
-            vertices = [PlanePoint(*project_lonlat(lon, lat)) for lon, lat in line]
-            roads.append(RoadSegment(len(roads), Polyline(vertices), props["class"], normalize_surface(props.get("surface"))))
+        surface = normalize_surface(props.get("surface"))
+        for vertices in lines:
+            roads.append(RoadSegment(len(roads), flat_line(vertices), props["class"], surface))
     boundary = reference_polygon(features(boundary_path)[0]["geometry"]["coordinates"])
 
     buildings = [b for b in buildings if _inside(b.centroid, boundary)]
@@ -341,8 +436,10 @@ def reference_cells(
         r
         for r in roads
         if r.road_class in MOTORABLE_CLASSES
-        and _reference_rect_polygon_distance(r.geometry.bounds(), boundary) <= 500.0
+        and _reference_rect_polygon_distance(_reference_box(ring_points(r.geometry)), boundary) <= 500.0
     ]
+    if not roads:
+        return None
     surface = {r.road_id: r.surface for r in roads}
     sums = defaultdict(lambda: [0, 0, 0, 0])  # buildings, obstructions, paved, unpaved
     metrics = brute_metrics(buildings, roads)

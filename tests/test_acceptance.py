@@ -32,7 +32,7 @@ from roadaccess.projection import (
 from roadaccess.spatial_index import PolygonIndex, SegmentIndex
 from roadaccess.synth import SceneSpec, generate
 
-from _scenes import brute_metrics, random_scene
+from _scenes import brute_metrics, building_table, random_scene
 
 
 def criterion(num, name):
@@ -61,9 +61,8 @@ def test_indexed_metrics_match_brute_force_on_50_scenes():
         buildings, roads = random_scene(
             scene_rng, n_buildings, scene_rng.randint(5, 50)
         )
-        metrics = compute_all(
-            buildings, SegmentIndex(roads), PolygonIndex(buildings), roads
-        )
+        table = building_table(buildings)
+        metrics = compute_all(table, SegmentIndex(roads), PolygonIndex(table), roads)
         oracle = brute_metrics(buildings, roads)
         assert len(metrics) == len(buildings)
         for m in metrics:

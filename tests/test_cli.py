@@ -386,6 +386,66 @@ def test_undecodable_input_file_is_a_one_line_error(tmp_path, formal_fixture, ca
         assert code == 3 and err[-1].startswith("data-error: cannot read ")
 
 
+@pytest.mark.parametrize("target", ["validations", "cells_csv", "buildings_csv"])
+def test_csv_error_is_a_one_line_data_error(tmp_path, formal_fixture, capsys, monkeypatch, target):
+    _, files = formal_fixture
+    votes = tmp_path / "votes.csv"
+    votes.write_text("cell_i,cell_j,validator_id,level\n0,0,a,low\n")
+    cfg = write_config(tmp_path, files, validations=str(votes))
+    huge = "x" * 200_000  # over the csv module's field size limit
+    if target == "buildings_csv":
+        # a footprint of any size loads, so only a lower limit shows the error path
+        monkeypatch.setattr(roadaccess.ingest, "_CSV_FIELD_LIMIT", 100)
+        bad = tmp_path / "buildings.csv"
+        bad.write_text(f'geometry\n"POLYGON (({huge}))"\n')
+        cfg = cfg_with(tmp_path, cfg, buildings=str(bad))
+        command = "run"
+    else:
+        assert main(["run", "--config", str(cfg)]) == 0
+        bad = votes if target == "validations" else tmp_path / "out" / "cells.csv"
+        bad.write_text(bad.read_text() + f"0,0,{huge},low\n")
+        command = "evaluate"
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("data-error: ") and str(bad) in err[-1]
+    assert "field larger than field limit" in err[-1]
+    assert not any(line.startswith("Traceback") for line in err)
+
+
+_NESTED = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "target, code",
+    [("buildings", 3), ("roads", 3), ("boundary", 3), ("config", 2), ("manifest", 4)],
+)
+def test_deeply_nested_json_is_a_one_line_error(tmp_path, formal_fixture, capsys, target, code):
+    _, files = formal_fixture
+    votes = tmp_path / "votes.csv"
+    votes.write_text("cell_i,cell_j,validator_id,level\n0,0,a,low\n")
+    cfg = write_config(tmp_path, files, validations=str(votes))
+    command = "run"
+    if target == "config":
+        bad = cfg
+        bad.write_text(_NESTED)
+    elif target == "manifest":
+        assert main(["run", "--config", str(cfg)]) == 0
+        bad = tmp_path / "out" / "manifest.json"
+        bad.write_text(_NESTED)
+        command = "evaluate"
+    else:
+        bad = tmp_path / f"{target}.geojson"
+        bad.write_text('{"type": "FeatureCollection", "features": [' + _NESTED + "]}")
+        cfg = cfg_with(tmp_path, cfg, **{target: str(bad)})
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    kind = {2: "configuration-error", 3: "data-error", 4: "evaluation-error"}[code]
+    assert err[-1].startswith(f"{kind}: ") and str(bad) in err[-1]
+    assert not any(line.startswith("Traceback") for line in err)
+
+
 def test_export_connectors_consistent_with_metrics_csv(formal_fixture):
     tmp, files = formal_fixture
     cfg = write_config(tmp, files, out_name="conn")

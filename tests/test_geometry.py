@@ -9,12 +9,10 @@ import pytest
 from roadaccess.geometry import (
     PlanePoint,
     Polygon,
-    Polyline,
     Segment,
     box_near_rings,
     point_in_rings,
     polygon_area,
-    polygon_centroid,
     rings_centroid,
     segment_hits_rings,
     segment_intersects_polygon,
@@ -54,14 +52,6 @@ def test_plane_point_rejects_non_finite():
         PlanePoint(0.0, math.inf)
 
 
-def test_polyline_drops_consecutive_duplicates():
-    a, b, c = PlanePoint(0, 0), PlanePoint(1, 0), PlanePoint(2, 0)
-    line = Polyline([a, a, b, b, c])
-    assert line.vertices == (a, b, c)
-    with pytest.raises(ValueError):
-        Polyline([a, a])
-
-
 def test_polygon_enforces_ring_closure():
     ring = [PlanePoint(0, 0), PlanePoint(1, 0), PlanePoint(0, 1)]
     poly = Polygon(ring)
@@ -71,8 +61,12 @@ def test_polygon_enforces_ring_closure():
         Polygon([PlanePoint(0, 0), PlanePoint(1, 0)])
 
 
+def centroid_of(poly):
+    return PlanePoint(*rings_centroid(poly.rings))
+
+
 def test_unit_square_centroid():
-    assert polygon_centroid(square(0, 0, 1, 1)) == PlanePoint(0.5, 0.5)
+    assert centroid_of(square(0, 0, 1, 1)) == PlanePoint(0.5, 0.5)
 
 
 def test_l_shape_centroid():
@@ -86,7 +80,7 @@ def test_l_shape_centroid():
             PlanePoint(0, 2),
         ]
     )
-    c = polygon_centroid(poly)
+    c = centroid_of(poly)
     assert c.x == pytest.approx(5.0 / 6.0, abs=1e-12)
     assert c.y == pytest.approx(5.0 / 6.0, abs=1e-12)
 
@@ -94,7 +88,7 @@ def test_l_shape_centroid():
 def test_degenerate_polygon_falls_back_to_vertex_mean():
     # collinear ring has zero area
     poly = Polygon([PlanePoint(0, 0), PlanePoint(1, 1), PlanePoint(2, 2)])
-    assert polygon_centroid(poly) == PlanePoint(1.0, 1.0)
+    assert centroid_of(poly) == PlanePoint(1.0, 1.0)
 
 
 def test_centroid_with_hole():
@@ -103,7 +97,7 @@ def test_centroid_with_hole():
         holes=[[PlanePoint(2, 2), PlanePoint(3, 2), PlanePoint(3, 3), PlanePoint(2, 3)]],
     )
     # (16*(2,2) - 1*(2.5,2.5)) / 15
-    c = polygon_centroid(poly)
+    c = centroid_of(poly)
     assert c.x == pytest.approx(29.5 / 15.0, abs=1e-12)
     assert c.y == pytest.approx(29.5 / 15.0, abs=1e-12)
     assert polygon_area(poly) == pytest.approx(15.0)
@@ -124,7 +118,7 @@ def test_centroid_of_convex_polygon_lies_inside():
             for t in angles
         ]
         poly = Polygon(ring)
-        c = polygon_centroid(poly)
+        c = centroid_of(poly)
         assert point_in_rings(c.x, c.y, poly.rings)
 
 

@@ -10,9 +10,10 @@ from roadaccess.grid import (
     cell_of,
     enumerate_empty_cells,
 )
-from roadaccess.ingest import Building
 from roadaccess.levels import Surface
 from roadaccess.metrics import BuildingMetrics
+
+from _scenes import building_table, make_building
 
 
 def test_cell_of_examples():
@@ -32,7 +33,7 @@ def building_at(building_id, x, y):
         PlanePoint(x + 1, y + 1),
         PlanePoint(x - 1, y + 1),
     ]
-    return Building.from_footprint(building_id, Polygon(ring))
+    return make_building(building_id, Polygon(ring))
 
 
 def metrics_for(building_id, count, surface=Surface.PAVED):
@@ -42,7 +43,7 @@ def metrics_for(building_id, count, surface=Surface.PAVED):
 def test_aggregate_mean_of_counts():
     buildings = [building_at(i, 50, 50) for i in range(3)]
     metrics = [metrics_for(0, 0), metrics_for(1, 1), metrics_for(2, 2)]
-    result = aggregate(metrics, buildings)
+    result = aggregate(metrics, building_table(buildings))
     agg = result[CellId(0, 0)]
     assert agg.building_count == 3
     assert agg.mean_obstruction == 1.0
@@ -55,13 +56,13 @@ def test_aggregate_modal_surface():
         metrics_for(1, 0, Surface.PAVED),
         metrics_for(2, 0, Surface.UNPAVED),
     ]
-    assert aggregate(metrics, buildings)[CellId(0, 0)].modal_surface is Surface.PAVED
+    assert aggregate(metrics, building_table(buildings))[CellId(0, 0)].modal_surface is Surface.PAVED
 
 
 def test_aggregate_surface_tie_resolves_to_unpaved():
     buildings = [building_at(i, 50, 50) for i in range(2)]
     metrics = [metrics_for(0, 0, Surface.PAVED), metrics_for(1, 0, Surface.UNPAVED)]
-    assert aggregate(metrics, buildings)[CellId(0, 0)].modal_surface is Surface.UNPAVED
+    assert aggregate(metrics, building_table(buildings))[CellId(0, 0)].modal_surface is Surface.UNPAVED
 
 
 def test_aggregate_unknown_surfaces_abstain():
@@ -71,13 +72,13 @@ def test_aggregate_unknown_surfaces_abstain():
         metrics_for(1, 0, Surface.UNKNOWN),
         metrics_for(2, 0, Surface.PAVED),
     ]
-    assert aggregate(metrics, buildings)[CellId(0, 0)].modal_surface is Surface.PAVED
+    assert aggregate(metrics, building_table(buildings))[CellId(0, 0)].modal_surface is Surface.PAVED
 
 
 def test_aggregate_all_unknown_treated_as_unpaved():
     buildings = [building_at(0, 50, 50)]
     metrics = [metrics_for(0, 0, Surface.UNKNOWN)]
-    assert aggregate(metrics, buildings)[CellId(0, 0)].modal_surface is Surface.UNPAVED
+    assert aggregate(metrics, building_table(buildings))[CellId(0, 0)].modal_surface is Surface.UNPAVED
 
 
 def test_aggregate_conserves_building_count():
@@ -87,7 +88,7 @@ def test_aggregate_conserves_building_count():
         for i in range(200)
     ]
     metrics = [metrics_for(b.building_id, rng.randint(0, 5)) for b in buildings]
-    result = aggregate(metrics, buildings)
+    result = aggregate(metrics, building_table(buildings))
     assert sum(a.building_count for a in result.values()) == len(buildings)
     for agg in result.values():
         counts = [
@@ -104,15 +105,15 @@ def test_aggregate_permutation_invariant():
         building_at(i, rng.uniform(0, 300), rng.uniform(0, 300)) for i in range(60)
     ]
     metrics = [metrics_for(b.building_id, rng.randint(0, 4)) for b in buildings]
-    base = aggregate(metrics, buildings)
+    base = aggregate(metrics, building_table(buildings))
     shuffled = list(metrics)
     rng.shuffle(shuffled)
-    assert aggregate(shuffled, buildings) == base
+    assert aggregate(shuffled, building_table(buildings)) == base
 
 
 def test_building_on_cell_edge_belongs_to_one_cell():
     b = building_at(0, 100.0, 0.0)  # centroid exactly on the i=0/1 edge
-    result = aggregate([metrics_for(0, 0)], [b])
+    result = aggregate([metrics_for(0, 0)], building_table([b]))
     assert list(result) == [CellId(1, 0)]
     assert result[CellId(1, 0)].building_count == 1
 

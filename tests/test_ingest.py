@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import random
@@ -6,13 +7,11 @@ import tracemalloc
 import pytest
 
 from roadaccess import ingest
-from roadaccess.buildings import as_table
 from roadaccess.errors import DataError
-from roadaccess.geometry import PlanePoint, Polygon, Polyline, point_in_rings
+from roadaccess.geometry import PlanePoint, Polygon, point_in_rings
 from roadaccess.grid import CellId
 from roadaccess.ingest import (
     MOTORABLE_CLASSES,
-    Building,
     LoadStats,
     RoadSegment,
     clip_to_boundary,
@@ -23,8 +22,9 @@ from roadaccess.ingest import (
     load_validations,
 )
 from roadaccess.levels import DeprivationLevel, Surface
+from roadaccess.projection import project_lonlat
 
-from _scenes import reference_polygon
+from _scenes import building_table, make_building, reference_polygon
 
 
 def geojson(tmp_path, name, features):
@@ -117,6 +117,25 @@ def test_load_roads_skips_malformed_features_with_conservation(tmp_path):
     assert stats.skipped == 3
 
 
+def test_load_roads_drops_repeated_consecutive_vertices(tmp_path):
+    a, b, c = [0.0, 0.0], [0.001, 0.0], [0.001, 0.002]
+    features = [
+        line_feature([a, a, b, b, b, c, a], **{"class": "primary"}),
+        line_feature([b, b], **{"class": "primary"}),  # one distinct vertex
+        {
+            "type": "Feature",  # one bad part skips the whole feature
+            "geometry": {"type": "MultiLineString", "coordinates": [[a, c], [c, c, c]]},
+            "properties": {},
+        },
+    ]
+    stats = LoadStats()
+    roads = load_roads(geojson(tmp_path, "roads.geojson", features), stats=stats)
+    assert [r.geometry for r in roads] == [
+        (*project_lonlat(*a), *project_lonlat(*b), *project_lonlat(*c), *project_lonlat(*a))
+    ]
+    assert stats.as_dict() == {"total": 3, "loaded": 1, "skipped": 2, "records": 1}
+
+
 def test_load_roads_missing_file_is_data_error(tmp_path):
     with pytest.raises(DataError):
         load_roads(tmp_path / "missing.geojson")
@@ -187,7 +206,7 @@ def test_closing_position_must_be_numbers_even_when_equal_to_the_first(tmp_path)
 
 def test_filter_motorable_class_list():
     def mk(cls):
-        return RoadSegment(0, Polyline([PlanePoint(0, 0), PlanePoint(1, 0)]), cls)
+        return RoadSegment(0, (0.0, 0.0, 1.0, 0.0), cls)
 
     assert filter_motorable([mk("footway")]) == []
     assert len(filter_motorable([mk("trunk")])) == 1
@@ -210,7 +229,7 @@ def test_filter_motorable_idempotent():
     rng = random.Random(1)
     classes = ["footway", "path", "trunk", "service", "cycleway", "unknown", "primary"]
     roads = [
-        RoadSegment(i, Polyline([PlanePoint(0, 0), PlanePoint(1, 0)]), rng.choice(classes))
+        RoadSegment(i, (0.0, 0.0, 1.0, 0.0), rng.choice(classes))
         for i in range(200)
     ]
     once = filter_motorable(roads)
@@ -312,10 +331,40 @@ def test_non_finite_csv_confidence_is_malformed(tmp_path):
     assert (stats.total, stats.loaded, stats.skipped) == (6, 2, 4)
 
 
+def test_buildings_csv_footprint_of_any_size_loads_as_from_geojson(tmp_path):
+    # 6,000 vertices: the WKT field is longer than the csv module's default limit
+    ring = [
+        [36.8 + 0.001 * math.cos(t), -1.28 + 0.001 * math.sin(t)]
+        for t in (k * math.tau / 6000 for k in range(6000))
+    ]
+    ring.append(ring[0])
+    wkt = "POLYGON ((" + ", ".join(f"{lon!r} {lat!r}" for lon, lat in ring) + "))"
+    assert len(wkt) > csv.field_size_limit()
+    csv_path = tmp_path / "b.csv"
+    csv_path.write_text(f'geometry,confidence\n"{wkt}",0.9\n')
+    from_csv = load_buildings(csv_path)
+    from_geojson = load_buildings(geojson(tmp_path, "b.geojson", [polygon_feature([ring], confidence=0.9)]))
+    assert len(from_csv) == 1 and list(from_csv) == list(from_geojson)
+    assert csv.field_size_limit() == 131_072  # put back once the rows are read
+
+
 def test_load_boundary(tmp_path):
     path = geojson(tmp_path, "boundary.geojson", [polygon_feature([tiny_square(0.0, 0.0, d=0.01)])])
     boundary = load_boundary(path)
     assert boundary.bounds()[0] < boundary.bounds()[2]
+
+
+def test_multipart_boundary_is_named_in_its_data_error(tmp_path):
+    parts = [[tiny_square(0.0, 0.0, d=0.01)], [tiny_square(0.02, 0.0, d=0.01)]]
+    multi = {"type": "Feature", "geometry": {"type": "MultiPolygon", "coordinates": parts}, "properties": {}}
+    path = geojson(tmp_path, "boundary.geojson", [multi])
+    with pytest.raises(DataError, match=r"boundary MultiPolygon has 2 parts; one polygon is required") as err:
+        load_boundary(path)
+    assert err.value.exit_code == 3 and str(path) in str(err.value)
+    # a polygon after it is still the boundary, as before
+    one = polygon_feature(parts[0])
+    then_one = geojson(tmp_path, "then_one.geojson", [multi, one])
+    assert load_boundary(then_one) == load_boundary(geojson(tmp_path, "one.geojson", [one]))
 
 
 def test_load_boundary_zero_area_is_data_error(tmp_path):
@@ -443,11 +492,11 @@ def plane_square(x0, y0, size):
 
 
 def plane_building(building_id, x0, y0, size=10.0):
-    return Building.from_footprint(building_id, plane_square(x0, y0, size))
+    return make_building(building_id, plane_square(x0, y0, size))
 
 
 def plane_road(road_id, x0, y0, x1, y1):
-    return RoadSegment(road_id, Polyline([PlanePoint(x0, y0), PlanePoint(x1, y1)]), "residential")
+    return RoadSegment(road_id, (x0, y0, x1, y1), "residential")
 
 
 def test_clip_to_boundary_rules():
@@ -458,7 +507,7 @@ def test_clip_to_boundary_rules():
     road_near = plane_road(1, 1300, 0, 1300, 100)  # 300 m outside
     road_far = plane_road(2, 1600, 0, 1600, 100)  # 600 m outside
     buildings, roads = clip_to_boundary(
-        [inside, outside], [road_inside, road_near, road_far], boundary
+        building_table([inside, outside]), [road_inside, road_near, road_far], boundary
     )
     assert [b.building_id for b in buildings] == [0]
     assert [r.road_id for r in roads] == [0, 1]
@@ -614,7 +663,7 @@ def _wkt_rings(rings):
     return "(" + ", ".join("(" + ", ".join(f"{lon!r} {lat!r}" for lon, lat in ring) + ")" for ring in rings) + ")"
 
 
-def test_table_records_equal_building_from_footprint(tmp_path):
+def test_table_records_equal_the_reference_buildings(tmp_path):
     courtyard = [tiny_square(0.02, 0.0, d=0.001), tiny_square(0.0202, 0.0002, d=0.0002)]
     shapes = [  # (parts, confidence)
         ([[tiny_square(0.0, 0.0)]], 0.9),
@@ -625,7 +674,7 @@ def test_table_records_equal_building_from_footprint(tmp_path):
     expected = []
     for parts, confidence in shapes:
         for rings in parts:
-            expected.append(Building.from_footprint(len(expected), reference_polygon(rings), confidence))
+            expected.append(make_building(len(expected), reference_polygon(rings), confidence))
 
     features = []
     csv_rows = ["confidence,geometry"]
@@ -649,7 +698,6 @@ def test_table_records_equal_building_from_footprint(tmp_path):
             assert (table.x0s[k], table.y0s[k], table.x1s[k], table.y1s[k]) == b.footprint.bounds()
             assert (table.xs[k], table.ys[k]) == tuple(b.centroid)
             assert table.position(b.building_id) == k
-        assert as_table(reversed(expected)) == table
 
         # the clip compacts the table in place, keeping the rows in order
         boundary = plane_square(table.x0s[2] - 1.0, table.y0s[2] - 1.0, 150.0)

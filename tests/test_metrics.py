@@ -10,13 +10,22 @@ import pytest
 
 import roadaccess.metrics as metric_stage
 from roadaccess.errors import ConfigurationError
-from roadaccess.geometry import PlanePoint, Polygon, Polyline
-from roadaccess.ingest import Building, RoadSegment
+from roadaccess.geometry import PlanePoint, Polygon
+from roadaccess.ingest import RoadSegment
 from roadaccess.levels import Surface
 from roadaccess.metrics import build_connector, compute_all
 from roadaccess.spatial_index import PolygonIndex, SegmentIndex
 
-from _scenes import brute_metrics, nearest_point_on_segment, random_scene, ring_points, road_segments
+from _scenes import (
+    brute_metrics,
+    building_table,
+    flat_line,
+    make_building,
+    nearest_point_on_segment,
+    random_scene,
+    ring_points,
+    road_segments,
+)
 
 
 def plane_square(building_id, cx, cy, half=5.0):
@@ -26,13 +35,11 @@ def plane_square(building_id, cx, cy, half=5.0):
         PlanePoint(cx + half, cy + half),
         PlanePoint(cx - half, cy + half),
     ]
-    return Building.from_footprint(building_id, Polygon(ring))
+    return make_building(building_id, Polygon(ring))
 
 
 def horizontal_road(road_id, y, x0=-1000.0, x1=1000.0, surface=Surface.PAVED):
-    return RoadSegment(
-        road_id, Polyline([PlanePoint(x0, y), PlanePoint(x1, y)]), "residential", surface
-    )
+    return RoadSegment(road_id, (x0, y, x1, y), "residential", surface)
 
 
 def obstructions(c, pidx):
@@ -58,10 +65,11 @@ def test_connector_zero_length_when_centroid_on_road():
     assert c.road_distance == 0.0
     # zero-length connectors count no obstructions, even overlapping ones
     blocker = plane_square(1, 0, 0)
-    pidx = PolygonIndex([b, blocker])
+    table = building_table([b, blocker])
+    pidx = PolygonIndex(table)
     assert obstructions(c, pidx) == 1
     roads = [horizontal_road(0, 0)]
-    assert compute_all([b, blocker], idx, pidx, roads, workers=1)[0].obstruction_count == 0
+    assert compute_all(table, idx, pidx, roads, workers=1)[0].obstruction_count == 0
 
 
 def test_connector_tie_prefers_lower_road_id():
@@ -77,7 +85,7 @@ def test_count_obstructions_single_blocker():
     bystander = plane_square(2, 40, 25)
     buildings = [source, blocker, bystander]
     idx = SegmentIndex([road])
-    pidx = PolygonIndex(buildings)
+    pidx = PolygonIndex(building_table(buildings))
     c = build_connector(source, idx)
     assert obstructions(c, pidx) == 1
 
@@ -98,10 +106,10 @@ def test_count_obstructions_counts_distinct_buildings_once():
             PlanePoint(-10, 40),
         ]
     )
-    blocker = Building.from_footprint(1, u_shape)
+    blocker = make_building(1, u_shape)
     buildings = [source, blocker]
     c = build_connector(source, SegmentIndex([road]))
-    pidx = PolygonIndex(buildings)
+    pidx = PolygonIndex(building_table(buildings))
     assert obstructions(c, pidx) == 1
 
 
@@ -112,7 +120,7 @@ def test_overlapping_footprints_still_count():
     overlapper = plane_square(1, 0, 42, half=6.0)  # overlaps source, crosses connector
     buildings = [source, overlapper]
     c = build_connector(source, SegmentIndex([road]))
-    pidx = PolygonIndex(buildings)
+    pidx = PolygonIndex(building_table(buildings))
     assert obstructions(c, pidx) == 1
 
 
@@ -164,9 +172,8 @@ def informal_scene():
 
 
 def run_pipeline(buildings, roads, workers=None):
-    return compute_all(
-        buildings, SegmentIndex(roads), PolygonIndex(buildings), roads, workers=workers
-    )
+    table = building_table(buildings)
+    return compute_all(table, SegmentIndex(roads), PolygonIndex(table), roads, workers=workers)
 
 
 def test_formal_scene_all_unobstructed():
@@ -231,7 +238,7 @@ def test_translation_invariance_of_counts():
         return PlanePoint(p.x + dx, p.y + dy)
 
     moved_buildings = [
-        Building.from_footprint(
+        make_building(
             b.building_id, Polygon([shift_point(p) for p in ring_points(b.footprint.exterior)[:-1]])
         )
         for b in buildings
@@ -239,7 +246,7 @@ def test_translation_invariance_of_counts():
     moved_roads = [
         RoadSegment(
             r.road_id,
-            Polyline([shift_point(p) for p in r.geometry.vertices]),
+            flat_line([shift_point(p) for p in ring_points(r.geometry)]),
             r.road_class,
             r.surface,
         )
@@ -264,7 +271,7 @@ def test_uniform_scaling_invariance_of_counts():
         return PlanePoint(p.x * k, p.y * k)
 
     scaled_buildings = [
-        Building.from_footprint(
+        make_building(
             b.building_id, Polygon([scale_point(p) for p in ring_points(b.footprint.exterior)[:-1]])
         )
         for b in buildings
@@ -272,7 +279,7 @@ def test_uniform_scaling_invariance_of_counts():
     scaled_roads = [
         RoadSegment(
             r.road_id,
-            Polyline([scale_point(p) for p in r.geometry.vertices]),
+            flat_line([scale_point(p) for p in ring_points(r.geometry)]),
             r.road_class,
             r.surface,
         )
@@ -426,7 +433,8 @@ def test_consumer_failing_part_way_reaps_the_children(monkeypatch, stop_after):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     started = counting_fork(monkeypatch)
     buildings, roads = random_scene(random.Random(66), 40, 8)
-    rows = metric_stage.metric_rows(buildings, SegmentIndex(roads), PolygonIndex(buildings), workers=2)
+    table = building_table(buildings)
+    rows = metric_stage.metric_rows(table, SegmentIndex(roads), PolygonIndex(table), workers=2)
     with pytest.raises(LookupError, match="consumer fails"):
         with closing(rows):
             for n, _ in enumerate(rows, 1):
@@ -439,6 +447,7 @@ def test_consumer_failing_part_way_reaps_the_children(monkeypatch, stop_after):
 def test_serial_metric_stage_holds_its_results_once():
     # a diagonal_random-sized scene: 5,000 rotated rectangles, 50 road segments
     buildings, roads = random_scene(random.Random(62), 5000, 50)
+    buildings = building_table(buildings)
     road_index = SegmentIndex(roads)
     building_index = PolygonIndex(buildings)
     tracemalloc.start()

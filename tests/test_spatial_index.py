@@ -10,16 +10,18 @@ from roadaccess.errors import ConfigurationError
 from roadaccess.geometry import (
     PlanePoint,
     Polygon,
-    Polyline,
     Segment,
     segment_intersects_polygon,
 )
-from roadaccess.ingest import Building, RoadSegment, load_buildings, load_roads
+from roadaccess.ingest import RoadSegment, load_buildings, load_roads
 from roadaccess.spatial_index import PolygonIndex, SegmentIndex
 
 from _scenes import (
     brute_nearest,
     brute_obstructions,
+    building_table,
+    flat_line,
+    make_building,
     nearest_point_on_segment,
     random_roads,
     random_scene,
@@ -29,7 +31,7 @@ from _scenes import (
 
 
 def road(road_id, *xy, cls="residential"):
-    return RoadSegment(road_id, Polyline([PlanePoint(x, y) for x, y in xy]), cls)
+    return RoadSegment(road_id, flat_line(xy), cls)
 
 
 def test_empty_road_set_is_a_configuration_error():
@@ -114,16 +116,16 @@ def square_building(building_id, x0, y0, size=10.0):
         PlanePoint(x0 + size, y0 + size),
         PlanePoint(x0, y0 + size),
     ]
-    return Building.from_footprint(building_id, Polygon(ring))
+    return make_building(building_id, Polygon(ring))
 
 
 def test_candidates_far_from_boxes_is_empty():
-    idx = PolygonIndex([square_building(0, 0, 0)])
+    idx = PolygonIndex(building_table([square_building(0, 0, 0)]))
     assert idx.candidates_for_segment(Segment(PlanePoint(100, 100), PlanePoint(200, 200))) == set()
 
 
 def test_candidates_through_one_box():
-    idx = PolygonIndex([square_building(0, 0, 0), square_building(1, 50, 50)])
+    idx = PolygonIndex(building_table([square_building(0, 0, 0), square_building(1, 50, 50)]))
     got = idx.candidates_for_segment(Segment(PlanePoint(-5, 5), PlanePoint(15, 5)))
     assert 0 in got and 1 not in got
 
@@ -132,7 +134,7 @@ def test_candidates_never_miss_a_true_intersector():
     rng = random.Random(31)
     for _ in range(500):
         buildings, _ = random_scene(rng, rng.randint(5, 40), 1, span=300.0)
-        idx = PolygonIndex(buildings)
+        idx = PolygonIndex(building_table(buildings))
         seg = Segment(
             PlanePoint(rng.uniform(-50, 350), rng.uniform(-50, 350)),
             PlanePoint(rng.uniform(-50, 350), rng.uniform(-50, 350)),
@@ -146,7 +148,7 @@ def test_candidates_never_miss_a_true_intersector():
 
 
 def test_empty_polygon_index_queries_fine():
-    idx = PolygonIndex([])
+    idx = PolygonIndex(building_table([]))
     assert len(idx) == 0
     assert idx.candidates_for_segment(Segment(PlanePoint(0, 0), PlanePoint(1, 1))) == set()
 
@@ -237,7 +239,7 @@ def test_grid_box_edges_and_connectors_on_bucket_lines():
     # so buckets are 20 m and every other box edge lies on a bucket line
     corners = [(x, y) for x in range(0, 80, 10) for y in range(0, 80, 10) if (x + y) % 20 == 0]
     buildings = [square_building(i, x, y) for i, (x, y) in enumerate(corners)]
-    idx = PolygonIndex(buildings)
+    idx = PolygonIndex(building_table(buildings))
     assert idx._side == 20.0 and idx._origin == (0.0, 0.0)
     segs = []
     for k in range(-10, 91, 5):
@@ -263,7 +265,7 @@ def test_grid_axis_parallel_connectors_in_random_scenes():
     rng = random.Random(41)
     for _ in range(100):
         buildings, _ = random_scene(rng, 30, 1, span=200.0)
-        idx = PolygonIndex(buildings)
+        idx = PolygonIndex(building_table(buildings))
         for _ in range(10):
             x, y, t = (rng.uniform(-20, 220) for _ in range(3))
             for seg in (_seg(x, y, x, t), _seg(x, y, t, y)):
@@ -273,7 +275,7 @@ def test_grid_axis_parallel_connectors_in_random_scenes():
 def test_grid_far_road_end_is_clamped_not_missed():
     rng = random.Random(43)
     buildings, _ = random_scene(rng, 200, 1, span=300.0)
-    idx = PolygonIndex(buildings)
+    idx = PolygonIndex(building_table(buildings))
     for b in buildings[:40]:
         c = b.centroid
         for end in (
@@ -292,19 +294,19 @@ def test_grid_far_road_end_is_clamped_not_missed():
 
 def _zero_span_building(building_id, x, y):
     p = PlanePoint(x, y)
-    return Building.from_footprint(building_id, Polygon([p, p, p, p]))
+    return make_building(building_id, Polygon([p, p, p, p]))
 
 
 def test_grid_identical_and_zero_span_footprints():
     same = [square_building(i, 5, 5) for i in range(6)]
-    idx = PolygonIndex(same)
+    idx = PolygonIndex(building_table(same))
     assert idx.candidates_for_segment(_seg(0, 0, 20, 20)) == set(range(6))
     assert idx.candidates_for_segment(_seg(15, 0, 15, 20)) == set(range(6))  # along the right edge
     assert idx.candidates_for_segment(_seg(16, 0, 16, 20)) == set()
 
     points = [(0, 0), (3, 0), (3, 4), (7.5, 2), (7.5, 2), (-2, 9)]
     dots = [_zero_span_building(i, x, y) for i, (x, y) in enumerate(points)]
-    idx = PolygonIndex(dots)
+    idx = PolygonIndex(building_table(dots))
     assert len(idx) == len(points)
     for seg, want in (
         (_seg(0, 0, 3, 4), {0, 2}),
@@ -316,7 +318,7 @@ def test_grid_identical_and_zero_span_footprints():
         assert _touching(dots, seg) == want
         assert want <= idx.candidates_for_segment(seg)
 
-    lone = PolygonIndex([_zero_span_building(0, 1e6, -1e6)])
+    lone = PolygonIndex(building_table([_zero_span_building(0, 1e6, -1e6)]))
     assert lone.candidates_for_segment(_seg(0, 0, 2e6, -2e6)) == {0}
     assert lone.candidates_for_segment(_seg(0, 0, 2e6, -2e6 + 1)) == set()
 
@@ -325,7 +327,7 @@ def test_sparse_extent_gets_larger_buckets():
     # two clusters 200 km apart: 20 m buckets would number 10**8
     buildings = [square_building(i, 10.0 * i, 0.0) for i in range(3)]
     buildings += [square_building(3 + i, 2e5 + 10.0 * i, 2e5) for i in range(3)]
-    idx = PolygonIndex(buildings)
+    idx = PolygonIndex(building_table(buildings))
     assert idx._cols * idx._rows <= 4 * len(buildings) and idx._side > 20.0
     for seg in (_seg(5, 5, 2e5 + 5, 2e5 + 5), _seg(-1, 3, 35, 3), _seg(2e5 + 3, 2e5 - 1, 2e5 + 3, 2e5 + 11)):
         assert _touching(buildings, seg) <= idx.candidates_for_segment(seg)
@@ -365,9 +367,9 @@ _END = st.one_of(_COORD, _COORD, st.sampled_from((-1e6, 1e6)))
 )
 def test_grid_candidates_contain_every_true_intersector(footprints, ends):
     buildings = [
-        Building.from_footprint(i, poly) for i, poly in enumerate(footprints) if poly is not None
+        make_building(i, poly) for i, poly in enumerate(footprints) if poly is not None
     ]
-    idx = PolygonIndex(buildings)
+    idx = PolygonIndex(building_table(buildings))
     for x0, y0, x1, y1 in ends:
         seg = _seg(x0, y0, x1, y1)
         assert _touching(buildings, seg) <= idx.candidates_for_segment(seg)
@@ -432,7 +434,7 @@ def test_public_candidate_test_pair_equals_fused_count_and_oracle(tmp_path):
     pairs = 0
     for buildings, roads in scenes:
         road_index = SegmentIndex(roads)
-        idx = PolygonIndex(buildings)
+        idx = PolygonIndex(building_table(buildings))
         by_id = {b.building_id: b for b in buildings}
         for b in buildings:
             _, end, _ = road_index.nearest(b.centroid)
@@ -453,7 +455,7 @@ def test_public_candidate_test_pair_equals_fused_count_and_oracle(tmp_path):
 def test_values_and_a_built_index_survive_pickle():
     rng = random.Random(9)
     buildings, _ = random_scene(rng, 60, 1, span=300.0)
-    idx = PolygonIndex(buildings)
+    idx = PolygonIndex(building_table(buildings))
     p = PlanePoint(1.5, -2.25)
     seg = Segment(p, PlanePoint(250.0, 275.0))
     assert not hasattr(p, "__dict__") and not hasattr(seg, "__dict__")
