@@ -3,8 +3,10 @@
 A run holds every building from ingest to the metric stage, so what it
 keeps per building decides how large a city fits in memory. The table keeps
 ids, centroids, boxes and confidences in typed arrays (8 bytes a value, no
-object each) and each footprint as its tuple of flat ring tuples, which the
-exact test reads as they are. Its rows are in ascending building_id order.
+object each), and each footprint as a tuple of its closed flat rings. Ingest
+stores each ring as an array('d'), so a coordinate costs 8 bytes and no float
+object; the exact test iterates it as it would a tuple. Its rows are in
+ascending building_id order.
 
 The table is a Sequence[Building]: indexing and iteration build Building
 records on demand, for callers that want records. The pipeline itself reads
@@ -37,7 +39,9 @@ _COLUMNS = ("ids", "xs", "ys", "x0s", "y0s", "x1s", "y1s", "confidences")
 class BuildingTable(Sequence):
     """Buildings as columns: ids (array 'q'); centroid x and y, box x0, y0,
     x1 and y1, and confidence, NaN for none (arrays 'd'); and rings, a list
-    of each footprint's flat rings, exterior first.
+    of each footprint's tuple of closed flat rings, exterior first (arrays
+    'd' from ingest). The records built on demand hold tuple rings with the
+    same values.
 
     An index built over a table reads its columns, so the table must not
     change while the index is in use.

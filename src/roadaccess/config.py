@@ -141,6 +141,8 @@ def load_config(path: Path | str) -> PipelineConfig:
             continue  # the only optional path
         if not isinstance(kwargs[key], str):
             raise ConfigurationError(f"{key} must be a path string, got {kwargs[key]!r}")
+        if "\0" in kwargs[key]:  # os calls raise ValueError, not OSError, on it
+            raise ConfigurationError(f"{key} must not contain a NUL byte, got {kwargs[key]!r}")
         p = Path(kwargs[key])
         kwargs[key] = p if p.is_absolute() else base / p
     try:

@@ -45,16 +45,18 @@ class Segment(NamedTuple):
     b: PlanePoint
 
 
-# A flat ring is one tuple of coordinates, (x0, y0, x1, y1, ..., x0, y0): its
-# vertices in order, closed by repeating the first.
-FlatRing = tuple[float, ...]
+# A flat ring is a sequence of coordinates, (x0, y0, x1, y1, ..., x0, y0): its
+# vertices in order, closed by repeating the first. Any float sequence will
+# do, as the predicates and measures only iterate or slice it. The building
+# table keeps each footprint ring as an array('d'), 8 bytes a coordinate and
+# no float object each; Polygon records, road lines and the boundary keep
+# tuples, which hash.
+FlatRing = Sequence[float]
 
 
-def _close_ring(ring: Sequence[PlanePoint] | Sequence[float]) -> FlatRing:
-    """The flat closed ring of a sequence of PlanePoints or of flat coordinates."""
-    flat = tuple(ring)
-    if flat and isinstance(flat[0], PlanePoint):
-        flat = tuple([c for p in flat for c in (p.x, p.y)])
+def close_flat(flat: list[float] | tuple[float, ...]) -> list[float] | tuple[float, ...]:
+    """flat closed by repeating its first vertex where the last differs; a
+    list is closed in place. Fewer than three distinct vertices raise."""
     if len(flat) < 6:
         raise ValueError("ring needs at least three vertices")
     if flat[0] != flat[-2] or flat[1] != flat[-1]:
@@ -64,20 +66,21 @@ def _close_ring(ring: Sequence[PlanePoint] | Sequence[float]) -> FlatRing:
     return flat
 
 
-def close_rings(
-    exterior: Sequence[PlanePoint] | Sequence[float],
-    holes: Iterable[Sequence[PlanePoint] | Sequence[float]] = (),
-) -> tuple[FlatRing, ...]:
-    """The flat closed rings of a polygon, exterior first, as Polygon keeps them."""
-    return (_close_ring(exterior), *map(_close_ring, holes))
+def _close_ring(ring: Sequence[PlanePoint] | Sequence[float]) -> tuple[float, ...]:
+    """The flat closed ring tuple of a sequence of PlanePoints or of flat coordinates."""
+    flat = tuple(ring)
+    if flat and isinstance(flat[0], PlanePoint):
+        flat = tuple([c for p in flat for c in (p.x, p.y)])
+    return close_flat(flat)
 
 
 class Polygon:
     """Polygon as a closed exterior ring plus optional hole rings.
 
-    Rings are given as PlanePoints or as flat coordinates and stored flat,
-    exterior first, in `rings`. Ring closure (first vertex == last vertex)
-    is enforced on construction; no further validity repair is attempted.
+    Rings are given as PlanePoints or as flat coordinates and stored as flat
+    tuples, exterior first, in `rings`. Ring closure (first vertex == last
+    vertex) is enforced on construction; no further validity repair is
+    attempted.
     """
 
     __slots__ = ("rings",)
@@ -87,14 +90,14 @@ class Polygon:
         exterior: Sequence[PlanePoint] | Sequence[float],
         holes: Iterable[Sequence[PlanePoint] | Sequence[float]] = (),
     ):
-        self.rings: tuple[FlatRing, ...] = close_rings(exterior, holes)
+        self.rings: tuple[tuple[float, ...], ...] = (_close_ring(exterior), *map(_close_ring, holes))
 
     @property
-    def exterior(self) -> FlatRing:
+    def exterior(self) -> tuple[float, ...]:
         return self.rings[0]
 
     @property
-    def holes(self) -> tuple[FlatRing, ...]:
+    def holes(self) -> tuple[tuple[float, ...], ...]:
         return self.rings[1:]
 
     def __eq__(self, other: object) -> bool:

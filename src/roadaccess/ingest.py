@@ -18,6 +18,7 @@ import io
 import json
 import logging
 import math
+from array import array
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -27,7 +28,7 @@ from .geometry import (
     FlatRing,
     Polygon,
     box_near_rings,
-    close_rings,
+    close_flat,
     flat_bounds,
     point_in_rings,
     polygon_area,
@@ -418,11 +419,15 @@ def _project_ring(coords: Sequence[Sequence[float]]) -> list[float]:
     return flat
 
 
-def _project_rings(rings: Sequence[Sequence[Sequence[float]]]) -> tuple[FlatRing, ...]:
-    """The flat closed projected rings of a GeoJSON polygon's coordinates."""
+def _project_rings(rings: Sequence[Sequence[Sequence[float]]]) -> list[list[float]]:
+    """The flat projected rings of a GeoJSON polygon's coordinates, exterior
+    first, each closed and checked as Polygon closes it."""
     if not rings:
         raise ValueError("polygon without rings")
-    return close_rings(_project_ring(rings[0]), [_project_ring(r) for r in rings[1:]])
+    flats = [_project_ring(r) for r in rings]
+    for flat in flats:
+        close_flat(flat)
+    return flats
 
 
 def load_roads(
@@ -528,11 +533,12 @@ def _building_parts(geom: dict) -> list[tuple[tuple[FlatRing, ...], float, float
         raise ValueError(f"unsupported geometry type {gtype!r}")
     parts = []
     for coords in polygons:
-        rings = _project_rings(coords)
-        x, y = rings_centroid(rings)
+        flats = _project_rings(coords)
+        x, y = rings_centroid(flats)
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"non-finite centroid ({x!r}, {y!r})")
-        parts.append((rings, x, y))
+        # the table keeps each ring's doubles, not a float object per coordinate
+        parts.append((tuple([array("d", flat) for flat in flats]), x, y))
     return parts
 
 

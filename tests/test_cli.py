@@ -232,6 +232,22 @@ def test_mistyped_config_value_exits_with_configuration_error(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "export-connectors"])
+@pytest.mark.parametrize("key", ["buildings", "roads", "boundary", "output_dir", "validations"])
+def test_nul_byte_in_a_config_path_exits_with_configuration_error(
+    tmp_path, formal_fixture, capsys, command, key
+):
+    # os calls raise ValueError, not OSError, on a NUL byte in a path, so
+    # it is refused with the other config checks, before any file is touched
+    _, files = formal_fixture
+    named = str(tmp_path / "out\0x")
+    cfg = write_config(tmp_path, files, **{key: named})
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"configuration-error: {key} must not contain a NUL byte, got {named!r}"]
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_evaluate_before_run_exits_with_configuration_error(tmp_path, formal_fixture):
     _, files = formal_fixture
     validations = tmp_path / "v.csv"

@@ -199,9 +199,11 @@ def test_closing_position_must_be_numbers_even_when_equal_to_the_first(tmp_path)
     assert load_buildings(geojson(tmp_path, "b.geojson", [polygon_feature([ring])]), stats=stats) == []
     assert (stats.total, stats.loaded, stats.skipped) == (1, 0, 1)
     ring[-1] = [1.0, 0]
-    (building,) = load_buildings(geojson(tmp_path, "b.geojson", [polygon_feature([ring])]))
-    ext = building.footprint.exterior
-    assert ext[0] is ext[-2] and ext[1] is ext[-1]
+    table = load_buildings(geojson(tmp_path, "b.geojson", [polygon_feature([ring])]))
+    assert len(table) == 1
+    # the stored closing vertex is the first, bit for bit
+    ext = table.rings[0][0]
+    assert ext[0].hex() == ext[-2].hex() and ext[1].hex() == ext[-1].hex()
 
 
 def test_filter_motorable_class_list():
@@ -427,6 +429,28 @@ def test_load_buildings_transient_memory_stays_near_the_file_size(tmp_path):
             tracemalloc.stop()
         assert len(buildings) == n
         assert peak - returned <= bound, n
+
+
+def test_load_buildings_holds_under_300_bytes_per_footprint(tmp_path):
+    # Each ring's coordinates are kept as doubles in an array('d'), not as
+    # a tuple of float objects: with four vertices a building holds its
+    # closed ring's 80 bytes of doubles, the array and the ring tuple around
+    # them, and eight typed column entries.
+    n = 2000
+    rng = random.Random(5)
+    features = [
+        polygon_feature([tiny_square(rng.uniform(0.0, 0.05), rng.uniform(0.0, 0.05))], confidence=0.8)
+        for _ in range(n)
+    ]
+    path = geojson(tmp_path, "b.geojson", features)
+    tracemalloc.start()
+    try:
+        buildings = load_buildings(path)
+        returned, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(buildings) == n
+    assert returned <= 300 * n, returned / n
 
 
 FEATURES_MEMBER_TEXTS = [
