@@ -7,22 +7,22 @@ the nearest road also contributes its surface type. The metric is
 deliberately distance-agnostic: only intersection topology matters.
 
 The per-building work is a fork-join (metric_rows): shares by stride, one
-computed in this process and the others in forked children, which send
-their rows back through pipes with marshal (its binary floats round-trip
-bit for bit). compute_all sorts the rows into BuildingMetrics; the CLI's
-run folds them into the cell sums as they come.
+computed in this process and the others in forked children, which pack
+their rows into one shared mapping. compute_all sorts the rows into
+BuildingMetrics; the CLI's run folds them into the cell sums as they come.
 """
 
 from __future__ import annotations
 
-import marshal
+import mmap
 import os
+import struct
 import sys
 from functools import partial
-from itertools import islice
+from itertools import accumulate, islice
 from operator import itemgetter
 from signal import SIGKILL
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .buildings import Building, BuildingTable
 from .geometry import PlanePoint
@@ -73,37 +73,22 @@ def _metric_row(
     return building_id, count, road_id, distance, qx, qy
 
 
-# Rows per marshalled chunk a child sends; the parent decodes one at a time.
-_CHUNK = 4096
+# One row of a child's share in the shared mapping: building_id,
+# obstruction_count, road_id, road_distance, qx, qy. 'q' is the building
+# table's id type and 'd' keeps every double bit for bit.
+_ROW = struct.Struct("qqqddd")
 
 
-def _send_rows(write_end: int, rows: Iterator[tuple]) -> None:
-    """Write rows to write_end as marshalled chunks. All are computed before
-    the first is written: the parent reads the pipe only after its own
-    share, and a full pipe would stall the computation."""
-    chunks = []
-    while chunk := list(islice(rows, _CHUNK)):
-        chunks.append(marshal.dumps(chunk))
-    with open(write_end, "wb", closefd=False) as f:
-        f.writelines(chunks)
-
-
-def _fork(job: Callable[[], None], read_ends: list[int]) -> int:
+def _fork(job: Callable[[], None]) -> int:
     """Run job in a forked child and return its pid. The child exits with
     status 0 once job returns, or 1 after printing the traceback if it
-    raises; it never returns into the caller's frames.
-
-    The child first closes the pipe read ends it inherits, so that its
-    write fails, and it exits, if the parent dies before reading. Forking
-    is safe only while the process runs no other thread, as the CLI never
-    does.
+    raises; it never returns into the caller's frames. Forking is safe only
+    while the process runs no other thread, as the CLI never does.
     """
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
-            for fd in read_ends:
-                os.close(fd)
             job()
             status = 0
         except BaseException:  # the child's last act: report, then exit
@@ -126,9 +111,11 @@ def metric_rows(
     With n = min(workers, CPUs) > 1, building k goes to share k mod n. This
     process computes share 0 and yields its rows as it goes; each other
     share is computed by a child forked once both indexes exist, which
-    inherits them copy-on-write and sends its rows back through a pipe.
-    Every child is reaped before the stream ends, and killed first if the
-    stream is closed early or fails. Without os.fork, n is 1.
+    inherits them copy-on-write and packs its rows into its own run of
+    fixed-size slots in one shared anonymous mapping. A child's rows are
+    yielded only once it has exited with status 0. Every child is reaped
+    before the stream ends, and killed first if the stream is closed early
+    or fails. Without os.fork, n is 1.
     """
     n = min(workers or 1, os.cpu_count() or 1)
     if len(buildings) < 2 * n or not hasattr(os, "fork"):
@@ -139,42 +126,37 @@ def metric_rows(
         for building_id, x, y in islice(centroids, k, None, n):
             yield _metric_row(building_id, x, y, road_index, building_index)
 
-    children: list[tuple[int, BinaryIO]] = []  # (pid, read end), not yet reaped
+    if n == 1:
+        yield from share(0)
+        return
+
+    def pack(k: int) -> None:
+        offset = ends[k - 1]
+        for row in share(k):
+            _ROW.pack_into(slots, offset, *row)
+            offset += _ROW.size
+
+    # share k >= 1 owns the bytes from ends[k - 1] to ends[k]
+    ends = [0, *accumulate(len(range(k, len(buildings), n)) * _ROW.size for k in range(1, n))]
+    slots = mmap.mmap(-1, ends[-1])
+    children: list[tuple[int, int]] = []  # (pid, share), not yet reaped
     try:
         for k in range(1, n):
-            read_end, write_end = os.pipe()
-            pipe = open(read_end, "rb")
-            try:
-                pid = _fork(
-                    partial(_send_rows, write_end, share(k)),
-                    [read_end, *(p.fileno() for _, p in children)],
-                )
-            except BaseException:
-                pipe.close()
-                raise
-            finally:
-                os.close(write_end)
-            children.append((pid, pipe))
+            children.append((_fork(partial(pack, k)), k))
         yield from share(0)
         while children:
-            pid, pipe = children[0]
-            with pipe:
-                while True:
-                    try:
-                        chunk = marshal.load(pipe)
-                    except EOFError:  # the child has written all it will
-                        break
-                    yield from chunk
+            pid, k = children[0]
             _, status = os.waitpid(pid, 0)
             del children[0]
             if status:
                 code = os.waitstatus_to_exitcode(status)
                 raise RuntimeError(f"metric stage child {pid} failed: exit status {code}")
+            yield from map(partial(_ROW.unpack_from, slots), range(ends[k - 1], ends[k], _ROW.size))
     finally:
-        for pid, pipe in children:
-            pipe.close()
+        for pid, _ in children:
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
+        slots.close()
 
 
 def compute_all(

@@ -111,9 +111,11 @@ def clamp_to_bounds(x: float, y: float) -> tuple[float, float]:
     computed as inverse_lonlat computes it, so the result inverts to a lon
     of at most 180. A non-finite coordinate is returned unchanged, for
     inverse_lonlat to reject."""
+    if not (isfinite(x) and isfinite(y)):
+        return x, y
     s = y / MAX_NORTHING_M
     u = x / _MAX_EASTING_M
-    if not 1.0 - 1e-9 < u * u + s * s < math.inf:
+    if u * u + s * s <= 1.0 - 1e-9:  # a sum that overflowed to inf lies beyond
         return x, y
     y = max(-MAX_NORTHING_M, min(MAX_NORTHING_M, y))
     half = _MAX_EASTING_M * math.cos(math.asin(y / MAX_NORTHING_M))

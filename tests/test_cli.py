@@ -102,7 +102,12 @@ def test_run_is_deterministic_across_worker_counts(informal_fixture, monkeypatch
     cfg2 = write_config(tmp, files, out_name="w2", workers=2)
     assert main(["run", "--config", str(cfg1)]) == 0
     assert main(["run", "--config", str(cfg2)]) == 0
-    for name in ("cells.geojson", "cells.csv", "summary.json", "manifest.json"):
+    assert main(["export-connectors", "--config", str(cfg1)]) == 0
+    assert main(["export-connectors", "--config", str(cfg2)]) == 0
+    for name in (
+        "cells.geojson", "cells.csv", "summary.json", "manifest.json",
+        "connectors.geojson", "building_metrics.csv",
+    ):
         a = (tmp / "w1" / name).read_bytes()
         b = (tmp / "w2" / name).read_bytes()
         assert a == b, name
@@ -113,8 +118,8 @@ def test_run_failing_part_way_through_the_metric_stage_reaps_its_child(informal_
     started = []
     real_fork = cli.metrics._fork
 
-    def fork(job, read_ends):
-        started.append(real_fork(job, read_ends))
+    def fork(job):
+        started.append(real_fork(job))
         return started[-1]
 
     monkeypatch.setattr(cli.metrics, "_fork", fork)
@@ -575,6 +580,19 @@ def test_cells_reaching_past_the_projection_edge_stay_on_earth(
         assert -180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0
 
 
+@pytest.mark.parametrize("cell_size", [1e162, 1e308, 1.7976931348623157e308])
+def test_huge_cell_size_keeps_every_cell_corner_on_earth(tmp_path, cell_size):
+    # a corner this far out overflows the clamp's ellipse test to inf
+    files = write_lonlat_scene(tmp_path, random.Random(3), n_buildings=12, n_roads=3, span_deg=0.002)
+    cfg = write_config(tmp_path, files, cell_size=cell_size)
+    assert main(["run", "--config", str(cfg)]) == 0
+    cells = json.loads((tmp_path / "out" / "cells.geojson").read_text())["features"]
+    positions = [p for f in cells for p in f["geometry"]["coordinates"][0]]
+    assert positions
+    for lon, lat in positions:
+        assert -180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0
+
+
 def test_connector_ends_at_the_antimeridian_near_a_pole_stay_on_earth(tmp_path):
     # the road's end at (-180, 89.9999) projects to a point that inverts a
     # hair past lon -180, as asin and cos lose precision near the pole
@@ -798,8 +816,8 @@ def test_commands_are_warning_free_in_dev_mode(tmp_path):
     code = "import sys; from roadaccess.cli import main; sys.exit(main(sys.argv[1:]))"
     done = _run_cli_in_subprocess(["run", "--config", str(cfg)], code, ("-X", "dev", "-W", "error"))
     assert done.returncode == 0, done.stderr
-    # at workers=2 the metric stage forks: its pipes must be closed too, and
-    # no log line may be written twice
+    # at workers=2 the metric stage forks: its shared mapping must be closed
+    # too, and no log line may be written twice
     forked = "import os; os.cpu_count = lambda: 2; " + code
     w2 = cfg_with(tmp_path, cfg, workers=2, output_dir=str(tmp_path / "w2"))
     done = _run_cli_in_subprocess(["run", "--config", str(w2)], forked, ("-X", "dev", "-W", "error"))

@@ -1,8 +1,6 @@
 import math
 import os
 import random
-import signal
-import time
 import tracemalloc
 from contextlib import closing
 
@@ -317,12 +315,12 @@ FAKE_PID = 1 << 30  # above any pid_max: never a real process
 
 class InProcessFork:
     """Stands in for metric_stage._fork: runs each child's job in this process,
-    so no process is ever started; the rows still cross a real pipe."""
+    so no process is ever started; the rows still cross the shared mapping."""
 
     def __init__(self):
         self.jobs = 0
 
-    def __call__(self, job, read_ends):
+    def __call__(self, job):
         job()
         self.jobs += 1
         return FAKE_PID + self.jobs
@@ -353,7 +351,7 @@ def test_metric_stage_without_fork_is_serial(monkeypatch):
     buildings, roads = random_scene(random.Random(63), 60, 10)
     serial = run_pipeline(buildings, roads)
 
-    def no_fork(job, read_ends):
+    def no_fork(job):
         raise AssertionError("no process may start without os.fork")
 
     monkeypatch.delattr(os, "fork")
@@ -371,8 +369,8 @@ def counting_fork(monkeypatch):
     started = []
     real_fork = metric_stage._fork
 
-    def fork(job, read_ends):
-        started.append(real_fork(job, read_ends))
+    def fork(job):
+        started.append(real_fork(job))
         return started[-1]
 
     monkeypatch.setattr(metric_stage, "_fork", fork)
@@ -407,25 +405,30 @@ def test_failing_child_share_is_an_error_naming_its_exit_status(monkeypatch):
     assert_no_child_left()
 
 
-def test_child_exits_once_its_reader_is_gone():
-    # as when the parent is killed: the child must not block on a full pipe
-    read_end, write_end = os.pipe()
+def test_forked_rows_cross_the_process_boundary_bit_for_bit(monkeypatch):
+    # == cannot tell -0.0 from 0.0, and a road vertex at lon -0.0 reaches
+    # connectors.geojson as x = -0.0: compare every float by its hex form
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    started = counting_fork(monkeypatch)
+    buildings, roads = random_scene(random.Random(67), 12, 4)
+    table = building_table(buildings)
+    top = 2**63 - 1
+    extremes = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, -5e-324]
+    crafted = {
+        bid: (top - k, k, top - 2 * k, extremes[k % 5], extremes[(k + 1) % 5], extremes[(k + 2) % 5])
+        for k, bid in enumerate(table.ids)
+    }
+    monkeypatch.setattr(metric_stage, "_metric_row", lambda bid, *args: crafted[bid])
+    rows = list(metric_stage.metric_rows(table, SegmentIndex(roads), PolygonIndex(table), workers=2))
 
-    def job():
-        with open(write_end, "wb", closefd=False) as f:
-            f.write(bytes(1 << 20))  # more than a pipe holds
+    def bits(row):
+        return [(type(v), v.hex() if isinstance(v, float) else v) for v in row]
 
-    pid = metric_stage._fork(job, [read_end])
-    os.close(write_end)
-    os.close(read_end)
-    deadline = time.monotonic() + 30
-    while (done := os.waitpid(pid, os.WNOHANG)) == (0, 0) and time.monotonic() < deadline:
-        time.sleep(0.01)
-    if done == (0, 0):
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        pytest.fail("the child blocked writing to a pipe nobody reads")
-    assert os.waitstatus_to_exitcode(done[1]) == 1  # BrokenPipeError
+    # share 0 from this process, then the child's share, each in stride order
+    order = [*table.ids[0::2], *table.ids[1::2]]
+    assert [bits(row) for row in rows] == [bits(crafted[bid]) for bid in order]
+    assert len(started) == 1
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("stop_after", [1, 39], ids=["own-share", "child-share"])

@@ -268,3 +268,11 @@ def test_clamp_to_bounds_keeps_points_on_earth_and_moves_the_rest_onto_the_edge(
     for x, y in ((math.nan, 1e9), (math.inf, 0.0), (0.0, -math.inf)):
         with pytest.raises(ValueError, match="non-finite"):
             inverse_lonlat(*clamp_to_bounds(x, y))
+    # far enough out that u*u + s*s overflows to inf: still onto the edge
+    for x, y in ((1e300, 1e300), (-1e300, 1e300), (1e300, -1e300), (-1e300, -1e300)):
+        cx, cy = clamp_to_bounds(x, y)
+        assert cy == math.copysign(MAX_NORTHING_M, y) and math.copysign(1.0, cx) == math.copysign(1.0, x)
+        lon, lat = inverse_lonlat(cx, cy)
+        assert lat == math.copysign(90.0, y) and abs(lon) <= 180.0
+    for x, y in ((1e300, 0.0), (0.0, -1e300)):
+        assert inverse_lonlat(*clamp_to_bounds(x, y)) == ((180.0, 0.0) if x else (0.0, -90.0))
