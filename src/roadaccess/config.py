@@ -9,51 +9,33 @@ from pathlib import Path
 from .errors import ConfigurationError
 
 
+_REQUIRED = object()  # a setting without a default: the config file must give it
+
+# Every config file key with its default, in the order the missing-key message lists them.
+_SETTINGS = {
+    "buildings": _REQUIRED,
+    "roads": _REQUIRED,
+    "boundary": _REQUIRED,
+    "output_dir": _REQUIRED,
+    "validations": None,
+    "class_property": "class",
+    "surface_property": "surface",
+    "min_confidence": None,
+    "threshold": 1.0,
+    "cell_size": 100.0,
+    "include_empty_in_distribution": False,
+    "workers": None,
+}
+
+
 class PipelineConfig:
     """The run's settings; its slots are the config file's keys."""
 
-    __slots__ = (
-        "buildings",
-        "roads",
-        "boundary",
-        "output_dir",
-        "validations",
-        "class_property",
-        "surface_property",
-        "min_confidence",
-        "threshold",
-        "cell_size",
-        "include_empty_in_distribution",
-        "workers",
-    )
+    __slots__ = tuple(_SETTINGS)
 
-    def __init__(
-        self,
-        buildings: Path,
-        roads: Path,
-        boundary: Path,
-        output_dir: Path,
-        validations: Path | None = None,
-        class_property: str = "class",
-        surface_property: str = "surface",
-        min_confidence: float | None = None,
-        threshold: float = 1.0,
-        cell_size: float = 100.0,
-        include_empty_in_distribution: bool = False,
-        workers: int | None = None,
-    ):
-        self.buildings = buildings
-        self.roads = roads
-        self.boundary = boundary
-        self.output_dir = output_dir
-        self.validations = validations
-        self.class_property = class_property
-        self.surface_property = surface_property
-        self.min_confidence = min_confidence
-        self.threshold = threshold
-        self.cell_size = cell_size
-        self.include_empty_in_distribution = include_empty_in_distribution
-        self.workers = workers
+    def __init__(self, **values):
+        for name, default in _SETTINGS.items():
+            setattr(self, name, values[name] if default is _REQUIRED else values.get(name, default))
 
     def validate(self, require_validations: bool = False) -> None:
         for name in ("threshold", "cell_size"):
@@ -127,11 +109,10 @@ def load_config(path: Path | str) -> PipelineConfig:
         raise ConfigurationError(f"config {path} is not valid JSON: nested too deeply") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config {path} must be a JSON object")
-    known = set(PipelineConfig.__slots__)
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - set(_SETTINGS))
     if unknown:
         raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
-    missing = [k for k in ("buildings", "roads", "boundary", "output_dir") if k not in raw]
+    missing = [k for k, default in _SETTINGS.items() if default is _REQUIRED and k not in raw]
     if missing:
         raise ConfigurationError(f"missing config keys: {', '.join(missing)}")
     base = Path(path).resolve().parent
@@ -145,7 +126,4 @@ def load_config(path: Path | str) -> PipelineConfig:
             raise ConfigurationError(f"{key} must not contain a NUL byte, got {kwargs[key]!r}")
         p = Path(kwargs[key])
         kwargs[key] = p if p.is_absolute() else base / p
-    try:
-        return PipelineConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigurationError(f"invalid config {path}: {exc}") from exc
+    return PipelineConfig(**kwargs)

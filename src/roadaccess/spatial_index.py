@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .buildings import BuildingTable
 from .errors import ConfigurationError
-from .geometry import Bounds, PlanePoint, Segment, segment_hits_rings
+from .geometry import PlanePoint, Segment, segment_hits_rings
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ingest import RoadSegment
@@ -28,60 +28,24 @@ if TYPE_CHECKING:  # pragma: no cover
 _NODE_CAPACITY = 16
 
 
-class _Node:
-    __slots__ = ("bounds", "children", "entries")
-
-    def __init__(self, bounds: Bounds, children: list["_Node"] | None, entries: list | None):
-        self.bounds = bounds
-        self.children = children
-        self.entries = entries  # leaf payloads: records whose first four items are a box
-
-
-def _enclosing(boxes: Sequence[Sequence[float]]) -> Bounds:
-    return (
-        min(b[0] for b in boxes),
-        min(b[1] for b in boxes),
-        max(b[2] for b in boxes),
-        max(b[3] for b in boxes),
-    )
-
-
-def _pack_level(items: list, bounds_of, make_node) -> list[_Node]:
-    """Sort-tile-recursive packing of one tree level."""
+def _pack_level(items: list, leaf: bool) -> list[tuple]:
+    """Sort-tile-recursive packing of box-first items into one tree level."""
     n = len(items)
     n_nodes = math.ceil(n / _NODE_CAPACITY)
     n_slices = math.ceil(math.sqrt(n_nodes))
     per_slice = n_slices * _NODE_CAPACITY
-    by_x = sorted(items, key=lambda it: bounds_of(it)[0] + bounds_of(it)[2])
-    nodes: list[_Node] = []
+    by_x = sorted(items, key=lambda it: it[0] + it[2])
+    nodes: list[tuple] = []
     for s in range(0, n, per_slice):
-        chunk = sorted(
-            by_x[s : s + per_slice], key=lambda it: bounds_of(it)[1] + bounds_of(it)[3]
-        )
+        chunk = sorted(by_x[s : s + per_slice], key=lambda it: it[1] + it[3])
         for k in range(0, len(chunk), _NODE_CAPACITY):
             group = chunk[k : k + _NODE_CAPACITY]
-            nodes.append(make_node(group))
+            nodes.append((
+                min(it[0] for it in group), min(it[1] for it in group),
+                max(it[2] for it in group), max(it[3] for it in group),
+                group, leaf,
+            ))
     return nodes
-
-
-def _build_tree(entries: list[tuple]) -> _Node | None:
-    if not entries:
-        return None
-    leaves = _pack_level(
-        entries,
-        bounds_of=lambda e: e,
-        make_node=lambda group: _Node(_enclosing(group), None, group),
-    )
-    level = leaves
-    while len(level) > 1:
-        level = _pack_level(
-            level,
-            bounds_of=lambda nd: nd.bounds,
-            make_node=lambda group: _Node(
-                _enclosing([nd.bounds for nd in group]), group, None
-            ),
-        )
-    return level[0]
 
 
 class SegmentIndex:
@@ -89,9 +53,12 @@ class SegmentIndex:
 
     Segment ids are assigned sequentially in road input order, which fixes
     the deterministic tie-break (lowest road_id, then lowest segment_id)
-    for exactly equidistant results. Each leaf holds one flat record per
-    segment: (min_x, min_y, max_x, max_y, ax, ay, bx, by, dx, dy, squared
-    length, road_id, segment_id).
+    for exactly equidistant results. Each segment is one flat record:
+    (min_x, min_y, max_x, max_y, ax, ay, bx, by, dx, dy, squared length,
+    road_id, segment_id). The packed R-tree's nodes are box-first tuples
+    too, (min_x, min_y, max_x, max_y, items, leaf), with the box enclosing
+    the items. One STR pass packs records into leaves, then nodes into
+    parents, level by level until one root is left.
     """
 
     def __init__(self, roads: Sequence["RoadSegment"]):
@@ -114,7 +81,10 @@ class SegmentIndex:
                 ))
                 ax = bx
                 ay = by
-        self._root = _build_tree(records)
+        level = _pack_level(records, True)
+        while len(level) > 1:
+            level = _pack_level(level, False)
+        self._root = level[0]
         self._size = len(records)
 
     def __len__(self) -> int:
@@ -141,14 +111,15 @@ class SegmentIndex:
         best_ids: tuple[int, int] | None = None
         qx = qy = 0.0
         counter = 0
-        heap: list[tuple[float, int, _Node]] = [(0.0, counter, self._root)]
+        heap: list[tuple[float, int, tuple]] = [(0.0, counter, self._root)]
         while heap:
             bound, _, node = heappop(heap)
             if bound > best_d:
                 break
-            if node.entries is None:
-                for child in node.children:
-                    x0, y0, x1, y1 = child.bounds
+            _, _, _, _, items, leaf = node
+            if not leaf:
+                for child in items:
+                    x0, y0, x1, y1, _, _ = child
                     child_bound = hypot(
                         x0 - px if px < x0 else (px - x1 if px > x1 else 0.0),
                         y0 - py if py < y0 else (py - y1 if py > y1 else 0.0),
@@ -157,7 +128,7 @@ class SegmentIndex:
                         counter += 1
                         heappush(heap, (child_bound, counter, child))
                 continue
-            for x0, y0, x1, y1, ax, ay, bx, by, dx, dy, d2, road_id, seg_id in node.entries:
+            for x0, y0, x1, y1, ax, ay, bx, by, dx, dy, d2, road_id, seg_id in items:
                 # a segment whose box is already farther than the best cannot win;
                 # hypot(gx, gy) >= max(gx, gy), so a single gap can show it
                 gx = x0 - px if px < x0 else (px - x1 if px > x1 else 0.0)

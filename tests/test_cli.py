@@ -14,6 +14,7 @@ import roadaccess
 from roadaccess import cli, outputs
 from roadaccess.cli import main
 from roadaccess.config import load_config
+from roadaccess.errors import ConfigurationError
 from roadaccess.metrics import compute_all, connectors_for
 from roadaccess.spatial_index import PolygonIndex, SegmentIndex
 from roadaccess.synth import SceneSpec, generate
@@ -200,6 +201,55 @@ def test_unknown_config_key_exits_with_configuration_error(tmp_path, formal_fixt
         )
     )
     assert main(["run", "--config", str(cfg)]) == 2
+
+
+_DEFAULTS = {
+    "validations": None,
+    "class_property": "class",
+    "surface_property": "surface",
+    "min_confidence": None,
+    "threshold": 1.0,
+    "cell_size": 100.0,
+    "include_empty_in_distribution": False,
+    "workers": None,
+}
+
+
+def test_settings_left_out_of_the_file_take_their_defaults(tmp_path, formal_fixture):
+    _, files = formal_fixture
+    cfg = write_config(tmp_path, files, out_name="defaults")
+    config = load_config(cfg)
+    # repr, so that 1 where 1.0 is meant (a different manifest byte) fails
+    assert {k: repr(getattr(config, k)) for k in _DEFAULTS} == {
+        k: repr(v) for k, v in _DEFAULTS.items()
+    }
+    assert main(["run", "--config", str(cfg)]) == 0
+    manifest = json.loads((tmp_path / "defaults" / "manifest.json").read_text())
+    assert {k: repr(v) for k, v in manifest["parameters"].items()} == {
+        k: repr(v) for k, v in _DEFAULTS.items() if k not in ("validations", "workers")
+    }
+    only_roads = tmp_path / "only_roads.json"
+    only_roads.write_text(json.dumps({"roads": str(files.roads)}))
+    with pytest.raises(ConfigurationError, match="^missing config keys: buildings, boundary, output_dir$"):
+        load_config(only_roads)
+
+
+def test_settings_given_in_the_file_win_over_their_defaults(tmp_path, formal_fixture):
+    _, files = formal_fixture
+    given = {
+        "validations": str(tmp_path / "votes.csv"),
+        "class_property": "kind",
+        "surface_property": "paving",
+        "min_confidence": 0.5,
+        "threshold": 2.5,
+        "cell_size": 250.0,
+        "include_empty_in_distribution": True,
+        "workers": 3,
+    }
+    config = load_config(write_config(tmp_path, files, out_name="given", **given))
+    for name, value in given.items():
+        assert value != _DEFAULTS[name], name
+        assert getattr(config, name) == (Path(value) if name == "validations" else value), name
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from roadaccess.geometry import (
     segment_intersects_polygon,
 )
 from roadaccess.ingest import RoadSegment, load_buildings, load_roads
-from roadaccess.spatial_index import PolygonIndex, SegmentIndex
+from roadaccess.spatial_index import _NODE_CAPACITY, PolygonIndex, SegmentIndex
 
 from _scenes import (
     brute_nearest,
@@ -99,6 +99,32 @@ def test_nearest_matches_brute_force_exactly():
         assert got[0] == want[0]
         assert got[1] == want[1]
         assert got[2] == want[2]  # exact equality, same arithmetic
+
+
+@pytest.mark.parametrize("n_segments", [1, 16, 17, 256, 10_000])
+def test_packed_tree_is_balanced_and_tight_and_holds_each_segment_once(n_segments):
+    # a box wider than its items only slows the search, so no answer shows it
+    idx = SegmentIndex(random_roads(random.Random(n_segments), n_segments))
+    segment_ids = []
+    leaf_depths = set()
+    stack = [(idx._root, 0)]
+    while stack:
+        (x0, y0, x1, y1, items, leaf), depth = stack.pop()
+        assert 1 <= len(items) <= _NODE_CAPACITY
+        assert all(len(it) == (13 if leaf else 6) for it in items)
+        assert (x0, y0, x1, y1) == (
+            min(it[0] for it in items),
+            min(it[1] for it in items),
+            max(it[2] for it in items),
+            max(it[3] for it in items),
+        )
+        if leaf:
+            leaf_depths.add(depth)
+            segment_ids.extend(record[12] for record in items)
+        else:
+            stack.extend((child, depth + 1) for child in items)
+    assert sorted(segment_ids) == list(range(n_segments))
+    assert len(leaf_depths) == 1
 
 
 def test_nearest_is_not_radius_limited():
