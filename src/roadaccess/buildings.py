@@ -32,7 +32,7 @@ class Building(NamedTuple):
     confidence: float | None = None
 
 
-# the typed columns, in the order compact() keeps them in step
+# the typed columns, made by __init__ and kept in step by compact()
 _COLUMNS = ("ids", "xs", "ys", "x0s", "y0s", "x1s", "y1s", "confidences")
 
 
@@ -48,14 +48,8 @@ class BuildingTable(Sequence):
     """
 
     def __init__(self) -> None:
-        self.ids = array("q")
-        self.xs = array("d")
-        self.ys = array("d")
-        self.x0s = array("d")
-        self.y0s = array("d")
-        self.x1s = array("d")
-        self.y1s = array("d")
-        self.confidences = array("d")
+        for name in _COLUMNS:
+            setattr(self, name, array("q" if name == "ids" else "d"))
         self.rings: list[tuple[FlatRing, ...]] = []
 
     def append(

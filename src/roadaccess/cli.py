@@ -232,12 +232,9 @@ _COMMANDS = {
 
 
 def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
-    if args.threshold is not None:
-        config.threshold = args.threshold
-    if args.min_confidence is not None:
-        config.min_confidence = args.min_confidence
-    if args.workers is not None:
-        config.workers = args.workers
+    for name in ("threshold", "min_confidence", "workers"):  # flag destinations are setting names
+        if getattr(args, name) is not None:
+            setattr(config, name, getattr(args, name))
     if args.out is not None:
         config.output_dir = Path(args.out)
     return config

@@ -72,15 +72,9 @@ class PipelineConfig:
                 raise ConfigurationError(f"validations file not found: {self.validations}")
 
     def parameters(self) -> dict:
-        """Parameter values for the run manifest."""
-        return {
-            "class_property": self.class_property,
-            "surface_property": self.surface_property,
-            "min_confidence": self.min_confidence,
-            "threshold": self.threshold,
-            "cell_size": self.cell_size,
-            "include_empty_in_distribution": self.include_empty_in_distribution,
-        }
+        """Parameter values for the run manifest: every setting but the paths
+        and the worker count, which do not change the outputs."""
+        return {k: getattr(self, k) for k in _SETTINGS if k not in _PATH_KEYS and k != "workers"}
 
 
 def _is_finite_number(value: object) -> bool:

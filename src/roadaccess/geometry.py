@@ -31,7 +31,7 @@ class PlanePoint(_PlanePoint):
 
     __slots__ = ()
 
-    # Unpickling calls __new__ too, so a worker process checks what it gets.
+    # Unpickling calls __new__ too, so an unpickled point is checked as well.
     def __new__(cls, x: float, y: float) -> "PlanePoint":
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"non-finite plane coordinates ({x!r}, {y!r})")
@@ -146,19 +146,9 @@ def segment_intersects_polygon(s: Segment, poly: Polygon) -> bool:
     """True iff the closed segment shares at least one point with the polygon.
 
     Boundary contact counts as intersection: an edge of any ring touching or
-    crossing the segment, or either endpoint inside the area. Disjoint
-    boxes are rejected here; segment_hits_rings does the rest.
+    crossing the segment, or either endpoint inside the area.
     """
-    ax = s.a.x
-    ay = s.a.y
-    bx = s.b.x
-    by = s.b.y
-    sx0, sx1 = (ax, bx) if ax <= bx else (bx, ax)
-    sy0, sy1 = (ay, by) if ay <= by else (by, ay)
-    x0, y0, x1, y1 = poly.bounds()
-    if sx0 > x1 or x0 > sx1 or sy0 > y1 or y0 > sy1:
-        return False
-    return segment_hits_rings(ax, ay, bx, by, poly.rings)
+    return segment_hits_rings(s.a.x, s.a.y, s.b.x, s.b.y, poly.rings)
 
 
 def segment_hits_rings(

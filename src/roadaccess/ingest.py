@@ -79,19 +79,9 @@ class LoadStats:
 
     __slots__ = ("total", "loaded", "skipped", "records", "rejected_lines")
 
-    def __init__(
-        self,
-        total: int = 0,
-        loaded: int = 0,
-        skipped: int = 0,
-        records: int = 0,
-        rejected_lines: list[int] | None = None,
-    ):
-        self.total = total
-        self.loaded = loaded
-        self.skipped = skipped
-        self.records = records
-        self.rejected_lines: list[int] = [] if rejected_lines is None else rejected_lines
+    def __init__(self) -> None:
+        self.total = self.loaded = self.skipped = self.records = 0
+        self.rejected_lines: list[int] = []
 
     def as_dict(self) -> dict:
         out = {
@@ -597,7 +587,8 @@ _CSV_FIELD_LIMIT = 2**31 - 1  # a C long on every platform
 
 
 def _read_building_csv_features(path: Path | str) -> Iterator[dict]:
-    """One GeoJSON-style feature per CSV row, carrying only its confidence.
+    """One GeoJSON-style feature per CSV row, carrying only its confidence;
+    its geometry is a MultiPolygon, of one part for a WKT POLYGON.
     A UTF-8 byte order mark (spreadsheet exports) is skipped. The csv
     module's field size limit is _CSV_FIELD_LIMIT until the rows are read."""
     limit = csv.field_size_limit(_CSV_FIELD_LIMIT)
@@ -616,20 +607,13 @@ def _read_building_csv_features(path: Path | str) -> Iterator[dict]:
             if "confidence" in fieldnames:
                 conf_col = (reader.fieldnames or [])[fieldnames.index("confidence")]
             for row in reader:
-                wkt = row.get(geom_col) or ""
-                feature: dict = {
-                    "type": "Feature",
-                    "properties": {"confidence": row.get(conf_col) if conf_col else None},
-                }
                 try:
-                    polys = parse_wkt_polygons(wkt)
-                    if len(polys) == 1:
-                        feature["geometry"] = {"type": "Polygon", "coordinates": polys[0]}
-                    else:
-                        feature["geometry"] = {"type": "MultiPolygon", "coordinates": polys}
+                    polygons = parse_wkt_polygons(row.get(geom_col) or "")
+                    geometry = {"type": "MultiPolygon", "coordinates": polygons}
                 except ValueError:
-                    feature["geometry"] = {"type": "Invalid"}
-                yield feature
+                    geometry = {"type": "Invalid"}
+                confidence = row.get(conf_col) if conf_col else None
+                yield {"type": "Feature", "geometry": geometry, "properties": {"confidence": confidence}}
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read buildings CSV {path}: {exc}") from exc
     except csv.Error as exc:  # e.g. a NUL byte, before Python 3.11

@@ -199,7 +199,7 @@ def read_cells_csv(path: Path | str) -> list[ClassifiedCell]:
     """Read a cell CSV back into ClassifiedCell records (evaluation input)."""
     cells: list[ClassifiedCell] = []
     try:
-        with open(path, newline="", encoding="utf-8") as f:
+        with open(path, newline="", encoding="utf-8-sig") as f:
             reader = csv.DictReader(f)
             missing = [c for c in _CELL_FIELDS if c not in (reader.fieldnames or [])]
             if missing:

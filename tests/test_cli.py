@@ -252,6 +252,23 @@ def test_settings_given_in_the_file_win_over_their_defaults(tmp_path, formal_fix
         assert getattr(config, name) == (Path(value) if name == "validations" else value), name
 
 
+def test_every_override_flag_wins_over_the_file(tmp_path, formal_fixture, monkeypatch):
+    _, files = formal_fixture
+    cfg = write_config(tmp_path, files, out_name="file_out", threshold=2.5, min_confidence=0.5, workers=3)
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "run", lambda config: seen.append(config) or 0)
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert main([
+        "run", "--config", str(cfg), "--threshold", "4.0", "--min-confidence", "0.25",
+        "--workers", "2", "--out", str(tmp_path / "flag_out"),
+    ]) == 0
+    names = ("threshold", "min_confidence", "workers", "output_dir")
+    assert [{k: repr(getattr(c, k)) for k in names} for c in seen] == [
+        {k: repr(v) for k, v in zip(names, (2.5, 0.5, 3, tmp_path / "file_out"))},
+        {k: repr(v) for k, v in zip(names, (4.0, 0.25, 2, tmp_path / "flag_out"))},
+    ]
+
+
 @pytest.mark.parametrize(
     "extra, flags",
     [

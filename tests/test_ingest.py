@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from roadaccess import ingest
+from roadaccess.cli import main
 from roadaccess.errors import DataError
 from roadaccess.geometry import PlanePoint, Polygon, point_in_rings
 from roadaccess.grid import CellId
@@ -23,6 +24,7 @@ from roadaccess.ingest import (
 )
 from roadaccess.levels import DeprivationLevel, Surface
 from roadaccess.projection import project_lonlat
+from roadaccess.synth import SceneSpec, generate
 
 from _scenes import building_table, make_building, reference_polygon
 
@@ -630,6 +632,29 @@ def test_byte_order_mark_is_skipped_in_validation_and_building_csvs(tmp_path):
             loaded.append((list(load(path, stats=stats)), stats.as_dict()))
         assert loaded[1] == loaded[0]
         assert loaded[0][0] and loaded[0][1]["skipped"] == 1
+
+
+def test_byte_order_mark_is_skipped_in_the_cells_csv_evaluate_reads(tmp_path):
+    # a spreadsheet that re-saves the run's cells.csv puts one in front of "i"
+    files = generate(SceneSpec(seed=21, layout="formal_grid", extent=400), tmp_path)
+    votes = tmp_path / "votes.csv"
+    votes.write_text("cell_i,cell_j,validator_id,level\n0,0,a,low\n0,0,b,low\n1,0,a,high\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        **{name: str(getattr(files, name)) for name in ("buildings", "roads", "boundary")},
+        "output_dir": str(tmp_path / "out"),
+        "validations": str(votes),
+    }))
+    assert main(["run", "--config", str(config)]) == 0
+    cells_csv = tmp_path / "out" / "cells.csv"
+    plain = cells_csv.read_bytes()
+    reports = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        cells_csv.write_bytes(prefix + plain)
+        assert main(["evaluate", "--config", str(config)]) == 0
+        reports.append((tmp_path / "out" / "evaluation.json").read_bytes())
+    assert reports[1] == reports[0]
+    assert json.loads(reports[0])["matched_cells"] == 2
 
 
 @pytest.mark.parametrize("block", [1, 7])

@@ -2,6 +2,7 @@
 through the package's public names, so a source refactor can break the
 benchmark without touching perfbench/. This runs it on a tiny scene."""
 
+import csv
 import json
 import os
 import random
@@ -15,12 +16,13 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACED = ROOT / "perfbench" / "traced.py"
 
 
-def _config(tmp_path, paths, name):
+def _config(tmp_path, paths, name, **extra):
     doc = {
         "buildings": str(paths.buildings),
         "roads": str(paths.roads),
         "boundary": str(paths.boundary),
         "output_dir": str(tmp_path / name),
+        **extra,
     }
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc))
@@ -52,3 +54,31 @@ def test_traced_runner_runs_and_matches_the_cli(tmp_path):
     traced_cells = (tmp_path / "traced" / "cells.csv").read_bytes()
     assert traced_cells == (tmp_path / "cli" / "cells.csv").read_bytes()
     assert traced_cells.count(b"\n") > 10
+
+
+def test_traced_evaluate_matches_the_cli(tmp_path):
+    paths = write_lonlat_scene(tmp_path, random.Random(17), 300, 12, span_deg=0.005)
+    votes = tmp_path / "votes.csv"
+    traced_cfg = _config(tmp_path, paths, "traced", validations=str(votes))
+    cli_cfg = _config(tmp_path, paths, "cli", validations=str(votes))
+    _run(["-m", "roadaccess.cli", "run", "--config", str(cli_cfg)])
+    with open(tmp_path / "cli" / "cells.csv", newline="") as f:
+        cells = [(row["i"], row["j"]) for row in csv.DictReader(f)]
+    # one to three random votes a cell: consensus on each level, ties and single votes
+    rng = random.Random(5)
+    rows = [
+        f"{i},{j},v{k},{rng.choice(('low', 'medium', 'high'))}\n"
+        for i, j in cells
+        for k in range(rng.randint(1, 3))
+    ]
+    votes.write_text("cell_i,cell_j,validator_id,level\n" + "".join(rows))
+    _run(["-m", "roadaccess.cli", "evaluate", "--config", str(cli_cfg)])
+    for command in ("run", "evaluate"):
+        _run([str(TRACED), "--config", str(traced_cfg), "--command", command,
+              "--workers", "1", "--report", str(tmp_path / f"{command}.json")])
+    for name in ("evaluation.json", "ternary.csv"):
+        traced = (tmp_path / "traced" / name).read_bytes()
+        assert traced == (tmp_path / "cli" / name).read_bytes(), name
+    report = json.loads((tmp_path / "cli" / "evaluation.json").read_text())
+    assert report["matched_cells"] > 10 and report["excluded"]["no_consensus"] > 0
+    assert (tmp_path / "cli" / "ternary.csv").read_bytes().count(b"\n") > 10
