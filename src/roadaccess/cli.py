@@ -21,7 +21,6 @@ from .classify import classify_all, distribution
 from .config import PipelineConfig, load_config
 from .errors import ConfigurationError, EvaluationError, PipelineError
 from .evaluate import evaluation_report, ternary_proportions
-from .geometry import PlanePoint
 from .grid import MAX_CELLS, aggregate, box_cell_count, enumerate_empty_cells
 from .spatial_index import PolygonIndex, SegmentIndex
 
@@ -58,14 +57,14 @@ def _load_inputs(config: PipelineConfig, counts: dict) -> tuple:
     return buildings, motorable, boundary
 
 
-def _output_dir(config: PipelineConfig, stale: str | None = None) -> Path:
-    """The output directory, created if missing, with the file named stale
-    removed from it; one that cannot be is a ConfigurationError."""
+def _output_dir(config: PipelineConfig, stale: tuple[str, ...]) -> Path:
+    """The output directory, created if missing, with the files named in
+    stale removed from it; one that cannot be is a ConfigurationError."""
     out_dir = Path(config.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        if stale is not None:
-            (out_dir / stale).unlink(missing_ok=True)
+        for name in stale:
+            (out_dir / name).unlink(missing_ok=True)
     except OSError as exc:
         raise ConfigurationError(f"cannot use output_dir {out_dir}: {exc}") from exc
     return out_dir
@@ -103,7 +102,7 @@ def cmd_run(config: PipelineConfig) -> int:
     config.validate()
     # A manifest left by an earlier run would vouch for outputs this run is
     # about to replace; it is written again, last, once they are all in place.
-    out_dir = _output_dir(config, stale="manifest.json")
+    out_dir = _output_dir(config, stale=("manifest.json",))
     counts: dict = {}
     aggregates, boundary = _cell_aggregates(config, counts)
     empty_cells = enumerate_empty_cells(boundary, aggregates, config.cell_size)
@@ -187,20 +186,32 @@ def cmd_evaluate(config: PipelineConfig) -> int:
 
 def cmd_export_connectors(config: PipelineConfig) -> int:
     config.validate()
-    out_dir = _output_dir(config)
+    # An earlier export's layers would sit beside one this run left half
+    # written; both are written again, from one metric stage.
+    out_dir = _output_dir(config, stale=("connectors.geojson", "building_metrics.csv"))
     counts: dict = {}
     buildings, motorable, _ = _load_inputs(config, counts)
-    building_metrics = metrics.compute_all(
-        buildings, SegmentIndex(motorable), PolygonIndex(buildings), motorable, config.workers
+    columns = metrics.metric_columns(
+        buildings, SegmentIndex(motorable), PolygonIndex(buildings), config.workers
     )
-    # in building_id order, one per metric, each made as the writer reaches it
-    connectors = (
-        metrics.ConnectorLine(m.building_id, PlanePoint(x, y), m.road_point, m.road_id, m.road_distance)
-        for m, x, y in zip(building_metrics, buildings.xs, buildings.ys)
-    )
-    by_id = {m.building_id: m for m in building_metrics}
-    outputs.write_connectors_geojson(out_dir / "connectors.geojson", connectors, by_id)
-    outputs.write_building_metrics_csv(out_dir / "building_metrics.csv", building_metrics)
+    surface = {r.road_id: r.surface for r in motorable}
+
+    def rows():
+        """Each building's metrics, then its connector's two ends, in table order."""
+        return zip(
+            buildings.ids,
+            columns.counts,
+            map(surface.__getitem__, columns.road_ids),
+            columns.road_distances,
+            columns.road_ids,
+            buildings.xs,
+            buildings.ys,
+            columns.road_xs,
+            columns.road_ys,
+        )
+
+    outputs.write_connector_rows(out_dir / "connectors.geojson", rows())
+    outputs.write_building_metrics_csv(out_dir / "building_metrics.csv", rows())
     return 0
 
 

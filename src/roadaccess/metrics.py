@@ -8,8 +8,11 @@ deliberately distance-agnostic: only intersection topology matters.
 
 The per-building work is a fork-join (metric_rows): shares by stride, one
 computed in this process and the others in forked children, which pack
-their rows into one shared mapping. compute_all sorts the rows into
-BuildingMetrics; the CLI's run folds them into the cell sums as they come.
+their rows into one shared mapping. The CLI's run folds the rows into the
+cell sums as they come; export-connectors has metric_columns put each row
+at its building's position in five typed columns, 40 bytes a building, and
+writes both QA layers from them. compute_all wraps those columns into
+BuildingMetrics records.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ import mmap
 import os
 import struct
 import sys
+from array import array
+from contextlib import closing
 from functools import partial
 from itertools import accumulate, islice
-from operator import itemgetter
 from signal import SIGKILL
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -48,8 +52,23 @@ class BuildingMetrics(NamedTuple):
     road_point: PlanePoint  # the connector's end on the nearest road
 
 
+class MetricColumns(NamedTuple):
+    """The metric stage's result in the building table's row order: a
+    building's obstruction count and nearest road's id (arrays 'q'), and
+    its road distance and the connector's end on that road (arrays 'd')."""
+
+    counts: array
+    road_ids: array
+    road_distances: array
+    road_xs: array
+    road_ys: array
+
+
 def build_connector(building: Building, road_index: SegmentIndex) -> ConnectorLine:
-    """Connector from the building centroid to its nearest motorable road."""
+    """Connector from the building centroid to its nearest motorable road.
+
+    Kept only for perfbench/traced.py and the tests, until ROADMAP item 2.
+    """
     road_id, point, distance = road_index.nearest(building.centroid)
     return ConnectorLine(building.building_id, building.centroid, point, road_id, distance)
 
@@ -159,6 +178,39 @@ def metric_rows(
         slots.close()
 
 
+def metric_columns(
+    buildings: BuildingTable,
+    road_index: SegmentIndex,
+    building_index: PolygonIndex,
+    workers: int | None = None,
+) -> MetricColumns:
+    """Every building's metrics, each row of metric_rows put at its
+    building's position in the table, so the order the rows arrive in does
+    not matter and no row object is kept.
+
+    The per-building computation is pure against read-only indexes, so the
+    columns are identical for any worker count.
+    """
+    n = len(buildings)
+    columns = MetricColumns(*(array(code, [0]) * n for code in "qqddd"))
+    counts, road_ids, distances, xs, ys = columns
+    position = buildings.position
+    rows = metric_rows(buildings, road_index, building_index, workers)
+    with closing(rows):  # an error part-way still reaps the children
+        for building_id, count, road_id, distance, x, y in rows:
+            k = position(building_id)
+            counts[k] = count
+            road_ids[k] = road_id
+            distances[k] = distance
+            xs[k] = x
+            ys[k] = y
+    return columns
+
+
+# BuildingMetrics records made per block by compute_all
+_BLOCK = 256
+
+
 def compute_all(
     buildings: BuildingTable,
     road_index: SegmentIndex,
@@ -166,27 +218,36 @@ def compute_all(
     roads: Iterable[RoadSegment],
     workers: int | None = None,
 ) -> list[BuildingMetrics]:
-    """One BuildingMetrics per building, ordered by building_id.
+    """One BuildingMetrics per building, ordered by building_id: the
+    records of metric_columns' columns.
 
-    The per-building computation is pure against read-only indexes, so the
-    result is identical for any worker count or input order.
+    Kept only for perfbench/traced.py and the tests, until ROADMAP item 2.
     """
-    rows: list = list(metric_rows(buildings, road_index, building_index, workers))
-    rows.sort(key=itemgetter(0))
-    # each row in place: the rows and the metrics are never all held at once
+    columns = metric_columns(buildings, road_index, building_index, workers)
     surface = {r.road_id: r.surface for r in roads}
-    for k, (bid, count, road_id, distance, x, y) in enumerate(rows):
-        rows[k] = BuildingMetrics(bid, count, surface[road_id], distance, road_id, PlanePoint(x, y))
-    return rows
+    metrics: list = [None] * len(buildings)
+    # a block at a time from the end, each cut off the columns once made, so
+    # the columns and the records are never both held whole
+    for end in range(len(metrics), 0, -_BLOCK):
+        k = max(end - _BLOCK, 0)
+        block = zip(buildings.ids[k:end], *(column[k:] for column in columns))
+        metrics[k:end] = [
+            BuildingMetrics(bid, count, surface[road_id], distance, road_id, PlanePoint(x, y))
+            for bid, count, road_id, distance, x, y in block
+        ]
+        for column in columns:
+            del column[k:]
+    return metrics
 
 
 def connectors_for(
     buildings: Sequence[Building], road_index: SegmentIndex
 ) -> list[ConnectorLine]:
-    """Connectors for all buildings, ordered by building_id.
+    """Connectors for all buildings, ordered by building_id, each from a
+    nearest-road query of its own.
 
-    The CLI takes connectors from compute_all's metrics instead; only
-    perfbench/traced.py still calls this.
+    The CLI writes connectors from metric_columns instead. Kept only for
+    perfbench/traced.py and the tests, until ROADMAP item 2.
     """
     return sorted(
         (build_connector(b, road_index) for b in buildings),

@@ -242,21 +242,14 @@ def write_aggregates_csv(
     _write_csv(path, ["i", "j", "building_count", "mean_obstruction", "modal_surface"], rows)
 
 
-def write_building_metrics_csv(
-    path: Path | str, metrics: Sequence[BuildingMetrics]
-) -> None:
+def write_building_metrics_csv(path: Path | str, metrics: Iterable[Sequence]) -> None:
+    """building_metrics.csv, one line per metric in the order given.
+
+    Each metric starts (building_id, obstruction_count, nearest_surface,
+    road_distance, road_id), as a BuildingMetrics and the CLI's rows do.
+    """
     header = ["building_id", "obstruction_count", "nearest_surface", "road_distance", "road_id"]
-    rows = (
-        [
-            m.building_id,
-            m.obstruction_count,
-            m.nearest_surface.value,
-            repr(m.road_distance),
-            m.road_id,
-        ]
-        for m in metrics
-    )
-    _write_csv(path, header, rows)
+    _write_csv(path, header, ([m[0], m[1], m[2].value, repr(m[3]), m[4]] for m in metrics))
 
 
 def _end_lonlat(x: float, y: float) -> tuple[float, float]:
@@ -273,25 +266,48 @@ def _end_lonlat(x: float, y: float) -> tuple[float, float]:
         return inverse_lonlat(*clamp_to_bounds(x, y))
 
 
+def write_connector_rows(path: Path | str, rows: Iterable[Sequence]) -> None:
+    """connectors.geojson, one LineString feature per row in the order given.
+
+    Each row is (building_id, obstruction_count, nearest_surface,
+    road_distance, road_id, x, y, road_x, road_y): a building's metrics,
+    then its connector's two ends, from the centroid (x, y) to the nearest
+    road at (road_x, road_y).
+    """
+
+    def features() -> Iterator[str]:
+        for bid, count, surface, distance, road_id, x, y, road_x, road_y in rows:
+            yield _CONNECTOR_FEATURE % (
+                *map(_json_value, _end_lonlat(x, y)),
+                *map(_json_value, _end_lonlat(road_x, road_y)),
+                _json_value(bid),
+                _json_value(surface.value),
+                _json_value(count),
+                _json_value(distance),
+                _json_value(road_id),
+            )
+
+    _write_feature_collection(path, features())
+
+
 def write_connectors_geojson(
     path: Path | str,
     connectors: Iterable[ConnectorLine],
     metrics_by_id: Mapping[int, BuildingMetrics],
 ) -> None:
-    def features() -> Iterator[str]:
+    """write_connector_rows for connector records, each with the metrics of
+    its building. Kept only for perfbench/traced.py and the tests, until
+    ROADMAP item 2."""
+
+    def rows() -> Iterator[tuple]:
         for c in connectors:
             m = metrics_by_id[c.building_id]
-            yield _CONNECTOR_FEATURE % (
-                *map(_json_value, _end_lonlat(*c.start)),
-                *map(_json_value, _end_lonlat(*c.end)),
-                _json_value(c.building_id),
-                _json_value(m.nearest_surface.value),
-                _json_value(m.obstruction_count),
-                _json_value(c.road_distance),
-                _json_value(c.road_id),
+            yield (
+                c.building_id, m.obstruction_count, m.nearest_surface, c.road_distance, c.road_id,
+                *c.start, *c.end,
             )
 
-    _write_feature_collection(path, features())
+    write_connector_rows(path, rows())
 
 
 def write_ternary_csv(path: Path | str, points: Iterable[TernaryPoint]) -> None:

@@ -1,10 +1,12 @@
 import csv
+import errno
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -796,6 +798,54 @@ def test_failed_rerun_leaves_no_manifest_that_disagrees(tmp_path, formal_fixture
     assert main(["evaluate", "--config", str(cfg)]) == 4
 
 
+def test_failed_export_rerun_leaves_no_layers_from_two_runs(
+    tmp_path, formal_fixture, informal_fixture, monkeypatch, capsys
+):
+    cfg = write_config(tmp_path, formal_fixture[1], out_name="layers")
+    assert main(["export-connectors", "--config", str(cfg)]) == 0
+    out = tmp_path / "layers"
+    assert sorted(os.listdir(out)) == ["building_metrics.csv", "connectors.geojson"]
+
+    # an export of another scene into the same directory, whose metrics
+    # CSV cannot be written
+    other = cfg_with(tmp_path, write_config(tmp_path, informal_fixture[1]), output_dir=str(out))
+
+    def full_disk(f, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(outputs.csv, "writer", full_disk)
+    capsys.readouterr()
+    assert main(["export-connectors", "--config", str(other)]) == 2
+    monkeypatch.undo()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith(f"configuration-error: cannot write {out / 'building_metrics.csv'}: ")
+
+    # only the new connectors are left, never next to the old metrics
+    assert sorted(os.listdir(out)) == ["connectors.geojson"]
+    clean = cfg_with(tmp_path, other, output_dir=str(tmp_path / "clean"))
+    assert main(["export-connectors", "--config", str(clean)]) == 0
+    assert (out / "connectors.geojson").read_bytes() == (tmp_path / "clean" / "connectors.geojson").read_bytes()
+
+
+def test_export_connectors_peaks_within_64_bytes_a_building_of_run(tmp_path):
+    # in this process at workers=1, so tracemalloc sees the whole metric
+    # stage; the second call of each leaves out what importing allocates
+    files = generate(SceneSpec(seed=5, layout="formal_grid", extent=1400), tmp_path)
+    cfg = write_config(tmp_path, files, workers=1)
+    peaks = {}
+    for command in ("run", "export-connectors", "run", "export-connectors"):
+        tracemalloc.start()
+        try:
+            assert main([command, "--config", str(cfg)]) == 0
+            peaks[command] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    with open(tmp_path / "out" / "building_metrics.csv") as f:
+        n = sum(1 for _ in f) - 1
+    assert n > 1500
+    assert peaks["export-connectors"] <= peaks["run"] + 64 * n, (peaks, n)
+
+
 def test_cli_import_loads_no_process_pool(tmp_path):
     src = str(Path(roadaccess.__file__).resolve().parent.parent)
     code = (
@@ -902,3 +952,8 @@ def test_commands_are_warning_free_in_dev_mode(tmp_path):
     for command in ("evaluate", "export-connectors"):
         done = _run_cli_in_subprocess([command, "--config", str(cfg)], code, ("-X", "dev", "-W", "error"))
         assert done.returncode == 0, (command, done.stderr)
+    # export-connectors collects the forked stream into its columns
+    done = _run_cli_in_subprocess(["export-connectors", "--config", str(w2)], forked, ("-X", "dev", "-W", "error"))
+    assert done.returncode == 0, done.stderr
+    for name in ("connectors.geojson", "building_metrics.csv"):
+        assert (tmp_path / "w2" / name).read_bytes() == (tmp_path / "out" / name).read_bytes(), name
