@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 from contextlib import closing
 from pathlib import Path
@@ -19,12 +18,12 @@ from pathlib import Path
 from . import ingest, metrics, outputs
 from .classify import classify_all, distribution
 from .config import PipelineConfig, load_config
-from .errors import ConfigurationError, EvaluationError, PipelineError
+from .errors import ConfigurationError, EvaluationError, Log, PipelineError
 from .evaluate import evaluation_report, ternary_proportions
 from .grid import MAX_CELLS, aggregate, box_cell_count, enumerate_empty_cells
 from .spatial_index import PolygonIndex, SegmentIndex
 
-log = logging.getLogger(__name__)
+log = Log(__name__)
 
 
 def _load_inputs(config: PipelineConfig, counts: dict) -> tuple:
@@ -169,6 +168,9 @@ def cmd_evaluate(config: PipelineConfig) -> int:
     if not cells_csv.exists():
         raise ConfigurationError(f"classified cells not found: {cells_csv} (run the pipeline first)")
     _check_run_cell_size(out_dir / "manifest.json", config.cell_size)
+    # An earlier evaluation's files would sit beside the one this run wrote
+    # before failing part-way; both are written again.
+    _output_dir(config, stale=("evaluation.json", "ternary.csv"))
     cells = outputs.read_cells_csv(cells_csv)
     stats = ingest.LoadStats()
     records = ingest.load_validations(config.validations, stats=stats)
@@ -247,21 +249,23 @@ def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> Pipeli
         if getattr(args, name) is not None:
             setattr(config, name, getattr(args, name))
     if args.out is not None:
+        if not args.out:
+            raise ConfigurationError("output_dir must be a non-empty path string, got '' from --out")
         config.output_dir = Path(args.out)
     return config
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr
-    )
     args = build_parser().parse_args(argv)
+    Log.verbose = True
     try:
         config = _apply_overrides(load_config(args.config), args)
         return _COMMANDS[args.command](config)
     except PipelineError as exc:
         print(f"{exc.kind}: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        Log.verbose = False
 
 
 if __name__ == "__main__":

@@ -116,6 +116,8 @@ def load_config(path: Path | str) -> PipelineConfig:
             continue  # the only optional path
         if not isinstance(kwargs[key], str):
             raise ConfigurationError(f"{key} must be a path string, got {kwargs[key]!r}")
+        if not kwargs[key]:  # Path("") is the current directory
+            raise ConfigurationError(f"{key} must be a non-empty path string, got ''")
         if "\0" in kwargs[key]:  # os calls raise ValueError, not OSError, on it
             raise ConfigurationError(f"{key} must not contain a NUL byte, got {kwargs[key]!r}")
         p = Path(kwargs[key])

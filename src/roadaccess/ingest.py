@@ -1,7 +1,7 @@
 """Input loading: GeoJSON roads/buildings/boundary and the validation CSV.
 
 Geometries arrive in lon/lat degrees (RFC 7946) and leave in projected
-meters. Malformed features are skipped with a logged warning instead of
+meters. Malformed features are skipped with a warning on stderr instead of
 failing the run; callers that care about conservation pass a LoadStats to
 collect total/loaded/skipped counts for the run summary.
 
@@ -16,14 +16,13 @@ import codecs
 import csv
 import io
 import json
-import logging
 import math
 from array import array
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .buildings import BuildingTable
-from .errors import DataError
+from .errors import DataError, Log
 from .geometry import (
     FlatRing,
     Polygon,
@@ -38,7 +37,7 @@ from .grid import CellId
 from .levels import DeprivationLevel, Surface, normalize_surface
 from .projection import project_lonlat
 
-log = logging.getLogger(__name__)
+log = Log(__name__)
 
 # Road classes a motorized vehicle can use; 'unknown' is kept because many
 # motorable ways carry no class in the source data.

@@ -17,7 +17,6 @@ BuildingMetrics records.
 
 from __future__ import annotations
 
-import mmap
 import os
 import struct
 import sys
@@ -25,7 +24,6 @@ from array import array
 from contextlib import closing
 from functools import partial
 from itertools import accumulate, islice
-from signal import SIGKILL
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .buildings import Building, BuildingTable
@@ -148,6 +146,8 @@ def metric_rows(
     if n == 1:
         yield from share(0)
         return
+    import mmap  # imported here, so a one-process stage never loads them
+    from signal import SIGKILL
 
     def pack(k: int) -> None:
         offset = ends[k - 1]

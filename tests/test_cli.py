@@ -322,6 +322,27 @@ def test_nul_byte_in_a_config_path_exits_with_configuration_error(
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("key", ["buildings", "roads", "boundary", "output_dir", "validations"])
+def test_empty_config_path_exits_with_configuration_error(tmp_path, formal_fixture, capsys, key):
+    # Path("") is ".", which would put the outputs beside the config file
+    _, files = formal_fixture
+    cfg = write_config(tmp_path, files, **{key: ""})
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"configuration-error: {key} must be a non-empty path string, got ''"]
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_empty_out_flag_exits_with_configuration_error(tmp_path, formal_fixture, capsys, monkeypatch):
+    _, files = formal_fixture
+    cfg = write_config(tmp_path, files)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(cfg), "--out", ""]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["configuration-error: output_dir must be a non-empty path string, got '' from --out"]
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_evaluate_before_run_exits_with_configuration_error(tmp_path, formal_fixture):
     _, files = formal_fixture
     validations = tmp_path / "v.csv"
@@ -827,6 +848,54 @@ def test_failed_export_rerun_leaves_no_layers_from_two_runs(
     assert (out / "connectors.geojson").read_bytes() == (tmp_path / "clean" / "connectors.geojson").read_bytes()
 
 
+def test_failed_evaluate_rerun_leaves_neither_old_output(tmp_path, formal_fixture, monkeypatch, capsys):
+    _, files = formal_fixture
+    votes = tmp_path / "votes.csv"
+    cfg = write_config(tmp_path, files, out_name="eval_rerun", validations=str(votes))
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "eval_rerun"
+    cells = [c for c in read_cells(out) if c["empty"] == "false"][:4]
+    rows = [f"{c['i']},{c['j']},v{k},{c['level']}\n" for c in cells for k in range(3)]
+    votes.write_text("cell_i,cell_j,validator_id,level\n" + "".join(rows))
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    assert (out / "ternary.csv").exists()
+
+    # a second evaluation, on fewer votes, whose ternary.csv cannot be put in place
+    votes.write_text("cell_i,cell_j,validator_id,level\n" + "".join(rows[:5]))
+    real_replace = os.replace
+
+    def full_disk(src, dst):
+        if Path(dst).name == "ternary.csv":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(outputs.os, "replace", full_disk)
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    monkeypatch.undo()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith(f"configuration-error: cannot write {out / 'ternary.csv'}: ")
+    assert not (out / "ternary.csv").exists()
+    assert json.loads((out / "evaluation.json").read_text())["validation_rows"]["loaded"] == 5
+
+
+def test_evaluate_old_output_that_cannot_be_removed_is_a_configuration_error(
+    tmp_path, formal_fixture, capsys
+):
+    _, files = formal_fixture
+    votes = tmp_path / "votes.csv"
+    votes.write_text("cell_i,cell_j,validator_id,level\n0,0,a,low\n")
+    cfg = write_config(tmp_path, files, out_name="eval_stuck", validations=str(votes))
+    assert main(["run", "--config", str(cfg)]) == 0
+    stuck = tmp_path / "eval_stuck" / "ternary.csv"
+    stuck.mkdir()
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("configuration-error: cannot ") and str(stuck) in err[-1]
+    assert not (tmp_path / "eval_stuck" / "evaluation.json").exists()
+
+
 def test_export_connectors_peaks_within_64_bytes_a_building_of_run(tmp_path):
     # in this process at workers=1, so tracemalloc sees the whole metric
     # stage; the second call of each leaves out what importing allocates
@@ -925,6 +994,27 @@ def test_evaluate_and_export_connectors_load_no_openssl(tmp_path):
         assert done.stdout.split() == ["0", "False", "False"], (command, done.stderr)
 
 
+def test_commands_load_no_logging_and_only_a_forking_stage_maps(tmp_path):
+    files = write_lonlat_scene(tmp_path, random.Random(3), n_buildings=12, n_roads=3, span_deg=0.002)
+    votes = tmp_path / "votes.csv"
+    cfg = write_config(tmp_path, files, validations=str(votes), workers=1)
+    assert main(["run", "--config", str(cfg)]) == 0
+    cell = read_cells(tmp_path / "out")[0]
+    votes.write_text(f"cell_i,cell_j,validator_id,level\n{cell['i']},{cell['j']},v1,{cell['level']}\n")
+    code = (
+        "import os, sys; from roadaccess.cli import main; os.cpu_count = lambda: 2; "
+        "code = main(sys.argv[1:]); "
+        "print(code, *[m for m in ('logging', 'traceback', 'tokenize', 'mmap', 'signal') if m in sys.modules])"
+    )
+    w2 = cfg_with(tmp_path, cfg, workers=2)
+    for command in ("run", "evaluate", "export-connectors"):
+        done = _run_cli_in_subprocess([command, "--config", str(cfg)], code)
+        assert done.stdout.split() == ["0"], (command, done.stderr)
+        if command != "evaluate":  # the metric stage forks: its mapping and kill signal
+            done = _run_cli_in_subprocess([command, "--config", str(w2)], code)
+            assert done.stdout.split() == ["0", "mmap", "signal"], (command, done.stderr)
+
+
 def test_commands_are_warning_free_in_dev_mode(tmp_path):
     # unclosed files and deprecations are errors here; in-process tests miss them
     files = write_lonlat_scene(tmp_path, random.Random(3), n_buildings=12, n_roads=3, span_deg=0.002)
@@ -957,3 +1047,47 @@ def test_commands_are_warning_free_in_dev_mode(tmp_path):
     assert done.returncode == 0, done.stderr
     for name in ("connectors.geojson", "building_metrics.csv"):
         assert (tmp_path / "w2" / name).read_bytes() == (tmp_path / "out" / name).read_bytes(), name
+
+
+def test_stderr_lines_are_pinned(tmp_path):
+    # one malformed building and one malformed road, each second in its file
+    files = write_lonlat_scene(tmp_path, random.Random(3), n_buildings=12, n_roads=3, span_deg=0.002)
+    point = {"type": "Point", "coordinates": [36.8, -1.28]}
+    for path, props in ((files.buildings, {}), (files.roads, {"class": "residential"})):
+        doc = json.loads(path.read_text())
+        doc["features"].insert(1, {"type": "Feature", "geometry": point, "properties": props})
+        path.write_text(json.dumps(doc))
+    votes = tmp_path / "votes.csv"
+    cfg = write_config(tmp_path, files, validations=str(votes))
+    src = str(Path(roadaccess.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "roadaccess.cli", "run", "--config", str(cfg)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines() == [
+        f"WARNING roadaccess.ingest: skipping road feature 1 in {files.roads}: unsupported geometry type 'Point'",
+        f"INFO roadaccess.ingest: roads {files.roads}: 4 features (3 loaded, 1 skipped) -> 3 segments",
+        f"WARNING roadaccess.ingest: skipping building feature 1 in {files.buildings}: "
+        "unsupported geometry type 'Point'",
+        f"INFO roadaccess.ingest: buildings {files.buildings}: 13 features (12 loaded, 1 skipped) -> 12 buildings",
+        "INFO __main__: in scope after clipping: 12 buildings, 3 motorable roads",
+        "INFO __main__: computed metrics for 12 buildings",
+        "INFO __main__: classified 20 cells (8 built, 12 empty)",
+    ]
+
+    # lines 3 and 4 are rejected: an unknown level and a blank validator
+    cell = next(c for c in read_cells(tmp_path / "out") if c["empty"] == "false")
+    votes.write_text(
+        "cell_i,cell_j,validator_id,level\n"
+        f"{cell['i']},{cell['j']},v1,{cell['level']}\n"
+        f"{cell['i']},{cell['j']},v2,bogus\n"
+        f"{cell['i']},{cell['j']},,low\n"
+    )
+    code = "import sys; from roadaccess.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = _run_cli_in_subprocess(["evaluate", "--config", str(cfg)], code)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines() == [
+        f"ERROR roadaccess.ingest: {votes}: rejected 2 validation rows (lines 3, 4)",
+        "INFO roadaccess.cli: evaluated 1 matched cells: accuracy 1.000",
+    ]
