@@ -47,10 +47,10 @@ class Segment(NamedTuple):
 
 # A flat ring is a sequence of coordinates, (x0, y0, x1, y1, ..., x0, y0): its
 # vertices in order, closed by repeating the first. Any float sequence will
-# do, as the predicates and measures only iterate or slice it. The building
-# table keeps each footprint ring as an array('d'), 8 bytes a coordinate and
-# no float object each; Polygon records, road lines and the boundary keep
-# tuples, which hash.
+# do, as the predicates and measures only iterate, index or slice it. The
+# building table keeps every footprint ring back to back in one array('d'),
+# 8 bytes a coordinate and no float object each (see flat_column); Polygon
+# records, road lines and the boundary keep tuples, which hash.
 FlatRing = Sequence[float]
 
 
@@ -148,35 +148,72 @@ def segment_intersects_polygon(s: Segment, poly: Polygon) -> bool:
     Boundary contact counts as intersection: an edge of any ring touching or
     crossing the segment, or either endpoint inside the area.
     """
-    return segment_hits_rings(s.a.x, s.a.y, s.b.x, s.b.y, poly.rings)
+    coords, ends = flat_column(poly.rings)
+    return segment_hits_span(s.a.x, s.a.y, s.b.x, s.b.y, coords, ends, 0, len(poly.rings))
 
 
-def segment_hits_rings(
-    ax: float, ay: float, bx: float, by: float, rings: Sequence[FlatRing]
+def flat_column(rings: Sequence[FlatRing]) -> tuple[FlatRing, Sequence[int]]:
+    """(coords, ends): the flat rings back to back in one sequence, and the
+    ring ends after a leading 0, so ring r is coords[ends[r]:ends[r + 1]].
+    This is the layout segment_hits_span walks; one ring is its own column."""
+    if len(rings) == 1:
+        return rings[0], (0, len(rings[0]))
+    coords: list[float] = []
+    ends = [0]
+    for ring in rings:
+        coords += ring
+        ends.append(len(coords))
+    return coords, ends
+
+
+def segment_hits_span(
+    ax: float,
+    ay: float,
+    bx: float,
+    by: float,
+    coords: FlatRing,
+    ends: Sequence[int],
+    first: int,
+    last: int,
 ) -> bool:
     """True iff the closed segment (ax, ay)-(bx, by) shares a point with the
-    area the flat rings bound (exterior first, even-odd).
+    area that rings first to last - 1 of a flat column bound (exterior
+    first, even-odd). Ring r is coords[ends[r]:ends[r + 1]], as flat_column
+    and the building table lay them out.
 
-    Per ring edge this is the four-sided closed-segment test: the edge and
-    the segment meet iff each has its ends on opposite sides of the other's
-    line (the sign of a cross product), or an end of one lies on the other
-    (sign zero, within its box). Each vertex's side of the segment's line
-    is computed once for both edges that meet there, and the sides of the
-    segment endpoints only where they can decide the result. The test is
-    symmetric in the edge and the segment. Callers may reject footprints
-    whose box misses the segment's box first.
+    The edges are walked by index within the span, so no ring is copied
+    out of the column; only a segment that meets no edge has its endpoints
+    tested against slices of the rings (point_in_rings). Per ring edge this
+    is the four-sided closed-segment test: the edge and the segment meet iff
+    each has its ends on opposite sides of the other's line (the sign of a
+    cross product), or an end of one lies on the other (sign zero, within
+    its box). Each vertex's side of the segment's line is computed once for
+    both edges that meet there, and the sides of the segment endpoints only
+    where they can decide the result. The test is symmetric in the edge and
+    the segment. Callers may reject footprints whose box misses the
+    segment's box first.
     """
     sx0, sx1 = (ax, bx) if ax <= bx else (bx, ax)
     sy0, sy1 = (ay, by) if ay <= by else (by, ay)
     dx = bx - ax
     dy = by - ay
-    for ring in rings:
-        it = iter(ring)
-        qx = next(it)
-        qy = next(it)
+    # ring r runs from the previous ring's end; each end is read once, and
+    # the loops count with ints rather than build a range per ring
+    end = ends[first]
+    r = first
+    while r < last:
+        i = end
+        r += 1
+        end = ends[r]
+        qx = coords[i]
+        qy = coords[i + 1]
         w = dx * (qy - ay) - dy * (qx - ax)
         o1 = 1 if w > 0.0 else (-1 if w < 0.0 else 0)
-        for rx, ry in zip(it, it):
+        i += 2
+        while i < end:
+            rx = coords[i]
+            ry = coords[i + 1]
+            i += 2
             w = dx * (ry - ay) - dy * (rx - ax)
             o2 = 1 if w > 0.0 else (-1 if w < 0.0 else 0)
             # a ring vertex on the segment (the ring is closed, so checking
@@ -213,6 +250,7 @@ def segment_hits_rings(
             qx = rx
             qy = ry
             o1 = o2
+    rings = [coords[ends[r] : ends[r + 1]] for r in range(first, last)]
     return point_in_rings(ax, ay, rings) or point_in_rings(bx, by, rings)
 
 
@@ -235,7 +273,8 @@ def box_near_rings(b: Bounds, rings: Sequence[FlatRing], margin: float) -> bool:
     if any(x0 <= x <= x1 and y0 <= y <= y1 for x, y in zip(ext[0::2], ext[1::2])):
         return True
     edges = [(*c, *d) for c, d in zip(corners, corners[1:] + corners[:1])]
-    if any(segment_hits_rings(*edge, rings) for edge in edges):
+    coords, ends = flat_column(rings)
+    if any(segment_hits_span(*edge, coords, ends, 0, len(rings)) for edge in edges):
         return True
     for ring in rings:
         vertices = list(zip(ring[0::2], ring[1::2]))

@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import math
-from array import array
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -510,7 +509,7 @@ def parse_wkt_polygons(text: str) -> list[list[list[list[float]]]]:
     raise ValueError(f"unsupported WKT geometry: {text[:30]!r}")
 
 
-def _building_parts(geom: dict) -> list[tuple[tuple[FlatRing, ...], float, float]]:
+def _building_parts(geom: dict) -> list[tuple[list[list[float]], float, float]]:
     """(rings, centroid x, centroid y) of each footprint of a building geometry."""
     gtype = geom.get("type")
     if gtype == "Polygon":
@@ -526,8 +525,7 @@ def _building_parts(geom: dict) -> list[tuple[tuple[FlatRing, ...], float, float
         x, y = rings_centroid(flats)
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"non-finite centroid ({x!r}, {y!r})")
-        # the table keeps each ring's doubles, not a float object per coordinate
-        parts.append((tuple([array("d", flat) for flat in flats]), x, y))
+        parts.append((flats, x, y))
     return parts
 
 

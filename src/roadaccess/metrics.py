@@ -23,7 +23,7 @@ import sys
 from array import array
 from contextlib import closing
 from functools import partial
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .buildings import Building, BuildingTable
@@ -75,18 +75,19 @@ def _metric_row(
     building_id: int,
     x: float,
     y: float,
+    row: int,
     road_index: SegmentIndex,
     building_index: PolygonIndex,
 ) -> tuple[int, int, int, float, float, float]:
     """(building_id, obstruction_count, road_id, road_distance, qx, qy) of
-    the building whose centroid is (x, y), where (qx, qy) is the
-    connector's end on the nearest road. A zero-length connector counts
-    no obstructions."""
+    the building at position row of the table, whose centroid is (x, y),
+    where (qx, qy) is the connector's end on the nearest road. A
+    zero-length connector counts no obstructions."""
     road_id, qx, qy, distance = road_index.nearest_xy(x, y)
     if x == qx and y == qy:
         count = 0
     else:
-        count = building_index.count_obstructions_xy(x, y, qx, qy, building_id)
+        count = building_index.count_obstructions_xy(x, y, qx, qy, row)
     return building_id, count, road_id, distance, qx, qy
 
 
@@ -139,9 +140,9 @@ def metric_rows(
         n = 1
 
     def share(k: int) -> Iterator[tuple]:
-        centroids = zip(buildings.ids, buildings.xs, buildings.ys)
-        for building_id, x, y in islice(centroids, k, None, n):
-            yield _metric_row(building_id, x, y, road_index, building_index)
+        ids, xs, ys = buildings.ids, buildings.xs, buildings.ys
+        for row in range(k, len(ids), n):
+            yield _metric_row(ids[row], xs[row], ys[row], row, road_index, building_index)
 
     if n == 1:
         yield from share(0)

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .buildings import BuildingTable
 from .errors import ConfigurationError
-from .geometry import PlanePoint, Segment, segment_hits_rings
+from .geometry import PlanePoint, Segment, segment_hits_span
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ingest import RoadSegment
@@ -176,7 +176,7 @@ _SIDE_TOL_M = 1e-6
 class PolygonIndex:
     """Uniform grid of buckets over building footprint bounding boxes.
 
-    The index reads the footprints' boxes, ids and flat rings from the
+    The index reads the footprints' boxes, ids and coordinates from the
     table's columns. Each footprint's row is listed in
     every bucket its box overlaps, and the buckets are stored compressed:
     bucket key = column * rows + row over the occupied extent, its rows are
@@ -234,17 +234,16 @@ class PolygonIndex:
         ids = self._table.ids
         return {ids[k] for k in self._candidates(s.a.x, s.a.y, s.b.x, s.b.y)}
 
-    def count_obstructions_xy(
-        self, ax: float, ay: float, bx: float, by: float, building_id: int
-    ) -> int:
-        """Distinct buildings, other than building_id, whose footprint
-        touches the closed segment (ax, ay)-(bx, by): the candidates, then
-        the exact test."""
-        ids = self._table.ids
-        rings = self._table.rings
+    def count_obstructions_xy(self, ax: float, ay: float, bx: float, by: float, row: int) -> int:
+        """Distinct buildings, other than the one at position row of the
+        table, whose footprint touches the closed segment (ax, ay)-(bx, by):
+        the candidates, then the exact test on each one's span of the
+        table's coordinate column."""
+        table = self._table
+        coords, ends, first = table.coords, table.ring_ends, table.first_rings
         count = 0
         for k in self._candidates(ax, ay, bx, by):
-            if ids[k] != building_id and segment_hits_rings(ax, ay, bx, by, rings[k]):
+            if k != row and segment_hits_span(ax, ay, bx, by, coords, ends, first[k], first[k + 1]):
                 count += 1
         return count
 

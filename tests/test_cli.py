@@ -351,21 +351,24 @@ def test_evaluate_before_run_exits_with_configuration_error(tmp_path, formal_fix
     assert main(["evaluate", "--config", str(cfg)]) == 2
 
 
+HAND_VOTES = (
+    "cell_i,cell_j,validator_id,level\n"
+    "0,0,v1,low\n"
+    "0,0,v2,low\n"  # consensus low, model low -> correct
+    "1,0,v1,medium\n"  # single vote medium, model low
+    "2,0,v1,low\n"
+    "2,0,v2,high\n"  # tie: no consensus
+    "3,0,v1,high\n"
+    "3,0,v2,high\n"
+    "3,0,v3,medium\n"  # consensus high, model low
+    "999,999,v1,low\n"  # outside the modeled area: unmatched
+)
+
+
 def test_evaluate_matches_hand_computed_report(formal_fixture):
     tmp, files = formal_fixture
     validations = tmp / "votes.csv"
-    validations.write_text(
-        "cell_i,cell_j,validator_id,level\n"
-        "0,0,v1,low\n"
-        "0,0,v2,low\n"  # consensus low, model low -> correct
-        "1,0,v1,medium\n"  # single vote medium, model low
-        "2,0,v1,low\n"
-        "2,0,v2,high\n"  # tie: no consensus
-        "3,0,v1,high\n"
-        "3,0,v2,high\n"
-        "3,0,v3,medium\n"  # consensus high, model low
-        "999,999,v1,low\n"  # outside the modeled area: unmatched
-    )
+    validations.write_text(HAND_VOTES)
     cfg = write_config(tmp, files, out_name="eval", validations=str(validations))
     assert main(["run", "--config", str(cfg)]) == 0
     assert main(["evaluate", "--config", str(cfg)]) == 0
@@ -386,13 +389,17 @@ def test_evaluate_matches_hand_computed_report(formal_fixture):
     assert float(rows[(2, 0)]["p_low"]) == 0.5
 
 
-def test_evaluate_rerun_identical(formal_fixture):
-    tmp, _ = formal_fixture
-    cfg = tmp / "config_eval.json"
+def test_evaluate_rerun_identical(tmp_path, formal_fixture):
+    # its own run, config and votes: it passes run alone or in any order
+    _, files = formal_fixture
+    validations = tmp_path / "votes.csv"
+    validations.write_text(HAND_VOTES)
+    cfg = write_config(tmp_path, files, out_name="eval", validations=str(validations))
+    assert main(["run", "--config", str(cfg)]) == 0
     assert main(["evaluate", "--config", str(cfg)]) == 0
-    first = (tmp / "eval" / "evaluation.json").read_bytes()
+    first = (tmp_path / "eval" / "evaluation.json").read_bytes()
     assert main(["evaluate", "--config", str(cfg)]) == 0
-    assert (tmp / "eval" / "evaluation.json").read_bytes() == first
+    assert (tmp_path / "eval" / "evaluation.json").read_bytes() == first
 
 
 def test_evaluate_accepts_a_byte_order_mark(formal_fixture):

@@ -2,19 +2,23 @@ import math
 import pickle
 import random
 import struct
+from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadaccess.geometry import (
     PlanePoint,
     Polygon,
     Segment,
     box_near_rings,
+    flat_column,
     point_in_rings,
     polygon_area,
     rings_centroid,
-    segment_hits_rings,
+    segment_hits_span,
     segment_intersects_polygon,
 )
 
@@ -141,13 +145,17 @@ def test_nearest_point_on_degenerate_segment():
 
 def test_segments_intersect_touching_counts():
     # the edge (0, 0)-(2, 0) as a flat ring traced there and back: it bounds
-    # no area, so segment_hits_rings reduces to the closed-segment test
-    edge = ((0.0, 0.0, 2.0, 0.0, 0.0, 0.0),)
-    assert segment_hits_rings(1, 0, 1, 1, edge)  # T-touch
-    assert segment_hits_rings(2, 0, 3, 5, edge)  # endpoint
-    assert segment_hits_rings(1, 0, 3, 0, edge)  # collinear overlap
-    assert not segment_hits_rings(0, 1, 2, 1, edge)
-    assert not segment_hits_rings(3, 0, 4, 0, edge)
+    # no area, so segment_hits_span reduces to the closed-segment test
+    edge = (0.0, 0.0, 2.0, 0.0, 0.0, 0.0)
+
+    def hits(ax, ay, bx, by):
+        return segment_hits_span(ax, ay, bx, by, edge, (0, len(edge)), 0, 1)
+
+    assert hits(1, 0, 1, 1)  # T-touch
+    assert hits(2, 0, 3, 5)  # endpoint
+    assert hits(1, 0, 3, 0)  # collinear overlap
+    assert not hits(0, 1, 2, 1)
+    assert not hits(3, 0, 4, 0)
 
 
 def test_segment_intersects_polygon_examples():
@@ -439,3 +447,115 @@ def test_box_near_rings_matches_the_reference_distance():
     assert cases >= 20_000
     assert 0.2 * cases < hits < 0.8 * cases
     assert exact > 3_000
+
+
+def _ring_by_ring_hits(ax, ay, bx, by, rings):
+    """The exact test as it was before footprints moved into one column: a
+    zip walk over each ring's own sequence. Kept verbatim as the reference
+    for segment_hits_span."""
+    sx0, sx1 = (ax, bx) if ax <= bx else (bx, ax)
+    sy0, sy1 = (ay, by) if ay <= by else (by, ay)
+    dx = bx - ax
+    dy = by - ay
+    for ring in rings:
+        it = iter(ring)
+        qx = next(it)
+        qy = next(it)
+        w = dx * (qy - ay) - dy * (qx - ax)
+        o1 = 1 if w > 0.0 else (-1 if w < 0.0 else 0)
+        for rx, ry in zip(it, it):
+            w = dx * (ry - ay) - dy * (rx - ax)
+            o2 = 1 if w > 0.0 else (-1 if w < 0.0 else 0)
+            if o2 == 0 and sx0 <= rx <= sx1 and sy0 <= ry <= sy1:
+                return True
+            ex = rx - qx
+            ey = ry - qy
+            if o1 != o2:
+                w = ex * (ay - qy) - ey * (ax - qx)
+                o3 = 1 if w > 0.0 else (-1 if w < 0.0 else 0)
+                w = ex * (by - qy) - ey * (bx - qx)
+                o4 = 1 if w > 0.0 else (-1 if w < 0.0 else 0)
+                if o3 != o4:
+                    return True
+                if o3 == 0 and (
+                    (qx <= ax <= rx or rx <= ax <= qx) and (qy <= ay <= ry or ry <= ay <= qy)
+                    or (qx <= bx <= rx or rx <= bx <= qx) and (qy <= by <= ry or ry <= by <= qy)
+                ):
+                    return True
+            else:
+                if (qx <= ax <= rx or rx <= ax <= qx) and (qy <= ay <= ry or ry <= ay <= qy):
+                    w = ex * (ay - qy) - ey * (ax - qx)
+                    if not (w > 0.0 or w < 0.0):
+                        return True
+                if (qx <= bx <= rx or rx <= bx <= qx) and (qy <= by <= ry or ry <= by <= qy):
+                    w = ex * (by - qy) - ey * (bx - qx)
+                    if not (w > 0.0 or w < 0.0):
+                        return True
+            qx = rx
+            qy = ry
+            o1 = o2
+    return point_in_rings(ax, ay, rings) or point_in_rings(bx, by, rings)
+
+
+_LATTICE = st.integers(-6, 6)
+# along an edge's line, before, on and beyond the edge
+_ALONG = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0])
+
+
+def _closed(vertices):
+    return tuple(c for v in (*vertices, vertices[0]) for c in v)
+
+
+def _rect(x0, y0, x1, y1):
+    return _closed([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+
+
+_RING = st.lists(st.tuples(_LATTICE, _LATTICE), min_size=3, max_size=6).map(
+    lambda vs: _closed([(float(x), float(y)) for x, y in vs])
+)
+
+
+@st.composite
+def _rings_and_segment(draw):
+    kind = draw(st.sampled_from(["random", "vertex", "collinear", "hole"]))
+    if kind == "hole":
+        x0 = float(draw(_LATTICE))
+        y0 = float(draw(_LATTICE))
+        rings = [_rect(x0, y0, x0 + 8, y0 + 8), _rect(x0 + 2, y0 + 2, x0 + 6, y0 + 6)]
+        # within the hole's closed box, so on its ring as well as inside it
+        inside = st.integers(4, 12).map(lambda k: k / 2)
+        segment = (x0 + draw(inside), y0 + draw(inside), x0 + draw(inside), y0 + draw(inside))
+        return kind, rings, segment
+    rings = draw(st.lists(_RING, min_size=1, max_size=3))
+    ring = draw(st.sampled_from(rings))
+    k = 2 * draw(st.integers(0, len(ring) // 2 - 2))
+    px, py, qx, qy = ring[k : k + 4]
+    half = _LATTICE.map(lambda v: v / 2)
+    if kind == "random":
+        segment = (draw(half), draw(half), draw(half), draw(half))
+    elif kind == "vertex":
+        segment = (px, py, draw(half), draw(half))
+    else:
+        ta = draw(_ALONG)
+        tb = draw(_ALONG)
+        segment = (px + ta * (qx - px), py + ta * (qy - py), px + tb * (qx - px), py + tb * (qy - py))
+    if draw(st.booleans()):
+        segment = segment[2:] + segment[:2]
+    return kind, rings, segment
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(case=_rings_and_segment(), before=st.lists(_RING, max_size=2), after=st.lists(_RING, max_size=2))
+def test_span_edge_test_equals_the_ring_by_ring_test(case, before, after):
+    _, rings, segment = case
+    expected = _ring_by_ring_hits(*segment, rings)
+    # as the building table holds it: one column, other footprints around it
+    column = [*before, *rings, *after]
+    coords = array("d", [c for ring in column for c in ring])
+    ends = array("q", [0])
+    for ring in column:
+        ends.append(ends[-1] + len(ring))
+    first = len(before)
+    assert segment_hits_span(*segment, coords, ends, first, first + len(rings)) == expected
+    # as the boundary and segment_intersects_polygon hand it over
+    assert segment_hits_span(*segment, *flat_column(rings), 0, len(rings)) == expected

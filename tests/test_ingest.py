@@ -204,7 +204,8 @@ def test_closing_position_must_be_numbers_even_when_equal_to_the_first(tmp_path)
     table = load_buildings(geojson(tmp_path, "b.geojson", [polygon_feature([ring])]))
     assert len(table) == 1
     # the stored closing vertex is the first, bit for bit
-    ext = table.rings[0][0]
+    assert list(table.first_rings) == [0, 1]
+    ext = table.coords[table.ring_ends[0] : table.ring_ends[1]]
     assert ext[0].hex() == ext[-2].hex() and ext[1].hex() == ext[-1].hex()
 
 
@@ -433,11 +434,12 @@ def test_load_buildings_transient_memory_stays_near_the_file_size(tmp_path):
         assert peak - returned <= bound, n
 
 
-def test_load_buildings_holds_under_300_bytes_per_footprint(tmp_path):
-    # Each ring's coordinates are kept as doubles in an array('d'), not as
-    # a tuple of float objects: with four vertices a building holds its
-    # closed ring's 80 bytes of doubles, the array and the ring tuple around
-    # them, and eight typed column entries.
+def test_load_buildings_holds_under_200_bytes_per_footprint(tmp_path):
+    # Every ring's coordinates are kept as doubles in one array('d') column,
+    # with no tuple, array or float object per footprint: with four vertices
+    # a building holds its closed ring's 80 bytes of doubles, two offset
+    # entries and eight typed column entries, about 160 B before the arrays'
+    # spare room. A tuple and an array per footprint (about 282 B) fail.
     n = 2000
     rng = random.Random(5)
     features = [
@@ -452,7 +454,47 @@ def test_load_buildings_holds_under_300_bytes_per_footprint(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(buildings) == n
-    assert returned <= 300 * n, returned / n
+    assert returned <= 200 * n, returned / n
+
+
+def test_clip_keeps_holed_and_multipart_rings_bit_for_bit(tmp_path):
+    def holed(lon, lat):
+        return [tiny_square(lon, lat, d=0.001), tiny_square(lon + 0.0002, lat + 0.0003, d=0.0004)]
+
+    parts = [holed(0.004, 0.0), [tiny_square(0.006, 0.0)], holed(0.008, 0.001)]
+    features = [
+        polygon_feature(holed(0.0, 0.0)),  # building 0
+        polygon_feature([tiny_square(0.002, 0.0)]),  # 1
+        {"type": "Feature", "geometry": {"type": "MultiPolygon", "coordinates": parts}, "properties": {}},  # 2, 3, 4
+        polygon_feature(holed(0.010, 0.0)),  # 5
+        polygon_feature([tiny_square(0.012, 0.0)]),  # 6
+        polygon_feature(holed(0.014, 0.0)),  # 7
+    ]
+    path = geojson(tmp_path, "b.geojson", features)
+    whole = load_buildings(path)
+    keep = [0, 2, 4, 6, 7]
+    # one boundary around every footprint, with a hole around each centroid
+    # that goes, so rows between holed ones are dropped
+    x0, y0, x1, y1 = min(whole.x0s) - 10, min(whole.y0s) - 10, max(whole.x1s) + 10, max(whole.y1s) + 10
+    holes = [
+        [PlanePoint(whole.xs[k] + dx, whole.ys[k] + dy) for dx, dy in ((-5, -5), (5, -5), (5, 5), (-5, 5))]
+        for k in (1, 3, 5)
+    ]
+    corners = [PlanePoint(x0, y0), PlanePoint(x1, y0), PlanePoint(x1, y1), PlanePoint(x0, y1)]
+    table, _ = clip_to_boundary(load_buildings(path), [], Polygon(corners, holes))
+
+    def hexed(rings):
+        return [[c.hex() for c in ring] for ring in rings]
+
+    assert [b.building_id for b in table] == keep
+    assert [hexed(b.footprint.rings) for b in table] == [hexed(whole[k].footprint.rings) for k in keep]
+    assert [len(b.footprint.rings) for b in table] == [2, 2, 2, 1, 2]
+    # the columns hold the kept rings alone, back to back, in row order
+    assert list(table.first_rings) == [0, 2, 4, 6, 7, 9]
+    assert table.ring_ends[0] == 0 and table.ring_ends[-1] == len(table.coords)
+    assert [c.hex() for c in table.coords] == [
+        c.hex() for k in keep for ring in whole[k].footprint.rings for c in ring
+    ]
 
 
 FEATURES_MEMBER_TEXTS = [
@@ -747,6 +789,7 @@ def test_table_records_equal_the_reference_buildings(tmp_path):
             assert (table.x0s[k], table.y0s[k], table.x1s[k], table.y1s[k]) == b.footprint.bounds()
             assert (table.xs[k], table.ys[k]) == tuple(b.centroid)
             assert table.position(b.building_id) == k
+            assert table.first_rings[k + 1] - table.first_rings[k] == len(b.footprint.rings)
 
         # the clip compacts the table in place, keeping the rows in order
         boundary = plane_square(table.x0s[2] - 1.0, table.y0s[2] - 1.0, 150.0)

@@ -42,7 +42,8 @@ def horizontal_road(road_id, y, x0=-1000.0, x1=1000.0, surface=Surface.PAVED):
 
 def obstructions(c, pidx):
     """Other buildings touching the connector, as the metric stage counts them."""
-    return pidx.count_obstructions_xy(c.start.x, c.start.y, c.end.x, c.end.y, c.building_id)
+    row = pidx._table.position(c.building_id)
+    return pidx.count_obstructions_xy(c.start.x, c.start.y, c.end.x, c.end.y, row)
 
 
 def test_connector_perpendicular_drop():

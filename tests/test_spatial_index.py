@@ -460,7 +460,8 @@ def test_public_candidate_test_pair_equals_fused_count_and_oracle(tmp_path):
     pairs = 0
     for buildings, roads in scenes:
         road_index = SegmentIndex(roads)
-        idx = PolygonIndex(building_table(buildings))
+        table = building_table(buildings)
+        idx = PolygonIndex(table)
         by_id = {b.building_id: b for b in buildings}
         for b in buildings:
             _, end, _ = road_index.nearest(b.centroid)
@@ -472,7 +473,7 @@ def test_public_candidate_test_pair_equals_fused_count_and_oracle(tmp_path):
                 for other in idx.candidates_for_segment(seg) - {b.building_id}
                 if segment_intersects_polygon(seg, by_id[other].footprint)
             )
-            assert public == idx.count_obstructions_xy(*seg.a, *seg.b, b.building_id)
+            assert public == idx.count_obstructions_xy(*seg.a, *seg.b, table.position(b.building_id))
             assert public == brute_obstructions(buildings, b, end)
             pairs += public
     assert pairs > 500
@@ -481,7 +482,8 @@ def test_public_candidate_test_pair_equals_fused_count_and_oracle(tmp_path):
 def test_values_and_a_built_index_survive_pickle():
     rng = random.Random(9)
     buildings, _ = random_scene(rng, 60, 1, span=300.0)
-    idx = PolygonIndex(building_table(buildings))
+    table = building_table(buildings)
+    idx = PolygonIndex(table)
     p = PlanePoint(1.5, -2.25)
     seg = Segment(p, PlanePoint(250.0, 275.0))
     assert not hasattr(p, "__dict__") and not hasattr(seg, "__dict__")
@@ -492,6 +494,7 @@ def test_values_and_a_built_index_survive_pickle():
     for b in buildings:
         probe = Segment(b.centroid, seg.b)
         assert copy.candidates_for_segment(probe) == idx.candidates_for_segment(probe)
-        assert copy.count_obstructions_xy(*probe.a, *probe.b, b.building_id) == idx.count_obstructions_xy(
-            *probe.a, *probe.b, b.building_id
+        row = table.position(b.building_id)
+        assert copy.count_obstructions_xy(*probe.a, *probe.b, row) == idx.count_obstructions_xy(
+            *probe.a, *probe.b, row
         )
