@@ -6,7 +6,9 @@ import json
 import math
 from pathlib import Path
 
+from .classify import DEFAULT_OBSTRUCTION_THRESHOLD
 from .errors import ConfigurationError
+from .grid import DEFAULT_CELL_SIZE_M
 
 
 _REQUIRED = object()  # a setting without a default: the config file must give it
@@ -21,8 +23,8 @@ _SETTINGS = {
     "class_property": "class",
     "surface_property": "surface",
     "min_confidence": None,
-    "threshold": 1.0,
-    "cell_size": 100.0,
+    "threshold": DEFAULT_OBSTRUCTION_THRESHOLD,
+    "cell_size": DEFAULT_CELL_SIZE_M,
     "include_empty_in_distribution": False,
     "workers": None,
 }

@@ -103,9 +103,6 @@ class Polygon:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polygon) and self.rings == other.rings
 
-    def __hash__(self) -> int:
-        return hash(self.rings)
-
     def bounds(self) -> Bounds:
         return flat_bounds(self.rings[0])
 

@@ -52,7 +52,8 @@ def aggregate(
     Each metric starts (building_id, obstruction_count, nearest_surface), as
     a BuildingMetrics does. One pass folds them into integer sums per cell,
     so none is kept and their order does not matter. A building's centroid
-    is read from the table's columns.
+    is read from the table's columns. The dict holds the cells in (i, j)
+    order.
 
     Surfaces vote paved vs unpaved; unknowns abstain, and a tie (or a cell
     with only unknowns) resolves to unpaved so missing surface evidence never

@@ -23,7 +23,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 from .buildings import BuildingTable
 from .errors import DataError, Log
 from .geometry import (
-    FlatRing,
+    ZERO_AREA_EPS_M2,
     Polygon,
     box_near_rings,
     close_flat,
@@ -68,7 +68,6 @@ class RoadSegment(NamedTuple):
 
 class ValidationRecord(NamedTuple):
     cell: CellId
-    validator_id: str
     level: DeprivationLevel
 
 
@@ -568,7 +567,7 @@ def load_buildings(
             log.warning("skipping building feature %d in %s: %s", n, path, exc)
             continue
         for rings, x, y in parts:
-            buildings.append(len(buildings.ids), rings, x, y, confidence)
+            buildings.append(len(buildings.ids), rings, x, y)
         stats.loaded += 1
     stats.records = len(buildings)
     log.info(
@@ -643,7 +642,7 @@ def load_boundary(path: Path | str) -> Polygon:
                 poly = Polygon(rings[0], rings[1:])
             except (ValueError, TypeError, KeyError, IndexError, OverflowError) as exc:
                 raise DataError(f"{path}: malformed boundary polygon: {exc}") from exc
-            if polygon_area(poly) < 1e-9:
+            if polygon_area(poly) < ZERO_AREA_EPS_M2:
                 raise DataError(f"{path}: boundary polygon has no area")
             return poly
         if parts:
@@ -709,7 +708,7 @@ def load_validations(
                     stats.skipped += 1
                     stats.rejected_lines.append(reader.line_num)
                     continue
-                by_vote[(cell, validator)] = ValidationRecord(cell, validator, level)
+                by_vote[(cell, validator)] = ValidationRecord(cell, level)
                 stats.loaded += 1
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read validations CSV {path}: {exc}") from exc

@@ -11,8 +11,9 @@ computed in this process and the others in forked children, which pack
 their rows into one shared mapping. The CLI's run folds the rows into the
 cell sums as they come; export-connectors has metric_columns put each row
 at its building's position in five typed columns, 40 bytes a building, and
-writes both QA layers from them. compute_all wraps those columns into
-BuildingMetrics records.
+writes both QA layers from them. compute_all wraps the first three
+columns into BuildingMetrics records, and connectors_for makes one
+ConnectorLine per building from a nearest-road query of its own.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from array import array
 from contextlib import closing
 from functools import partial
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .buildings import Building, BuildingTable
+from .buildings import BuildingTable
 from .geometry import PlanePoint
 from .ingest import RoadSegment
 from .levels import Surface
@@ -47,7 +48,6 @@ class BuildingMetrics(NamedTuple):
     nearest_surface: Surface
     road_distance: float
     road_id: int
-    road_point: PlanePoint  # the connector's end on the nearest road
 
 
 class MetricColumns(NamedTuple):
@@ -60,15 +60,6 @@ class MetricColumns(NamedTuple):
     road_distances: array
     road_xs: array
     road_ys: array
-
-
-def build_connector(building: Building, road_index: SegmentIndex) -> ConnectorLine:
-    """Connector from the building centroid to its nearest motorable road.
-
-    Kept only for perfbench/traced.py and the tests, until ROADMAP item 2.
-    """
-    road_id, point, distance = road_index.nearest(building.centroid)
-    return ConnectorLine(building.building_id, building.centroid, point, road_id, distance)
 
 
 def _metric_row(
@@ -220,11 +211,12 @@ def compute_all(
     workers: int | None = None,
 ) -> list[BuildingMetrics]:
     """One BuildingMetrics per building, ordered by building_id: the
-    records of metric_columns' columns.
+    records of metric_columns' counts, road ids and road distances.
 
     Kept only for perfbench/traced.py and the tests, until ROADMAP item 2.
     """
-    columns = metric_columns(buildings, road_index, building_index, workers)
+    # counts, road ids and road distances; the connector ends are let go
+    columns = metric_columns(buildings, road_index, building_index, workers)[:3]
     surface = {r.road_id: r.surface for r in roads}
     metrics: list = [None] * len(buildings)
     # a block at a time from the end, each cut off the columns once made, so
@@ -233,24 +225,24 @@ def compute_all(
         k = max(end - _BLOCK, 0)
         block = zip(buildings.ids[k:end], *(column[k:] for column in columns))
         metrics[k:end] = [
-            BuildingMetrics(bid, count, surface[road_id], distance, road_id, PlanePoint(x, y))
-            for bid, count, road_id, distance, x, y in block
+            BuildingMetrics(bid, count, surface[road_id], distance, road_id)
+            for bid, count, road_id, distance in block
         ]
         for column in columns:
             del column[k:]
     return metrics
 
 
-def connectors_for(
-    buildings: Sequence[Building], road_index: SegmentIndex
-) -> list[ConnectorLine]:
-    """Connectors for all buildings, ordered by building_id, each from a
-    nearest-road query of its own.
+def connectors_for(buildings: BuildingTable, road_index: SegmentIndex) -> list[ConnectorLine]:
+    """Connectors for all buildings, in the table's building_id order, each
+    from the centroid to the nearest motorable road, found by a query of
+    its own.
 
     The CLI writes connectors from metric_columns instead. Kept only for
     perfbench/traced.py and the tests, until ROADMAP item 2.
     """
-    return sorted(
-        (build_connector(b, road_index) for b in buildings),
-        key=lambda c: c.building_id,
-    )
+    connectors = []
+    for building_id, x, y in zip(buildings.ids, buildings.xs, buildings.ys):
+        road_id, qx, qy, distance = road_index.nearest_xy(x, y)
+        connectors.append(ConnectorLine(building_id, PlanePoint(x, y), PlanePoint(qx, qy), road_id, distance))
+    return connectors

@@ -228,7 +228,8 @@ def read_cells_csv(path: Path | str) -> list[ClassifiedCell]:
 def write_aggregates_csv(
     path: Path | str, aggregates: Mapping[CellId, CellAggregate]
 ) -> None:
-    """Intermediate per-cell aggregates, before classification."""
+    """Intermediate per-cell aggregates, before classification, one row
+    per cell in the mapping's order: grid.aggregate gives cell order."""
     rows = (
         [
             cell.i,
@@ -237,7 +238,7 @@ def write_aggregates_csv(
             "" if agg.mean_obstruction is None else repr(agg.mean_obstruction),
             agg.modal_surface.value if agg.modal_surface else "",
         ]
-        for cell, agg in sorted(aggregates.items())
+        for cell, agg in aggregates.items()
     )
     _write_csv(path, ["i", "j", "building_count", "mean_obstruction", "modal_surface"], rows)
 

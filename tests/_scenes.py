@@ -83,9 +83,9 @@ def reference_centroid(poly: Polygon) -> PlanePoint:
     return PlanePoint(wx / net, wy / net)
 
 
-def make_building(building_id: int, footprint: Polygon, confidence: float | None = None) -> Building:
+def make_building(building_id: int, footprint: Polygon) -> Building:
     """A building record, its centroid from reference_centroid."""
-    return Building(building_id, footprint, reference_centroid(footprint), confidence)
+    return Building(building_id, footprint, reference_centroid(footprint))
 
 
 def building_table(buildings) -> BuildingTable:
@@ -93,7 +93,7 @@ def building_table(buildings) -> BuildingTable:
     centroids as given."""
     table = BuildingTable()
     for b in sorted(buildings, key=lambda b: b.building_id):
-        table.append(b.building_id, b.footprint.rings, b.centroid.x, b.centroid.y, b.confidence)
+        table.append(b.building_id, b.footprint.rings, b.centroid.x, b.centroid.y)
     return table
 
 

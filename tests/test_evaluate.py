@@ -60,8 +60,8 @@ def test_consensus_order_independent():
         assert consensus(votes) is consensus(shuffled)
 
 
-def record(i, j, validator, level):
-    return ValidationRecord(CellId(i, j), validator, level)
+def record(i, j, level):
+    return ValidationRecord(CellId(i, j), level)
 
 
 def test_votes_by_cell_deduplicates_validators(tmp_path):
@@ -82,12 +82,12 @@ def test_votes_by_cell_deduplicates_validators(tmp_path):
 
 def test_consensus_cells_split():
     records = [
-        record(0, 0, "a", LOW),
-        record(0, 0, "b", LOW),
-        record(0, 0, "c", MEDIUM),
-        record(1, 0, "a", LOW),
-        record(1, 0, "b", MEDIUM),
-        record(2, 0, "a", HIGH),
+        record(0, 0, LOW),
+        record(0, 0, LOW),
+        record(0, 0, MEDIUM),
+        record(1, 0, LOW),
+        record(1, 0, MEDIUM),
+        record(2, 0, HIGH),
     ]
     agreed, tied = consensus_cells(records)
     by_cell = {c.cell: c for c in agreed}
@@ -197,7 +197,7 @@ def report_flows(report):
 def test_flows_consistent_with_confusion():
     rng = random.Random(14)
     model = [model_cell(i, 0, rng.choice(LEVELS)) for i in range(60)]
-    records = [record(i, 0, "a", rng.choice(LEVELS)) for i in range(60)]
+    records = [record(i, 0, rng.choice(LEVELS)) for i in range(60)]
     report = evaluation_report(model, records)
     flows = report_flows(report)
     # all ordered pairs, zero counts included, model level outermost
@@ -208,7 +208,7 @@ def test_flows_consistent_with_confusion():
 
 
 def test_flows_single_cell():
-    report = evaluation_report([model_cell(0, 0, LOW)], [record(0, 0, "a", MEDIUM)])
+    report = evaluation_report([model_cell(0, 0, LOW)], [record(0, 0, MEDIUM)])
     flows = report_flows(report)
     assert (LOW, MEDIUM, 1) in flows
     assert sum(c for _, _, c in flows) == 1
@@ -216,14 +216,14 @@ def test_flows_single_cell():
 
 def test_ternary_proportions_examples():
     records = [
-        record(0, 0, "a", LOW),
-        record(0, 0, "b", LOW),
-        record(1, 0, "a", LOW),
-        record(1, 0, "b", MEDIUM),
-        record(2, 0, "a", LOW),
-        record(2, 0, "b", MEDIUM),
-        record(2, 0, "c", HIGH),
-        record(3, 0, "a", HIGH),  # single vote: excluded
+        record(0, 0, LOW),
+        record(0, 0, LOW),
+        record(1, 0, LOW),
+        record(1, 0, MEDIUM),
+        record(2, 0, LOW),
+        record(2, 0, MEDIUM),
+        record(2, 0, HIGH),
+        record(3, 0, HIGH),  # single vote: excluded
     ]
     points = {t.cell: t for t in ternary_proportions(records)}
     assert CellId(3, 0) not in points
@@ -261,8 +261,8 @@ def test_conservation_of_validated_cells():
     rng = random.Random(16)
     records = []
     for i in range(40):
-        for v in range(rng.randint(1, 4)):
-            records.append(record(i, 0, f"v{v}", rng.choice(LEVELS)))
+        for _ in range(rng.randint(1, 4)):
+            records.append(record(i, 0, rng.choice(LEVELS)))
     model = [model_cell(i, 0, rng.choice(LEVELS)) for i in range(30)]  # 10 unmatched
     refs, no_consensus = consensus_cells(records)
     try:
@@ -276,7 +276,7 @@ def test_conservation_of_validated_cells():
 
 def test_evaluation_report_shape():
     model = [model_cell(0, 0, LOW), model_cell(1, 0, MEDIUM)]
-    records = [record(0, 0, "a", LOW), record(1, 0, "b", LOW)]
+    records = [record(0, 0, LOW), record(1, 0, LOW)]
     report = evaluation_report(model, records)
     assert report["matched_cells"] == 2
     assert report["accuracy"] == 0.5

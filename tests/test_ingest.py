@@ -15,6 +15,7 @@ from roadaccess.ingest import (
     MOTORABLE_CLASSES,
     LoadStats,
     RoadSegment,
+    ValidationRecord,
     clip_to_boundary,
     filter_motorable,
     load_boundary,
@@ -198,7 +199,7 @@ def test_closing_position_must_be_numbers_even_when_equal_to_the_first(tmp_path)
     ring = [[1, 0.0], [1.0001, 0.0], [1.0001, 0.0001], [1, 0.0001], [True, 0.0]]
     assert ring[-1] == ring[0]
     stats = LoadStats()
-    assert load_buildings(geojson(tmp_path, "b.geojson", [polygon_feature([ring])]), stats=stats) == []
+    assert len(load_buildings(geojson(tmp_path, "b.geojson", [polygon_feature([ring])]), stats=stats)) == 0
     assert (stats.total, stats.loaded, stats.skipped) == (1, 0, 1)
     ring[-1] = [1.0, 0]
     table = load_buildings(geojson(tmp_path, "b.geojson", [polygon_feature([ring])]))
@@ -274,7 +275,40 @@ def test_load_buildings_confidence_filter(tmp_path):
     assert len(load_buildings(path)) == 2
     kept = load_buildings(path, min_confidence=0.7)
     assert len(kept) == 1
-    assert kept[0].confidence == 0.8
+    assert kept[0].footprint == load_buildings(path)[1].footprint  # the 0.8 one
+
+
+def _confidence_file(tmp_path, source, confidences):
+    """Buildings, one square each, carrying the confidences given (None: no
+    confidence): as GeoJSON numbers, GeoJSON numeric strings, or CSV fields
+    padded with spaces."""
+    squares = [tiny_square(0.01 * k, 0.0) for k in range(len(confidences))]
+    if source == "csv":
+        lines = ["confidence,geometry"]
+        for c, ring in zip(confidences, squares):
+            field = "" if c is None else f" {c!r} "
+            lines.append(f'{field},"POLYGON {_wkt_rings([ring])}"')
+        path = tmp_path / "b.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+    features = [
+        polygon_feature([ring], **({} if c is None else {"confidence": repr(c) if source == "string" else c}))
+        for c, ring in zip(confidences, squares)
+    ]
+    return geojson(tmp_path, "b.geojson", features)
+
+
+@pytest.mark.parametrize("source", ["number", "string", "csv"])
+@pytest.mark.parametrize("min_confidence", [0.7, 0.95, 1.0])
+def test_confidence_filter_keeps_the_equal_and_drops_the_next_lower(tmp_path, source, min_confidence):
+    below = math.nextafter(min_confidence, 0.0)
+    path = _confidence_file(tmp_path, source, [min_confidence, below, None])
+    every = load_buildings(path)
+    assert len(every) == 3
+    kept = load_buildings(path, min_confidence=min_confidence)
+    # the building without a confidence is kept at any min_confidence
+    assert [b.footprint for b in kept] == [every[0].footprint, every[2].footprint]
+    assert len(load_buildings(path, min_confidence=below)) == 3
 
 
 def test_load_buildings_splits_multipolygon(tmp_path):
@@ -302,7 +336,8 @@ def test_load_buildings_csv_with_wkt(tmp_path):
     stats = LoadStats()
     buildings = load_buildings(path, stats=stats)
     assert len(buildings) == 2
-    assert buildings[0].confidence == 0.9
+    # 0.9 passes a min_confidence of 0.9 and 0.8 does not
+    assert [b.footprint for b in load_buildings(path, min_confidence=0.9)] == [buildings[0].footprint]
     assert stats.total == 3 and stats.skipped == 1
 
 
@@ -319,7 +354,11 @@ def test_non_finite_or_boolean_confidence_is_malformed(tmp_path):
     path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
     stats = LoadStats()
     kept = load_buildings(path, min_confidence=0.9, stats=stats)
-    assert [b.confidence for b in kept] == [0.95, 0.97, 1.0]
+    good_only = load_buildings(geojson(tmp_path, "good.geojson", features[len(bad):]))
+    assert [b.footprint for b in kept] == [b.footprint for b in good_only]
+    # read as 0.95, 0.97 and 1.0
+    assert [len(load_buildings(path, min_confidence=m)) for m in (0.95, 0.97, 1.0)] == [3, 2, 1]
+    assert len(load_buildings(path, min_confidence=math.nextafter(1.0, 2.0))) == 0
     assert (stats.total, stats.loaded, stats.skipped) == (10, 3, 7)
 
 
@@ -332,7 +371,9 @@ def test_non_finite_csv_confidence_is_malformed(tmp_path):
     )
     stats = LoadStats()
     kept = load_buildings(path, min_confidence=0.9, stats=stats)
-    assert [b.confidence for b in kept] == [0.95, None]
+    assert len(kept) == 2
+    # " 0.95 " is read as 0.95; the blank one carries none and is always kept
+    assert [len(load_buildings(path, min_confidence=m)) for m in (0.95, math.nextafter(0.95, 1.0))] == [2, 1]
     assert (stats.total, stats.loaded, stats.skipped) == (6, 2, 4)
 
 
@@ -381,7 +422,7 @@ def test_load_boundary_zero_area_is_data_error(tmp_path):
 
 
 def _building_rows(buildings):
-    return [(b.building_id, b.footprint.rings, b.centroid, b.confidence) for b in buildings]
+    return [(b.building_id, b.footprint.rings, b.centroid) for b in buildings]
 
 
 @pytest.mark.parametrize("sort_keys", [True, False], ids=["features-first", "type-first"])
@@ -438,7 +479,7 @@ def test_load_buildings_holds_under_200_bytes_per_footprint(tmp_path):
     # Every ring's coordinates are kept as doubles in one array('d') column,
     # with no tuple, array or float object per footprint: with four vertices
     # a building holds its closed ring's 80 bytes of doubles, two offset
-    # entries and eight typed column entries, about 160 B before the arrays'
+    # entries and seven typed column entries, about 152 B before the arrays'
     # spare room. A tuple and an array per footprint (about 282 B) fail.
     n = 2000
     rng = random.Random(5)
@@ -628,7 +669,7 @@ def test_load_validations_rejects_blank_or_missing_validator(tmp_path):
         validation_csv(tmp_path, ["0,0,,low", "0,0,,high", "0,0, ,medium", "0,0,alice,low"]),
         stats=stats,
     )
-    assert [r.validator_id for r in records] == ["alice"]
+    assert records == [ValidationRecord(CellId(0, 0), DeprivationLevel.LOW)]  # alice's
     assert stats.rejected_lines == [2, 3, 4]
     assert (stats.total, stats.loaded, stats.skipped, stats.records) == (4, 1, 3, 1)
     # a short row without its last column, here the validator id
@@ -636,7 +677,7 @@ def test_load_validations_rejects_blank_or_missing_validator(tmp_path):
     path.write_text("cell_i,cell_j,level,validator_id\n0,0,low\n1,0,high,bob\n")
     stats = LoadStats()
     records = load_validations(path, stats=stats)
-    assert [r.validator_id for r in records] == ["bob"]
+    assert records == [ValidationRecord(CellId(1, 0), DeprivationLevel.HIGH)]  # bob's
     assert stats.rejected_lines == [2]
 
 
@@ -746,7 +787,7 @@ def test_a_feature_many_blocks_long_loads(tmp_path, monkeypatch):
     assert path.stat().st_size > 100 * 64
     whole = load_buildings(path)
     monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64)
-    assert load_buildings(path) == whole
+    assert list(load_buildings(path)) == list(whole)
     assert len(whole) == 2 and len(whole[0].footprint.exterior) == 1002
 
 
@@ -763,9 +804,9 @@ def test_table_records_equal_the_reference_buildings(tmp_path):
         ([[tiny_square(0.03, 0.0)], courtyard, [tiny_square(0.04, 0.001, d=0.0003)]], None),
     ]
     expected = []
-    for parts, confidence in shapes:
+    for parts, _ in shapes:
         for rings in parts:
-            expected.append(make_building(len(expected), reference_polygon(rings), confidence))
+            expected.append(make_building(len(expected), reference_polygon(rings)))
 
     features = []
     csv_rows = ["confidence,geometry"]
@@ -781,9 +822,14 @@ def test_table_records_equal_the_reference_buildings(tmp_path):
     csv_path = tmp_path / "b.csv"
     csv_path.write_text("\n".join(csv_rows) + "\n")
 
-    for table in (load_buildings(geojson(tmp_path, "b.geojson", features)), load_buildings(csv_path)):
+    for path in (geojson(tmp_path, "b.geojson", features), csv_path):
+        table = load_buildings(path)
         assert list(table) == expected
-        assert [b.confidence for b in table] == [0.9, None, 0.5, None, None, None]
+        # confidences 0.9, none, 0.5, and none for the three parts: at 0.9
+        # the courtyard goes, and just above 0.9 the first square too
+        for min_confidence, gone in ((0.9, {2}), (math.nextafter(0.9, 1.0), {0, 2})):
+            kept = load_buildings(path, min_confidence=min_confidence)
+            assert [b.footprint for b in kept] == [b.footprint for k, b in enumerate(expected) if k not in gone]
         for k, b in enumerate(expected):
             assert table[k] == b and table[k - len(expected)] == b
             assert (table.x0s[k], table.y0s[k], table.x1s[k], table.y1s[k]) == b.footprint.bounds()

@@ -11,7 +11,7 @@ from roadaccess.errors import ConfigurationError
 from roadaccess.geometry import PlanePoint, Polygon
 from roadaccess.ingest import RoadSegment
 from roadaccess.levels import Surface
-from roadaccess.metrics import build_connector, compute_all
+from roadaccess.metrics import compute_all
 from roadaccess.spatial_index import PolygonIndex, SegmentIndex
 
 from _scenes import (
@@ -40,33 +40,40 @@ def horizontal_road(road_id, y, x0=-1000.0, x1=1000.0, surface=Surface.PAVED):
     return RoadSegment(road_id, (x0, y, x1, y), "residential", surface)
 
 
-def obstructions(c, pidx):
-    """Other buildings touching the connector, as the metric stage counts them."""
-    row = pidx._table.position(c.building_id)
-    return pidx.count_obstructions_xy(c.start.x, c.start.y, c.end.x, c.end.y, row)
+def road_end(b, road_index):
+    """The connector's end on the nearest road: (road_id, x, y, distance),
+    as the metric stage asks for it."""
+    return road_index.nearest_xy(*b.centroid)
+
+
+def obstructions(b, road_index, pidx):
+    """Other buildings touching b's connector, as the metric stage counts them."""
+    _, qx, qy, _ = road_end(b, road_index)
+    row = pidx._table.position(b.building_id)
+    return pidx.count_obstructions_xy(*b.centroid, qx, qy, row)
 
 
 def test_connector_perpendicular_drop():
     b = plane_square(0, 0, 50)
     idx = SegmentIndex([horizontal_road(0, 0)])
-    c = build_connector(b, idx)
-    assert c.start == PlanePoint(0, 50)
-    assert c.end == PlanePoint(0, 0)
-    assert c.road_distance == 50.0
-    assert c.road_id == 0
+    road_id, x, y, distance = road_end(b, idx)
+    assert b.centroid == PlanePoint(0, 50)
+    assert (x, y) == (0, 0)
+    assert distance == 50.0
+    assert road_id == 0
 
 
 def test_connector_zero_length_when_centroid_on_road():
     b = plane_square(0, 0, 0)  # centroid (0, 0) lies on the road
     idx = SegmentIndex([horizontal_road(0, 0)])
-    c = build_connector(b, idx)
-    assert c.start == c.end
-    assert c.road_distance == 0.0
+    _, x, y, distance = road_end(b, idx)
+    assert b.centroid == (x, y)
+    assert distance == 0.0
     # zero-length connectors count no obstructions, even overlapping ones
     blocker = plane_square(1, 0, 0)
     table = building_table([b, blocker])
     pidx = PolygonIndex(table)
-    assert obstructions(c, pidx) == 1
+    assert obstructions(b, idx, pidx) == 1
     roads = [horizontal_road(0, 0)]
     assert compute_all(table, idx, pidx, roads, workers=1)[0].obstruction_count == 0
 
@@ -74,7 +81,7 @@ def test_connector_zero_length_when_centroid_on_road():
 def test_connector_tie_prefers_lower_road_id():
     b = plane_square(0, 0, 0, half=1.0)
     idx = SegmentIndex([horizontal_road(0, 10), horizontal_road(1, -10)])
-    assert build_connector(b, idx).road_id == 0
+    assert road_end(b, idx)[0] == 0
 
 
 def test_count_obstructions_single_blocker():
@@ -85,8 +92,7 @@ def test_count_obstructions_single_blocker():
     buildings = [source, blocker, bystander]
     idx = SegmentIndex([road])
     pidx = PolygonIndex(building_table(buildings))
-    c = build_connector(source, idx)
-    assert obstructions(c, pidx) == 1
+    assert obstructions(source, idx, pidx) == 1
 
 
 def test_count_obstructions_counts_distinct_buildings_once():
@@ -107,9 +113,8 @@ def test_count_obstructions_counts_distinct_buildings_once():
     )
     blocker = make_building(1, u_shape)
     buildings = [source, blocker]
-    c = build_connector(source, SegmentIndex([road]))
     pidx = PolygonIndex(building_table(buildings))
-    assert obstructions(c, pidx) == 1
+    assert obstructions(source, SegmentIndex([road]), pidx) == 1
 
 
 def test_overlapping_footprints_still_count():
@@ -118,9 +123,8 @@ def test_overlapping_footprints_still_count():
     source = plane_square(0, 0, 50, half=6.0)
     overlapper = plane_square(1, 0, 42, half=6.0)  # overlaps source, crosses connector
     buildings = [source, overlapper]
-    c = build_connector(source, SegmentIndex([road]))
     pidx = PolygonIndex(building_table(buildings))
-    assert obstructions(c, pidx) == 1
+    assert obstructions(source, SegmentIndex([road]), pidx) == 1
 
 
 def test_connector_end_lies_on_road_geometry():
@@ -129,15 +133,13 @@ def test_connector_end_lies_on_road_geometry():
     road_index = SegmentIndex(roads)
     by_id = {r.road_id: r for r in roads}
     for b in buildings:
-        c = build_connector(b, road_index)
+        road_id, x, y, distance = road_end(b, road_index)
         gap = min(
-            nearest_point_on_segment(c.end, seg)[1]
-            for seg in road_segments(by_id[c.road_id])
+            nearest_point_on_segment(PlanePoint(x, y), seg)[1]
+            for seg in road_segments(by_id[road_id])
         )
         assert gap < 1e-6
-        assert c.road_distance == math.hypot(
-            c.start.x - c.end.x, c.start.y - c.end.y
-        )
+        assert distance == math.hypot(b.centroid.x - x, b.centroid.y - y)
 
 
 def test_surface_comes_from_closest_road():
@@ -296,9 +298,9 @@ def test_building_outside_connector_bounds_changes_nothing():
     buildings, roads = random_scene(rng, 50, 6)
     metrics = run_pipeline(buildings, roads)
     road_index = SegmentIndex(roads)
-    connectors = [build_connector(b, road_index) for b in buildings]
-    max_x = max(max(c.start.x, c.end.x) for c in connectors)
-    max_y = max(max(c.start.y, c.end.y) for c in connectors)
+    ends = [(b.centroid, road_end(b, road_index)) for b in buildings]
+    max_x = max(max(start.x, x) for start, (_, x, _, _) in ends)
+    max_y = max(max(start.y, y) for start, (_, _, y, _) in ends)
     far = plane_square(len(buildings), max_x + 500.0, max_y + 500.0)
     extended = run_pipeline(buildings + [far], roads)
     assert [m for m in extended if m.building_id != far.building_id] == metrics

@@ -12,7 +12,7 @@ from roadaccess.classify import ClassifiedCell, classify_all
 from roadaccess.geometry import PlanePoint
 from roadaccess.grid import CellId, aggregate, enumerate_empty_cells
 from roadaccess.levels import DeprivationLevel, Surface
-from roadaccess.metrics import BuildingMetrics, ConnectorLine, compute_all
+from roadaccess.metrics import BuildingMetrics, ConnectorLine, compute_all, connectors_for
 from roadaccess.spatial_index import PolygonIndex, SegmentIndex
 from roadaccess.synth import LAYOUTS, SceneSpec, generate
 
@@ -41,15 +41,11 @@ def pipeline_layers(files, cell_size=100.0):
     buildings = ingest.load_buildings(files.buildings)
     boundary = ingest.load_boundary(files.boundary)
     buildings, roads = ingest.clip_to_boundary(buildings, roads, boundary)
-    metrics = compute_all(buildings, SegmentIndex(roads), PolygonIndex(buildings), roads)
+    road_index = SegmentIndex(roads)
+    metrics = compute_all(buildings, road_index, PolygonIndex(buildings), roads)
     aggregates = aggregate(metrics, buildings, cell_size)
     cells = classify_all(aggregates, enumerate_empty_cells(boundary, aggregates, cell_size))
-    centroids = {b.building_id: b.centroid for b in buildings}
-    connectors = [
-        ConnectorLine(m.building_id, centroids[m.building_id], m.road_point, m.road_id, m.road_distance)
-        for m in metrics
-    ]
-    return cells, connectors, {m.building_id: m for m in metrics}
+    return cells, connectors_for(buildings, road_index), {m.building_id: m for m in metrics}
 
 
 @pytest.mark.parametrize("seed", [3, 11, 12])
@@ -98,9 +94,7 @@ def test_edge_values_equal_the_reference(tmp_path):
         )
         distance = math.nan if value is None else value
         connectors.append(ConnectorLine(n, PlanePoint(n, -n), PlanePoint(-1e6, 2e6), 2**64 + n, distance))
-        by_id[n] = BuildingMetrics(
-            n, n, SimpleNamespace(value=text) if n % 2 else Surface.UNPAVED, distance, n, PlanePoint(0, 0)
-        )
+        by_id[n] = BuildingMetrics(n, n, SimpleNamespace(value=text) if n % 2 else Surface.UNPAVED, distance, n)
     assert_layers_match_reference(tmp_path, cells, 100.0, connectors, by_id)
 
 
