@@ -21,21 +21,11 @@ Bounds = tuple[float, float, float, float]
 ZERO_AREA_EPS_M2 = 1e-9
 
 
-class _PlanePoint(NamedTuple):
-    x: float
-    y: float
-
-
-class PlanePoint(_PlanePoint):
+class PlanePoint(NamedTuple):
     """A point in projected (easting, northing) meters."""
 
-    __slots__ = ()
-
-    # Unpickling calls __new__ too, so an unpickled point is checked as well.
-    def __new__(cls, x: float, y: float) -> "PlanePoint":
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"non-finite plane coordinates ({x!r}, {y!r})")
-        return tuple.__new__(cls, (x, y))
+    x: float
+    y: float
 
 
 class Segment(NamedTuple):
@@ -66,18 +56,10 @@ def close_flat(flat: list[float] | tuple[float, ...]) -> list[float] | tuple[flo
     return flat
 
 
-def _close_ring(ring: Sequence[PlanePoint] | Sequence[float]) -> tuple[float, ...]:
-    """The flat closed ring tuple of a sequence of PlanePoints or of flat coordinates."""
-    flat = tuple(ring)
-    if flat and isinstance(flat[0], PlanePoint):
-        flat = tuple([c for p in flat for c in (p.x, p.y)])
-    return close_flat(flat)
-
-
 class Polygon:
     """Polygon as a closed exterior ring plus optional hole rings.
 
-    Rings are given as PlanePoints or as flat coordinates and stored as flat
+    Rings are given as flat coordinates (see FlatRing) and stored as flat
     tuples, exterior first, in `rings`. Ring closure (first vertex == last
     vertex) is enforced on construction; no further validity repair is
     attempted.
@@ -85,12 +67,8 @@ class Polygon:
 
     __slots__ = ("rings",)
 
-    def __init__(
-        self,
-        exterior: Sequence[PlanePoint] | Sequence[float],
-        holes: Iterable[Sequence[PlanePoint] | Sequence[float]] = (),
-    ):
-        self.rings: tuple[tuple[float, ...], ...] = (_close_ring(exterior), *map(_close_ring, holes))
+    def __init__(self, exterior: FlatRing, holes: Iterable[FlatRing] = ()):
+        self.rings: tuple[tuple[float, ...], ...] = tuple(close_flat(tuple(r)) for r in (exterior, *holes))
 
     @property
     def exterior(self) -> tuple[float, ...]:

@@ -28,28 +28,11 @@ _RAD_PER_DEG = math.pi / 180.0
 _MAX_EASTING_M = _X_SCALE * math.pi  # the equator's half-width, at lon 180
 
 
-class _GeoPoint(NamedTuple):
-    lon: float
-    lat: float
-
-
-class GeoPoint(_GeoPoint):
+class GeoPoint(NamedTuple):
     """Geographic coordinates in degrees, lon in [-180, 180], lat in [-90, 90]."""
 
-    __slots__ = ()
-
-    def __new__(cls, lon: float, lat: float) -> "GeoPoint":
-        _check_lonlat(lon, lat)
-        return tuple.__new__(cls, (lon, lat))
-
-
-def _check_lonlat(lon: float, lat: float) -> None:
-    if not (isfinite(lon) and isfinite(lat)):
-        raise ValueError(f"non-finite geographic coordinates ({lon!r}, {lat!r})")
-    if not -180.0 <= lon <= 180.0:
-        raise ValueError(f"longitude out of range: {lon!r}")
-    if not -90.0 <= lat <= 90.0:
-        raise ValueError(f"latitude out of range: {lat!r}")
+    lon: float
+    lat: float
 
 
 def _theta_bisect(target: float) -> float:
@@ -69,10 +52,15 @@ def _theta_bisect(target: float) -> float:
 def project_lonlat(lon: float, lat: float) -> tuple[float, float]:
     """Project geographic degrees onto the equal-area plane: (x, y) meters.
 
-    Raises ValueError, as GeoPoint does, for a non-finite or out-of-range
-    coordinate.
+    Raises ValueError for a non-finite coordinate, a longitude outside
+    [-180, 180] or a latitude outside [-90, 90].
     """
-    _check_lonlat(lon, lat)
+    if not (isfinite(lon) and isfinite(lat)):
+        raise ValueError(f"non-finite geographic coordinates ({lon!r}, {lat!r})")
+    if not -180.0 <= lon <= 180.0:
+        raise ValueError(f"longitude out of range: {lon!r}")
+    if not -90.0 <= lat <= 90.0:
+        raise ValueError(f"latitude out of range: {lat!r}")
     # Newton's denominator vanishes at the poles; short-circuit there.
     if abs(lat) >= 90.0 - _POLE_EPS_DEG:
         return 0.0, math.copysign(MAX_NORTHING_M, lat)
@@ -124,7 +112,7 @@ def clamp_to_bounds(x: float, y: float) -> tuple[float, float]:
 
 def inverse_lonlat(x: float, y: float) -> tuple[float, float]:
     """(lon, lat) degrees of plane meters; raises ValueError for a
-    non-finite coordinate (as PlanePoint does) or one outside the bounds."""
+    non-finite coordinate or one outside the bounds."""
     if not (isfinite(x) and isfinite(y)):
         raise ValueError(f"non-finite plane coordinates ({x!r}, {y!r})")
     s = y / MAX_NORTHING_M

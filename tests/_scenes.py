@@ -12,6 +12,8 @@ of the area-weighted centroid arithmetic kept apart from
 roadaccess.geometry.rings_centroid. Tests hand the core a BuildingTable
 (building_table); the oracles iterate the records, as a table makes a new
 Polygon each time a record is read.
+Tests build a Polygon from rings of points with polygon, which flattens
+them.
 The forward Mollweide projection has a reference here too: the GeoPoint +
 Newton-solve path as it was before roadaccess.projection inlined it,
 sharing no code with that module.
@@ -102,6 +104,12 @@ def flat_line(points) -> tuple[float, ...]:
     return tuple(c for p in points for c in p)
 
 
+def polygon(exterior, holes=()) -> Polygon:
+    """The Polygon of rings given as (x, y) pairs, such as PlanePoints:
+    each ring flattened by flat_line."""
+    return Polygon(flat_line(exterior), [flat_line(hole) for hole in holes])
+
+
 def random_building(rng: random.Random, building_id: int, span: float = 2000.0) -> Building:
     """A rotated rectangle footprint somewhere in the scene."""
     cx = rng.uniform(0.0, span)
@@ -118,7 +126,7 @@ def random_building(rng: random.Random, building_id: int, span: float = 2000.0) 
         ring.append(
             PlanePoint(cx + dx * cos_a - dy * sin_a, cy + dx * sin_a + dy * cos_a)
         )
-    return make_building(building_id, Polygon(ring))
+    return make_building(building_id, polygon(ring))
 
 
 def random_roads(
@@ -534,7 +542,7 @@ def _ref_theta_for_latitude(lat_deg: float) -> float:
 
 
 def reference_project_forward(lon: float, lat: float) -> tuple[float, float]:
-    """(x, y) in meters; ValueError for a coordinate GeoPoint rejects."""
+    """(x, y) in meters; ValueError for a coordinate project_lonlat rejects."""
     p = _RefGeoPoint(lon, lat)
     if abs(p.lat) >= 90.0 - _REF_POLE_EPS_DEG:
         return 0.0, math.copysign(_REF_MAX_NORTHING_M, p.lat)
@@ -549,8 +557,8 @@ def reference_project_forward(lon: float, lat: float) -> tuple[float, float]:
 
 
 def reference_project_inverse(x: float, y: float) -> tuple[float, float]:
-    """(lon, lat) in degrees; ValueError for a plane point PlanePoint rejects
-    (non-finite) or one outside the projection bounds."""
+    """(lon, lat) in degrees; ValueError for a non-finite plane point or one
+    outside the projection bounds."""
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"non-finite plane coordinates ({x!r}, {y!r})")
     s = y / _REF_MAX_NORTHING_M

@@ -206,7 +206,7 @@ def _run_archetype(tmp_path, name, seed, layout, mix):
         (c.cell.i, c.cell.j): c.level.label for c in read_cells_csv(out_dir / "cells.csv")
     }
     matched = sum(1 for cell, level in expected.items() if got.get(cell) == level)
-    return matched, len(expected)
+    return expected, matched
 
 
 @criterion(6, "archetype end-to-end levels")
@@ -217,14 +217,16 @@ def test_archetypes_reproduce_expected_levels(tmp_path):
         ("formal_unpaved", 3001, "formal_grid", 0.0, "medium"),
         ("informal", 3002, "informal_cluster", 0.5, "high"),
     ):
-        matched, total = _run_archetype(tmp_path, name, seed, layout, mix)
-        assert total > 0
-        assert matched >= 0.95 * total, f"{name}: {matched}/{total}"
+        expected, matched = _run_archetype(tmp_path, name, seed, layout, mix)
+        assert len(expected) > 0
+        # every cell the generator expects is at the archetype's level
+        assert set(expected.values()) == {want_level}, f"{name}: {sorted(set(expected.values()))}"
+        assert matched >= 0.95 * len(expected), f"{name}: {matched}/{len(expected)}"
 
 
 @criterion(7, "determinism and conservation")
 def test_determinism_and_conservation(tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # a real pool of 3 on any machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # three shares, two of them forked, on any machine
     files = generate(
         SceneSpec(seed=4001, layout="mixed", extent=600, road_surface_mix=0.5),
         tmp_path / "scene",

@@ -99,7 +99,7 @@ def test_run_writes_all_outputs(formal_fixture):
 
 
 def test_run_is_deterministic_across_worker_counts(informal_fixture, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool on any machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two shares, one of them forked, on any machine
     tmp, files = informal_fixture
     cfg1 = write_config(tmp, files, out_name="w1", workers=1)
     cfg2 = write_config(tmp, files, out_name="w2", workers=2)

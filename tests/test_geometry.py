@@ -1,7 +1,6 @@
 import math
 import pickle
 import random
-import struct
 from array import array
 
 import numpy as np
@@ -26,43 +25,31 @@ from _scenes import (
     _reference_rect_polygon_distance,
     _segments_intersect,
     nearest_point_on_segment,
+    polygon,
     reference_segment_intersects_polygon,
     ring_points,
 )
 
 
-def test_plane_point_checks_what_it_is_built_or_unpickled_from():
+def test_plane_point_pickles_as_itself():
     p = PlanePoint(1.5, -2.25)
     assert pickle.loads(pickle.dumps(p)) == p
     assert type(pickle.loads(pickle.dumps(p))) is PlanePoint
-    with pytest.raises(ValueError, match=r"non-finite plane coordinates \(nan, 0.0\)"):
-        PlanePoint(math.nan, 0.0)
-    # a worker process unpickles its points through the same check
-    tampered = pickle.dumps(p).replace(struct.pack(">d", 1.5), struct.pack(">d", math.inf))
-    with pytest.raises(ValueError, match="non-finite plane coordinates"):
-        pickle.loads(tampered)
 
 
 def square(x0, y0, x1, y1):
-    return Polygon(
+    return polygon(
         [PlanePoint(x0, y0), PlanePoint(x1, y0), PlanePoint(x1, y1), PlanePoint(x0, y1)]
     )
 
 
-def test_plane_point_rejects_non_finite():
-    with pytest.raises(ValueError):
-        PlanePoint(math.nan, 0.0)
-    with pytest.raises(ValueError):
-        PlanePoint(0.0, math.inf)
-
-
 def test_polygon_enforces_ring_closure():
     ring = [PlanePoint(0, 0), PlanePoint(1, 0), PlanePoint(0, 1)]
-    poly = Polygon(ring)
+    poly = polygon(ring)
     assert poly.exterior[:2] == poly.exterior[-2:]
     assert len(poly.exterior) == 8
     with pytest.raises(ValueError):
-        Polygon([PlanePoint(0, 0), PlanePoint(1, 0)])
+        polygon([PlanePoint(0, 0), PlanePoint(1, 0)])
 
 
 def centroid_of(poly):
@@ -74,7 +61,7 @@ def test_unit_square_centroid():
 
 
 def test_l_shape_centroid():
-    poly = Polygon(
+    poly = polygon(
         [
             PlanePoint(0, 0),
             PlanePoint(2, 0),
@@ -91,12 +78,12 @@ def test_l_shape_centroid():
 
 def test_degenerate_polygon_falls_back_to_vertex_mean():
     # collinear ring has zero area
-    poly = Polygon([PlanePoint(0, 0), PlanePoint(1, 1), PlanePoint(2, 2)])
+    poly = polygon([PlanePoint(0, 0), PlanePoint(1, 1), PlanePoint(2, 2)])
     assert centroid_of(poly) == PlanePoint(1.0, 1.0)
 
 
 def test_centroid_with_hole():
-    poly = Polygon(
+    poly = polygon(
         [PlanePoint(0, 0), PlanePoint(4, 0), PlanePoint(4, 4), PlanePoint(0, 4)],
         holes=[[PlanePoint(2, 2), PlanePoint(3, 2), PlanePoint(3, 3), PlanePoint(2, 3)]],
     )
@@ -121,7 +108,7 @@ def test_centroid_of_convex_polygon_lies_inside():
             PlanePoint(cx + sx * r * math.cos(t), cy + sy * r * math.sin(t))
             for t in angles
         ]
-        poly = Polygon(ring)
+        poly = polygon(ring)
         c = centroid_of(poly)
         assert point_in_rings(c.x, c.y, poly.rings)
 
@@ -180,7 +167,7 @@ def test_segment_intersects_polygon_examples():
 
 
 def test_segment_in_hole_does_not_intersect():
-    poly = Polygon(
+    poly = polygon(
         [PlanePoint(0, 0), PlanePoint(10, 0), PlanePoint(10, 10), PlanePoint(0, 10)],
         holes=[[PlanePoint(3, 3), PlanePoint(7, 3), PlanePoint(7, 7), PlanePoint(3, 7)]],
     )
@@ -270,10 +257,10 @@ def _lattice_polygon(rng: random.Random, step: float) -> Polygon:
             hx1 = rng.randint(hx0 + 1, x1)
             hy1 = rng.randint(hy0 + 1, y1)
             holes.append(_lattice_rect(step, hx0, hy0, hx1, hy1))
-        return Polygon(_lattice_rect(step, x0, y0, x1, y1), holes)
+        return polygon(_lattice_rect(step, x0, y0, x1, y1), holes)
     while True:
         try:
-            return Polygon([_lattice_point(rng, step) for _ in range(rng.randint(3, 6))])
+            return polygon([_lattice_point(rng, step) for _ in range(rng.randint(3, 6))])
         except ValueError:  # fewer than three distinct vertices after closing
             continue
 
@@ -372,7 +359,7 @@ def _star_polygon(rng: random.Random, n: int, holed: bool) -> Polygon:
         hn = rng.randint(3, 12)
         angles = [math.tau * k / hn for k in range(hn)]
         holes.append([PlanePoint(cx + hr * math.cos(a), cy + hr * math.sin(a)) for a in angles])
-    return Polygon(exterior, holes)
+    return polygon(exterior, holes)
 
 
 def _star_boxes(rng: random.Random, poly: Polygon):

@@ -1,7 +1,7 @@
 import math
 import random
 
-from roadaccess.geometry import PlanePoint, Polygon
+from roadaccess.geometry import PlanePoint
 from roadaccess.grid import (
     CellAggregate,
     CellId,
@@ -13,7 +13,7 @@ from roadaccess.grid import (
 from roadaccess.levels import Surface
 from roadaccess.metrics import BuildingMetrics
 
-from _scenes import building_table, make_building
+from _scenes import building_table, make_building, polygon
 
 
 def test_cell_of_examples():
@@ -33,7 +33,7 @@ def building_at(building_id, x, y):
         PlanePoint(x + 1, y + 1),
         PlanePoint(x - 1, y + 1),
     ]
-    return make_building(building_id, Polygon(ring))
+    return make_building(building_id, polygon(ring))
 
 
 def metrics_for(building_id, count, surface=Surface.PAVED):
@@ -119,7 +119,7 @@ def test_building_on_cell_edge_belongs_to_one_cell():
 
 
 def plane_rect(x0, y0, x1, y1):
-    return Polygon(
+    return polygon(
         [PlanePoint(x0, y0), PlanePoint(x1, y0), PlanePoint(x1, y1), PlanePoint(x0, y1)]
     )
 
@@ -137,7 +137,7 @@ def test_enumerate_empty_cells_center_rule():
 
 def test_enumerate_empty_cells_outside_boundary_excluded():
     # L-shaped boundary: the notch cell is inside the bbox but not the polygon
-    boundary = Polygon(
+    boundary = polygon(
         [
             PlanePoint(0, 0),
             PlanePoint(200, 0),

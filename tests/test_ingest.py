@@ -27,7 +27,7 @@ from roadaccess.levels import DeprivationLevel, Surface
 from roadaccess.projection import project_lonlat
 from roadaccess.synth import SceneSpec, generate
 
-from _scenes import building_table, make_building, reference_polygon
+from _scenes import building_table, make_building, polygon, reference_polygon
 
 
 def geojson(tmp_path, name, features):
@@ -522,7 +522,7 @@ def test_clip_keeps_holed_and_multipart_rings_bit_for_bit(tmp_path):
         for k in (1, 3, 5)
     ]
     corners = [PlanePoint(x0, y0), PlanePoint(x1, y0), PlanePoint(x1, y1), PlanePoint(x0, y1)]
-    table, _ = clip_to_boundary(load_buildings(path), [], Polygon(corners, holes))
+    table, _ = clip_to_boundary(load_buildings(path), [], polygon(corners, holes))
 
     def hexed(rings):
         return [[c.hex() for c in ring] for ring in rings]
@@ -590,7 +590,7 @@ def test_bare_feature_and_geometry_documents_still_load(tmp_path):
 
 
 def plane_square(x0, y0, size):
-    return Polygon(
+    return polygon(
         [
             PlanePoint(x0, y0),
             PlanePoint(x0 + size, y0),

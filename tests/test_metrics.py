@@ -8,7 +8,7 @@ import pytest
 
 import roadaccess.metrics as metric_stage
 from roadaccess.errors import ConfigurationError
-from roadaccess.geometry import PlanePoint, Polygon
+from roadaccess.geometry import PlanePoint
 from roadaccess.ingest import RoadSegment
 from roadaccess.levels import Surface
 from roadaccess.metrics import compute_all
@@ -20,6 +20,7 @@ from _scenes import (
     flat_line,
     make_building,
     nearest_point_on_segment,
+    polygon,
     random_scene,
     ring_points,
     road_segments,
@@ -33,7 +34,7 @@ def plane_square(building_id, cx, cy, half=5.0):
         PlanePoint(cx + half, cy + half),
         PlanePoint(cx - half, cy + half),
     ]
-    return make_building(building_id, Polygon(ring))
+    return make_building(building_id, polygon(ring))
 
 
 def horizontal_road(road_id, y, x0=-1000.0, x1=1000.0, surface=Surface.PAVED):
@@ -99,7 +100,7 @@ def test_count_obstructions_counts_distinct_buildings_once():
     # U-shaped footprint crossed twice by the connector still counts once
     road = horizontal_road(0, 0)
     source = plane_square(0, 0, 60)
-    u_shape = Polygon(
+    u_shape = polygon(
         [
             PlanePoint(-10, 20),
             PlanePoint(10, 20),
@@ -240,7 +241,7 @@ def test_translation_invariance_of_counts():
 
     moved_buildings = [
         make_building(
-            b.building_id, Polygon([shift_point(p) for p in ring_points(b.footprint.exterior)[:-1]])
+            b.building_id, polygon([shift_point(p) for p in ring_points(b.footprint.exterior)[:-1]])
         )
         for b in buildings
     ]
@@ -273,7 +274,7 @@ def test_uniform_scaling_invariance_of_counts():
 
     scaled_buildings = [
         make_building(
-            b.building_id, Polygon([scale_point(p) for p in ring_points(b.footprint.exterior)[:-1]])
+            b.building_id, polygon([scale_point(p) for p in ring_points(b.footprint.exterior)[:-1]])
         )
         for b in buildings
     ]
@@ -307,7 +308,7 @@ def test_building_outside_connector_bounds_changes_nothing():
 
 
 def test_parallel_workers_match_serial(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool on any machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two shares, one of them forked, on any machine
     rng = random.Random(60)
     buildings, roads = random_scene(rng, 90, 12)
     assert run_pipeline(buildings, roads, workers=2) == run_pipeline(buildings, roads)
@@ -333,7 +334,7 @@ class InProcessFork:
     "cpus, workers, expected",
     [(3, 5000, [3]), (None, 5000, []), (1, 8, []), (4, 2, [2]), (8, 4, [4])],
 )
-def test_pool_has_at_most_one_process_per_cpu(monkeypatch, cpus, workers, expected):
+def test_metric_stage_runs_at_most_one_share_per_cpu(monkeypatch, cpus, workers, expected):
     # expected: the number of processes computing shares, when there are several
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     fork = InProcessFork()

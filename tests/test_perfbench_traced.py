@@ -56,6 +56,22 @@ def test_traced_runner_runs_and_matches_the_cli(tmp_path):
     assert traced_cells.count(b"\n") > 10
 
 
+def test_traced_runner_at_two_workers_matches_the_cli(tmp_path):
+    # at workers > 1 the traced run also re-runs the metric stage at
+    # workers=1 and sizes the pickled inputs of a pool
+    paths = write_lonlat_scene(tmp_path, random.Random(17), 300, 12, span_deg=0.005)
+    traced_cfg = _config(tmp_path, paths, "traced")
+    cli_cfg = _config(tmp_path, paths, "cli", workers=2)
+    report = tmp_path / "run.json"
+    _run([str(TRACED), "--config", str(traced_cfg), "--command", "run",
+          "--workers", "2", "--report", str(report)])
+    assert json.loads(report.read_text())["pool_payload_bytes"] > 0
+    _run(["-m", "roadaccess.cli", "run", "--config", str(cli_cfg)])
+    traced_cells = (tmp_path / "traced" / "cells.csv").read_bytes()
+    assert traced_cells == (tmp_path / "cli" / "cells.csv").read_bytes()
+    assert traced_cells.count(b"\n") > 10
+
+
 def test_traced_evaluate_matches_the_cli(tmp_path):
     paths = write_lonlat_scene(tmp_path, random.Random(17), 300, 12, span_deg=0.005)
     votes = tmp_path / "votes.csv"

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from roadaccess.errors import ConfigurationError
 from roadaccess.geometry import (
     PlanePoint,
-    Polygon,
     Segment,
     segment_intersects_polygon,
 )
@@ -23,6 +22,7 @@ from _scenes import (
     flat_line,
     make_building,
     nearest_point_on_segment,
+    polygon,
     random_roads,
     random_scene,
     reference_segment_intersects_polygon,
@@ -142,7 +142,7 @@ def square_building(building_id, x0, y0, size=10.0):
         PlanePoint(x0 + size, y0 + size),
         PlanePoint(x0, y0 + size),
     ]
-    return make_building(building_id, Polygon(ring))
+    return make_building(building_id, polygon(ring))
 
 
 def test_candidates_far_from_boxes_is_empty():
@@ -320,7 +320,7 @@ def test_grid_far_road_end_is_clamped_not_missed():
 
 def _zero_span_building(building_id, x, y):
     p = PlanePoint(x, y)
-    return make_building(building_id, Polygon([p, p, p, p]))
+    return make_building(building_id, polygon([p, p, p, p]))
 
 
 def test_grid_identical_and_zero_span_footprints():
@@ -369,7 +369,7 @@ def _lattice_footprint(kind, x, y, w, h, extra):
     else:
         ring = [(x, y)] + extra
     try:
-        return Polygon([PlanePoint(px, py) for px, py in ring])
+        return polygon(ring)
     except ValueError:
         return None
 
