@@ -1,26 +1,23 @@
 """Scoring against community-sourced validation data.
 
-Votes per cell go through majority consensus (strict plurality, so a single
-vote is consensus); consensus cells matched to model cells feed a 3x3
-confusion matrix, overall accuracy, one-vs-rest F1 per level, alluvial flow
-counts, and ternary vote proportions for multi-validated cells.
+Scoring takes each validated cell's votes, in cell order, as
+ingest.load_validations groups them. Votes per cell go through majority
+consensus (strict plurality, so a single vote is consensus); consensus
+cells matched to model cells feed a 3x3 confusion matrix, overall
+accuracy, one-vs-rest F1 per level, alluvial flow counts, and ternary vote
+proportions for multi-validated cells.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .classify import ClassifiedCell
 from .errors import EvaluationError
 from .grid import CellId
-from .ingest import ValidationRecord
 from .levels import LEVELS, DeprivationLevel
 
-
-class ConsensusCell(NamedTuple):
-    cell: CellId
-    level: DeprivationLevel
+Votes = Mapping[CellId, Sequence[DeprivationLevel]]
 
 
 def _tally(votes: Iterable[DeprivationLevel]) -> list[int]:
@@ -44,34 +41,22 @@ def consensus(votes: Sequence[DeprivationLevel]) -> DeprivationLevel | None:
     return LEVELS[tallies.index(top)] if tallies.count(top) == 1 else None
 
 
-def votes_by_cell(
-    records: Iterable[ValidationRecord],
-) -> dict[CellId, list[DeprivationLevel]]:
-    """Group votes per cell, in cell order. Records are taken as they come:
-    one vote per validator is load_validations' rule."""
-    votes: dict[CellId, list[DeprivationLevel]] = defaultdict(list)
-    for r in records:
-        votes[r.cell].append(r.level)
-    return {cell: votes[cell] for cell in sorted(votes)}
-
-
-def consensus_cells(
-    records: Iterable[ValidationRecord],
-) -> tuple[list[ConsensusCell], list[CellId]]:
-    """Split validated cells into consensus cells and no-consensus cell ids."""
-    agreed: list[ConsensusCell] = []
+def consensus_cells(votes: Votes) -> tuple[dict[CellId, DeprivationLevel], list[CellId]]:
+    """Split validated cells into consensus levels by cell and no-consensus
+    cell ids, both in the order of votes."""
+    agreed: dict[CellId, DeprivationLevel] = {}
     tied: list[CellId] = []
-    for cell, votes in votes_by_cell(records).items():
-        level = consensus(votes)
+    for cell, cell_votes in votes.items():
+        level = consensus(cell_votes)
         if level is None:
             tied.append(cell)
         else:
-            agreed.append(ConsensusCell(cell, level))
+            agreed[cell] = level
     return agreed, tied
 
 
 def build_confusion(
-    model: Iterable[ClassifiedCell], refs: Iterable[ConsensusCell]
+    model: Iterable[ClassifiedCell], refs: Mapping[CellId, DeprivationLevel]
 ) -> tuple[list[list[int]], list[CellId]]:
     """3x3 confusion matrix over matched cells: cm[reference][model], both
     indexed by DeprivationLevel. Reference cells absent from the model
@@ -79,12 +64,12 @@ def build_confusion(
     model_by_cell = {c.cell: c.level for c in model}
     cm = [[0, 0, 0] for _ in LEVELS]
     unmatched: list[CellId] = []
-    for ref in refs:
-        model_level = model_by_cell.get(ref.cell)
+    for cell, ref_level in refs.items():
+        model_level = model_by_cell.get(cell)
         if model_level is None:
-            unmatched.append(ref.cell)
+            unmatched.append(cell)
         else:
-            cm[ref.level][model_level] += 1
+            cm[ref_level][model_level] += 1
     if sum(map(sum, cm)) == 0:
         raise EvaluationError("no validated cells match the model output")
     return cm, unmatched
@@ -121,27 +106,25 @@ class TernaryPoint(NamedTuple):
     n_votes: int
 
 
-def ternary_proportions(records: Iterable[ValidationRecord]) -> list[TernaryPoint]:
+def ternary_proportions(votes: Votes) -> list[TernaryPoint]:
     """Per-cell vote shares per level (agreement analysis).
 
     Only cells with two or more votes are included, no-consensus cells
     among them. Proportions sum to 1 per cell.
     """
     points: list[TernaryPoint] = []
-    for cell, votes in votes_by_cell(records).items():
-        n = len(votes)
+    for cell, cell_votes in votes.items():
+        n = len(cell_votes)
         if n < 2:
             continue
-        n_low, n_medium, n_high = _tally(votes)
+        n_low, n_medium, n_high = _tally(cell_votes)
         points.append(TernaryPoint(cell, n_low / n, n_medium / n, n_high / n, n))
     return points
 
 
-def evaluation_report(
-    model: Sequence[ClassifiedCell], records: Sequence[ValidationRecord]
-) -> dict:
+def evaluation_report(model: Sequence[ClassifiedCell], votes: Votes) -> dict:
     """Full evaluation as a JSON-ready dict."""
-    refs, no_consensus = consensus_cells(records)
+    refs, no_consensus = consensus_cells(votes)
     cm, unmatched = build_confusion(model, refs)
     f1_low, f1_medium, f1_high = f1_per_class(cm)
     return {

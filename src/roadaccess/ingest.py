@@ -66,11 +66,6 @@ class RoadSegment(NamedTuple):
     surface: Surface = Surface.UNKNOWN
 
 
-class ValidationRecord(NamedTuple):
-    cell: CellId
-    level: DeprivationLevel
-
-
 class LoadStats:
     """Per-file conservation counters: total == loaded + skipped."""
 
@@ -495,29 +490,34 @@ def parse_wkt_polygons(text: str) -> list[list[list[list[float]]]]:
     """Parse WKT POLYGON/MULTIPOLYGON into GeoJSON-style coordinate arrays."""
     text = text.strip()
     upper = text.upper()
-    if upper.startswith("MULTIPOLYGON"):
-        body = text[text.index("(") + 1 : text.rindex(")")]
-        polygons = []
-        for poly in _split_wkt_groups(body):
-            poly = poly.strip()[1:-1]  # drop the polygon's own parentheses
-            polygons.append([_parse_wkt_ring(ring) for ring in _split_wkt_groups(poly)])
-        return polygons
+    if not upper.startswith(("MULTIPOLYGON", "POLYGON")):
+        raise ValueError(f"unsupported WKT geometry: {text[:30]!r}")
+    start, end = text.find("("), text.rfind(")")
+    if start < 0 or end < start:
+        raise ValueError(f"unbalanced parentheses in WKT geometry: {text[:30]!r}")
+    body = text[start + 1 : end]
     if upper.startswith("POLYGON"):
-        body = text[text.index("(") + 1 : text.rindex(")")]
         return [[_parse_wkt_ring(ring) for ring in _split_wkt_groups(body)]]
-    raise ValueError(f"unsupported WKT geometry: {text[:30]!r}")
+    polygons = []
+    for poly in _split_wkt_groups(body):
+        poly = poly.strip()[1:-1]  # drop the polygon's own parentheses
+        polygons.append([_parse_wkt_ring(ring) for ring in _split_wkt_groups(poly)])
+    return polygons
 
 
-def _building_parts(geom: dict) -> list[tuple[list[list[float]], float, float]]:
-    """(rings, centroid x, centroid y) of each footprint of a building geometry."""
+def _geojson_polygons(geom: dict) -> list:
+    """The coordinates of each polygon of a GeoJSON Polygon or MultiPolygon."""
     gtype = geom.get("type")
     if gtype == "Polygon":
-        polygons = [geom["coordinates"]]
-    elif gtype == "MultiPolygon":
+        return [geom["coordinates"]]
+    if gtype == "MultiPolygon":
         # one building per part: the metric operates on individual structures
-        polygons = geom["coordinates"]
-    else:
-        raise ValueError(f"unsupported geometry type {gtype!r}")
+        return geom["coordinates"]
+    raise ValueError(f"unsupported geometry type {gtype!r}")
+
+
+def _building_parts(polygons: list) -> list[tuple[list[list[float]], float, float]]:
+    """(rings, centroid x, centroid y) of each polygon's footprint."""
     parts = []
     for coords in polygons:
         flats = _project_rings(coords)
@@ -543,15 +543,13 @@ def load_buildings(
     finite.
     """
     stats = stats if stats is not None else LoadStats()
-    if str(path).lower().endswith(".csv"):
-        features = _read_building_csv_features(path)
-    else:
-        features = _read_geojson_features(path)
+    from_csv = str(path).lower().endswith(".csv")
+    features = _read_building_csv_rows(path) if from_csv else _read_geojson_features(path)
     buildings = BuildingTable()
     for n, feature in enumerate(features):
         stats.total += 1
         try:
-            geom, props = _feature_parts(feature)
+            geom, props = feature if from_csv else _feature_parts(feature)
             raw_conf = props.get("confidence")
             confidence = None
             if raw_conf not in (None, ""):
@@ -561,7 +559,7 @@ def load_buildings(
             if confidence is not None and min_confidence is not None and confidence < min_confidence:
                 stats.loaded += 1  # valid feature, filtered by choice
                 continue
-            parts = _building_parts(geom)
+            parts = _building_parts(parse_wkt_polygons(geom) if from_csv else _geojson_polygons(geom))
         except (ValueError, TypeError, KeyError, IndexError, OverflowError) as exc:
             stats.skipped += 1
             log.warning("skipping building feature %d in %s: %s", n, path, exc)
@@ -582,9 +580,9 @@ def load_buildings(
 _CSV_FIELD_LIMIT = 2**31 - 1  # a C long on every platform
 
 
-def _read_building_csv_features(path: Path | str) -> Iterator[dict]:
-    """One GeoJSON-style feature per CSV row, carrying only its confidence;
-    its geometry is a MultiPolygon, of one part for a WKT POLYGON.
+def _read_building_csv_rows(path: Path | str) -> Iterator[tuple[str, dict]]:
+    """(WKT text, properties) of each CSV row, the properties holding only
+    its confidence; load_buildings parses the WKT of the rows it keeps.
     A UTF-8 byte order mark (spreadsheet exports) is skipped. The csv
     module's field size limit is _CSV_FIELD_LIMIT until the rows are read."""
     limit = csv.field_size_limit(_CSV_FIELD_LIMIT)
@@ -603,13 +601,8 @@ def _read_building_csv_features(path: Path | str) -> Iterator[dict]:
             if "confidence" in fieldnames:
                 conf_col = (reader.fieldnames or [])[fieldnames.index("confidence")]
             for row in reader:
-                try:
-                    polygons = parse_wkt_polygons(row.get(geom_col) or "")
-                    geometry = {"type": "MultiPolygon", "coordinates": polygons}
-                except ValueError:
-                    geometry = {"type": "Invalid"}
                 confidence = row.get(conf_col) if conf_col else None
-                yield {"type": "Feature", "geometry": geometry, "properties": {"confidence": confidence}}
+                yield row.get(geom_col) or "", {"confidence": confidence}
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read buildings CSV {path}: {exc}") from exc
     except csv.Error as exc:  # e.g. a NUL byte, before Python 3.11
@@ -679,14 +672,17 @@ _VALIDATION_COLUMNS = ("cell_i", "cell_j", "validator_id", "level")
 
 def load_validations(
     path: Path | str, stats: LoadStats | None = None
-) -> list[ValidationRecord]:
-    """Load community validation votes from CSV.
+) -> dict[CellId, list[DeprivationLevel]]:
+    """Load community validation votes from CSV: each validated cell's
+    votes, in cell order.
 
     Level strings are case-folded onto the closed vocabulary; rows with an
     unknown level, an unparseable cell index or a blank or missing
     validator id are rejected, and their line numbers reported. Duplicate
     (cell, validator) rows keep the last occurrence: one person, one vote.
-    A UTF-8 byte order mark (spreadsheet exports) is skipped.
+    A cell's votes come in the order each validator first voted on it.
+    stats.records counts the votes kept. A UTF-8 byte order mark
+    (spreadsheet exports) is skipped.
     """
     stats = stats if stats is not None else LoadStats()
     try:
@@ -695,7 +691,7 @@ def load_validations(
             missing = [c for c in _VALIDATION_COLUMNS if c not in (reader.fieldnames or [])]
             if missing:
                 raise DataError(f"{path}: missing validation columns: {', '.join(missing)}")
-            by_vote: dict[tuple[CellId, str], ValidationRecord] = {}
+            by_vote: dict[tuple[CellId, str], DeprivationLevel] = {}
             for row in reader:
                 stats.total += 1
                 try:
@@ -708,7 +704,7 @@ def load_validations(
                     stats.skipped += 1
                     stats.rejected_lines.append(reader.line_num)
                     continue
-                by_vote[(cell, validator)] = ValidationRecord(cell, level)
+                by_vote[(cell, validator)] = level
                 stats.loaded += 1
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read validations CSV {path}: {exc}") from exc
@@ -721,6 +717,8 @@ def load_validations(
             len(stats.rejected_lines),
             ", ".join(str(n) for n in stats.rejected_lines),
         )
-    records = list(by_vote.values())
-    stats.records = len(records)
-    return records
+    stats.records = len(by_vote)
+    votes: dict[CellId, list[DeprivationLevel]] = {}
+    for (cell, _), level in by_vote.items():
+        votes.setdefault(cell, []).append(level)
+    return {cell: votes[cell] for cell in sorted(votes)}

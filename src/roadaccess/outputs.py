@@ -196,8 +196,11 @@ def write_cells_csv(path: Path | str, cells: Sequence[ClassifiedCell]) -> None:
 
 
 def read_cells_csv(path: Path | str) -> list[ClassifiedCell]:
-    """Read a cell CSV back into ClassifiedCell records (evaluation input)."""
+    """Read a cell CSV back into ClassifiedCell records (evaluation input).
+    A cell listed twice is a DataError: scoring would keep only one of its
+    levels."""
     cells: list[ClassifiedCell] = []
+    seen: set[CellId] = set()
     try:
         with open(path, newline="", encoding="utf-8-sig") as f:
             reader = csv.DictReader(f)
@@ -205,11 +208,15 @@ def read_cells_csv(path: Path | str) -> list[ClassifiedCell]:
             if missing:
                 raise DataError(f"{path}: missing cell columns: {', '.join(missing)}")
             for row in reader:
+                cell = CellId(int(row["i"]), int(row["j"]))
+                if cell in seen:
+                    raise DataError(f"{path}: line {reader.line_num}: cell ({cell.i}, {cell.j}) is listed twice")
+                seen.add(cell)
                 mean = row["mean_obstruction"]
                 modal = row["modal_surface"]
                 cells.append(
                     ClassifiedCell(
-                        cell=CellId(int(row["i"]), int(row["j"])),
+                        cell=cell,
                         level=DeprivationLevel.from_label(row["level"]),
                         building_count=int(row["building_count"]),
                         mean_obstruction=None if mean == "" else float(mean),

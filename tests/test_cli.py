@@ -463,6 +463,24 @@ def test_evaluate_short_row_in_cells_csv_is_data_error(tmp_path, formal_fixture,
     assert len(err) == 1 and err[0].startswith("data-error: malformed cells CSV")
 
 
+def test_evaluate_cell_listed_twice_in_cells_csv_is_data_error(tmp_path, formal_fixture, capsys):
+    # scoring keeps one level per cell, so a second row would change it silently
+    _, files = formal_fixture
+    votes = tmp_path / "votes.csv"
+    votes.write_text("cell_i,cell_j,validator_id,level\n0,0,a,low\n")
+    cfg = write_config(tmp_path, files, validations=str(votes))
+    assert main(["run", "--config", str(cfg)]) == 0
+    cells_csv = tmp_path / "out" / "cells.csv"
+    lines = cells_csv.read_text().splitlines()
+    i, j, level, *rest = lines[1].split(",")
+    other = "high" if level != "high" else "low"
+    cells_csv.write_text("\n".join([*lines, ",".join([i, j, other, *rest])]) + "\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"data-error: {cells_csv}: line {len(lines) + 1}: cell ({i}, {j}) is listed twice"]
+
+
 def test_run_with_too_many_cells_exits_with_configuration_error(tmp_path, capsys, monkeypatch):
     files = write_lonlat_scene(tmp_path, random.Random(3), n_buildings=12, n_roads=3, span_deg=0.002)
     # a boundary about 450 m square at 1 cm cells: 2e9 cells

@@ -6,7 +6,6 @@ import pytest
 from roadaccess.classify import ClassifiedCell
 from roadaccess.errors import EvaluationError
 from roadaccess.evaluate import (
-    ConsensusCell,
     accuracy,
     build_confusion,
     consensus,
@@ -16,7 +15,7 @@ from roadaccess.evaluate import (
     ternary_proportions,
 )
 from roadaccess.grid import CellId
-from roadaccess.ingest import ValidationRecord, load_validations
+from roadaccess.ingest import load_validations
 from roadaccess.levels import LEVELS, DeprivationLevel
 
 LOW, MEDIUM, HIGH = DeprivationLevel.LOW, DeprivationLevel.MEDIUM, DeprivationLevel.HIGH
@@ -60,11 +59,7 @@ def test_consensus_order_independent():
         assert consensus(votes) is consensus(shuffled)
 
 
-def record(i, j, level):
-    return ValidationRecord(CellId(i, j), level)
-
-
-def test_votes_by_cell_deduplicates_validators(tmp_path):
+def test_a_revised_vote_counts_once(tmp_path):
     # one person, one vote: a revised vote counts once, through the loader
     path = tmp_path / "votes.csv"
     path.write_text(
@@ -72,27 +67,23 @@ def test_votes_by_cell_deduplicates_validators(tmp_path):
         "0,0,a,low\n0,0,a,high\n0,0,b,low\n"  # a revises low -> high
         "1,0,c,medium\n"
     )
-    records = load_validations(path)
-    report = evaluation_report([model_cell(0, 0, LOW), model_cell(1, 0, MEDIUM)], records)
+    votes = load_validations(path)
+    report = evaluation_report([model_cell(0, 0, LOW), model_cell(1, 0, MEDIUM)], votes)
     # (0, 0) is a high-low tie; with both of a's rows, low would win 2-1 and match
     assert report["matched_cells"] == 1
     assert report["excluded"] == {"no_consensus": 1, "unmatched": 0}
-    assert [t.n_votes for t in ternary_proportions(records)] == [2]
+    assert [t.n_votes for t in ternary_proportions(votes)] == [2]
 
 
 def test_consensus_cells_split():
-    records = [
-        record(0, 0, LOW),
-        record(0, 0, LOW),
-        record(0, 0, MEDIUM),
-        record(1, 0, LOW),
-        record(1, 0, MEDIUM),
-        record(2, 0, HIGH),
-    ]
-    agreed, tied = consensus_cells(records)
-    by_cell = {c.cell: c for c in agreed}
-    assert by_cell[CellId(0, 0)].level is LOW
-    assert by_cell[CellId(2, 0)].level is HIGH
+    votes = {
+        CellId(0, 0): [LOW, LOW, MEDIUM],
+        CellId(1, 0): [LOW, MEDIUM],
+        CellId(2, 0): [HIGH],
+    }
+    agreed, tied = consensus_cells(votes)
+    assert agreed[CellId(0, 0)] is LOW
+    assert agreed[CellId(2, 0)] is HIGH
     assert tied == [CellId(1, 0)]
 
 
@@ -100,13 +91,9 @@ def model_cell(i, j, level):
     return ClassifiedCell(CellId(i, j), level, 3, 0.0, None)
 
 
-def ref_cell(i, j, level):
-    return ConsensusCell(CellId(i, j), level)
-
-
 def test_build_confusion_perfect_agreement():
     model = [model_cell(i, 0, LOW) for i in range(10)]
-    refs = [ref_cell(i, 0, LOW) for i in range(10)]
+    refs = {CellId(i, 0): LOW for i in range(10)}
     cm, unmatched = build_confusion(model, refs)
     assert sum(map(sum, cm)) == 10
     assert cm[LOW][LOW] == 10
@@ -115,14 +102,14 @@ def test_build_confusion_perfect_agreement():
 
 def test_build_confusion_one_disagreement():
     model = [model_cell(0, 0, MEDIUM)]
-    refs = [ref_cell(0, 0, LOW)]
+    refs = {CellId(0, 0): LOW}
     cm, _ = build_confusion(model, refs)
     assert cm[LOW][MEDIUM] == 1
 
 
 def test_build_confusion_reports_unmatched():
     model = [model_cell(0, 0, LOW)]
-    refs = [ref_cell(0, 0, LOW), ref_cell(9, 9, HIGH)]
+    refs = {CellId(0, 0): LOW, CellId(9, 9): HIGH}
     cm, unmatched = build_confusion(model, refs)
     assert sum(map(sum, cm)) == 1
     assert unmatched == [CellId(9, 9)]
@@ -130,19 +117,19 @@ def test_build_confusion_reports_unmatched():
 
 def test_build_confusion_zero_matches_is_evaluation_error():
     with pytest.raises(EvaluationError):
-        build_confusion([model_cell(0, 0, LOW)], [ref_cell(5, 5, LOW)])
+        build_confusion([model_cell(0, 0, LOW)], {CellId(5, 5): LOW})
 
 
 def test_build_confusion_matches_tally_oracle():
     rng = random.Random(6)
     model = []
-    refs = []
+    refs = {}
     tally = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
     for i in range(200):
         m = rng.choice(LEVELS)
         r = rng.choice(LEVELS)
         model.append(model_cell(i, 0, m))
-        refs.append(ref_cell(i, 0, r))
+        refs[CellId(i, 0)] = r
         tally[r.value][m.value] += 1
     cm, _ = build_confusion(model, refs)
     assert cm == tally
@@ -197,8 +184,8 @@ def report_flows(report):
 def test_flows_consistent_with_confusion():
     rng = random.Random(14)
     model = [model_cell(i, 0, rng.choice(LEVELS)) for i in range(60)]
-    records = [record(i, 0, rng.choice(LEVELS)) for i in range(60)]
-    report = evaluation_report(model, records)
+    votes = {CellId(i, 0): [rng.choice(LEVELS)] for i in range(60)}
+    report = evaluation_report(model, votes)
     flows = report_flows(report)
     # all ordered pairs, zero counts included, model level outermost
     assert [(m, r) for m, r, _ in flows] == [(m, r) for m in LEVELS for r in LEVELS]
@@ -208,24 +195,20 @@ def test_flows_consistent_with_confusion():
 
 
 def test_flows_single_cell():
-    report = evaluation_report([model_cell(0, 0, LOW)], [record(0, 0, MEDIUM)])
+    report = evaluation_report([model_cell(0, 0, LOW)], {CellId(0, 0): [MEDIUM]})
     flows = report_flows(report)
     assert (LOW, MEDIUM, 1) in flows
     assert sum(c for _, _, c in flows) == 1
 
 
 def test_ternary_proportions_examples():
-    records = [
-        record(0, 0, LOW),
-        record(0, 0, LOW),
-        record(1, 0, LOW),
-        record(1, 0, MEDIUM),
-        record(2, 0, LOW),
-        record(2, 0, MEDIUM),
-        record(2, 0, HIGH),
-        record(3, 0, HIGH),  # single vote: excluded
-    ]
-    points = {t.cell: t for t in ternary_proportions(records)}
+    votes = {
+        CellId(0, 0): [LOW, LOW],
+        CellId(1, 0): [LOW, MEDIUM],
+        CellId(2, 0): [LOW, MEDIUM, HIGH],
+        CellId(3, 0): [HIGH],  # single vote: excluded
+    }
+    points = {t.cell: t for t in ternary_proportions(votes)}
     assert CellId(3, 0) not in points
     assert points[CellId(0, 0)].p_low == 1.0
     assert (points[CellId(1, 0)].p_low, points[CellId(1, 0)].p_medium) == (0.5, 0.5)
@@ -259,25 +242,21 @@ def test_validator_relabeling_leaves_outputs_unchanged(tmp_path):
 
 def test_conservation_of_validated_cells():
     rng = random.Random(16)
-    records = []
-    for i in range(40):
-        for _ in range(rng.randint(1, 4)):
-            records.append(record(i, 0, rng.choice(LEVELS)))
+    votes = {CellId(i, 0): [rng.choice(LEVELS) for _ in range(rng.randint(1, 4))] for i in range(40)}
     model = [model_cell(i, 0, rng.choice(LEVELS)) for i in range(30)]  # 10 unmatched
-    refs, no_consensus = consensus_cells(records)
+    refs, no_consensus = consensus_cells(votes)
     try:
         cm, unmatched = build_confusion(model, refs)
         matched = sum(map(sum, cm))
     except EvaluationError:
         matched, unmatched = 0, []
-    distinct_cells = len({r.cell for r in records})
-    assert matched + len(no_consensus) + len(unmatched) == distinct_cells
+    assert matched + len(no_consensus) + len(unmatched) == len(votes)
 
 
 def test_evaluation_report_shape():
     model = [model_cell(0, 0, LOW), model_cell(1, 0, MEDIUM)]
-    records = [record(0, 0, LOW), record(1, 0, LOW)]
-    report = evaluation_report(model, records)
+    votes = {CellId(0, 0): [LOW], CellId(1, 0): [LOW]}
+    report = evaluation_report(model, votes)
     assert report["matched_cells"] == 2
     assert report["accuracy"] == 0.5
     assert set(report["f1"]) == {"low", "medium", "high"}

@@ -15,7 +15,6 @@ from roadaccess.ingest import (
     MOTORABLE_CLASSES,
     LoadStats,
     RoadSegment,
-    ValidationRecord,
     clip_to_boundary,
     filter_motorable,
     load_boundary,
@@ -341,6 +340,30 @@ def test_load_buildings_csv_with_wkt(tmp_path):
     assert stats.total == 3 and stats.skipped == 1
 
 
+def test_bad_wkt_footprint_is_logged_with_the_parsers_message(tmp_path, capsys):
+    rows = [
+        ("CIRCLE (1 2)", "", "unsupported WKT geometry: 'CIRCLE (1 2)'"),
+        ("POLYGON ((0 0, abc 0, 0.0001 0.0001, 0 0))", "", "could not convert string to float: 'abc'"),
+        (
+            "POLYGON (0 0, 0.0001 0, 0.0001 0.0001, 0 0",
+            "",
+            "unbalanced parentheses in WKT geometry: 'POLYGON (0 0, 0.0001 0, 0.0001'",
+        ),
+        # filtered by its confidence before its WKT is read: loaded, as a valid row would be
+        ("CIRCLE (1 2)", "0.1", None),
+    ]
+    path = tmp_path / "b.csv"
+    path.write_text("geometry,confidence\n" + "".join(f'"{wkt}",{conf}\n' for wkt, conf, _ in rows))
+    capsys.readouterr()
+    stats = LoadStats()
+    assert len(load_buildings(path, min_confidence=0.5, stats=stats)) == 0
+    assert (stats.total, stats.loaded, stats.skipped) == (4, 1, 3)
+    assert capsys.readouterr().err.splitlines() == [
+        f"WARNING roadaccess.ingest: skipping building feature {n} in {path}: {message}"
+        for n, (_, _, message) in enumerate(rows[:3])
+    ]
+
+
 def test_non_finite_or_boolean_confidence_is_malformed(tmp_path):
     # none of these may load: each would pass (or dodge) min_confidence
     bad = ["nan", "inf", "-Infinity", True, False, float("nan"), float("inf")]
@@ -631,54 +654,88 @@ def validation_csv(tmp_path, rows):
 
 
 def test_load_validations_basic(tmp_path):
-    records = load_validations(
+    votes = load_validations(
         validation_csv(tmp_path, ["0,0,alice,low", "0,0,bob,medium", "1,2,carol,high"])
     )
-    assert len(records) == 3
-    assert {r.cell for r in records} == {CellId(0, 0), CellId(1, 2)}
+    assert sum(map(len, votes.values())) == 3
+    assert set(votes) == {CellId(0, 0), CellId(1, 2)}
 
 
 def test_load_validations_case_folds_level(tmp_path):
-    records = load_validations(validation_csv(tmp_path, ["0,0,alice,High"]))
-    assert records[0].level is DeprivationLevel.HIGH
+    votes = load_validations(validation_csv(tmp_path, ["0,0,alice,High"]))
+    assert votes[CellId(0, 0)][0] is DeprivationLevel.HIGH
 
 
 def test_load_validations_rejects_unknown_level_with_line_numbers(tmp_path):
     stats = LoadStats()
-    records = load_validations(
+    votes = load_validations(
         validation_csv(tmp_path, ["0,0,alice,low", "0,1,bob,severe", "x,2,carol,high"]),
         stats=stats,
     )
-    assert len(records) == 1
+    assert sum(map(len, votes.values())) == 1
     assert stats.rejected_lines == [3, 4]  # header is line 1
     assert stats.total == 3 and stats.loaded == 1 and stats.skipped == 2
 
 
 def test_load_validations_duplicate_vote_keeps_last(tmp_path):
-    records = load_validations(
+    votes = load_validations(
         validation_csv(tmp_path, ["0,0,alice,low", "0,0,alice,high"])
     )
-    assert len(records) == 1
-    assert records[0].level is DeprivationLevel.HIGH
+    assert sum(map(len, votes.values())) == 1
+    assert votes[CellId(0, 0)][0] is DeprivationLevel.HIGH
 
 
 def test_load_validations_rejects_blank_or_missing_validator(tmp_path):
     # blank ids would otherwise merge into one person's vote
     stats = LoadStats()
-    records = load_validations(
+    votes = load_validations(
         validation_csv(tmp_path, ["0,0,,low", "0,0,,high", "0,0, ,medium", "0,0,alice,low"]),
         stats=stats,
     )
-    assert records == [ValidationRecord(CellId(0, 0), DeprivationLevel.LOW)]  # alice's
+    assert votes == {CellId(0, 0): [DeprivationLevel.LOW]}  # alice's
     assert stats.rejected_lines == [2, 3, 4]
     assert (stats.total, stats.loaded, stats.skipped, stats.records) == (4, 1, 3, 1)
     # a short row without its last column, here the validator id
     path = tmp_path / "short.csv"
     path.write_text("cell_i,cell_j,level,validator_id\n0,0,low\n1,0,high,bob\n")
     stats = LoadStats()
-    records = load_validations(path, stats=stats)
-    assert records == [ValidationRecord(CellId(1, 0), DeprivationLevel.HIGH)]  # bob's
+    votes = load_validations(path, stats=stats)
+    assert votes == {CellId(1, 0): [DeprivationLevel.HIGH]}  # bob's
     assert stats.rejected_lines == [2]
+
+
+def test_load_validations_groups_votes_as_a_brute_force_does(tmp_path):
+    rng = random.Random(24)
+    labels = {"low": DeprivationLevel.LOW, "medium": DeprivationLevel.MEDIUM, "high": DeprivationLevel.HIGH}
+    for trial in range(40):
+        # repeated validators, rows that are rejected, cells in no order
+        rows = [
+            (
+                rng.choice(["-1", "0", "2", "3", "x"]),
+                rng.choice(["0", "1", "4"]),
+                rng.choice(["a", "b", " c ", "c", "", "d"]),
+                rng.choice(["low", "Medium", "HIGH", "severe"]),
+            )
+            for _ in range(rng.randint(0, 30))
+        ]
+        path = validation_csv(tmp_path, [",".join(row) for row in rows])
+        stats = LoadStats()
+        votes = load_validations(path, stats=stats)
+        valid = [
+            ((int(i), int(j), validator.strip()), labels[label.lower()])
+            for i, j, validator, label in rows
+            if i != "x" and validator.strip() and label.lower() in labels
+        ]
+        # each (cell, validator) in the order first seen, with its last row's level
+        voters = [key for n, (key, _) in enumerate(valid) if key not in [k for k, _ in valid[:n]]]
+        kept = [(key, [level for k, level in valid if k == key][-1]) for key in voters]
+        want = {
+            CellId(*cell): [level for (i, j, _), level in kept if (i, j) == cell]
+            for cell in sorted({(i, j) for (i, j, _), _ in kept})
+        }
+        assert list(votes.items()) == list(want.items())
+        assert stats.records == len(kept) == sum(map(len, votes.values()))
+        assert stats.loaded + stats.skipped == stats.total == len(rows)
 
 
 def test_load_validations_undecodable_file_is_data_error(tmp_path):
@@ -704,15 +761,15 @@ def test_byte_order_mark_is_skipped_in_validation_and_building_csvs(tmp_path):
         '"LINESTRING (0 0, 1 1)",0.8\n'
     )
     for name, text, load in (
-        ("votes.csv", votes, load_validations),
-        ("buildings.csv", footprints, load_buildings),
+        ("votes.csv", votes, lambda path, stats: list(load_validations(path, stats=stats).items())),
+        ("buildings.csv", footprints, lambda path, stats: list(load_buildings(path, stats=stats))),
     ):
         loaded = []
         for prefix in ("", "\ufeff"):
             path = tmp_path / f"{len(prefix)}{name}"
             path.write_text(prefix + text, encoding="utf-8")
             stats = LoadStats()
-            loaded.append((list(load(path, stats=stats)), stats.as_dict()))
+            loaded.append((load(path, stats), stats.as_dict()))
         assert loaded[1] == loaded[0]
         assert loaded[0][0] and loaded[0][1]["skipped"] == 1
 
