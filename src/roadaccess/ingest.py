@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import re
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -230,6 +231,26 @@ def _decode_error(exc: UnicodeDecodeError, start: int) -> str:
     return f"'{exc.encoding}' codec can't decode bytes in position {start}-{end}: {exc.reason}"
 
 
+def _json_items(src: _BlockText, close: str) -> Iterator[str]:
+    """Walk the JSON array or object opened at src.pos as json.decoder does:
+    yield each item's first character, with pos at it for the caller to
+    consume the item, raise json's message on a bad separator, and end past
+    close. A ',' is always followed by an item: a trailing comma fails there."""
+    src.pos += 1
+    first = src.next_char()
+    if first != close:
+        while True:
+            yield first
+            sep = src.next_char()
+            if sep == close:
+                break
+            if sep != ",":
+                raise src.error("Expecting ',' delimiter")
+            src.pos += 1
+            first = src.next_char()
+    src.pos += 1
+
+
 def _read_geojson_features(path: Path | str) -> Iterator[object]:
     """The features of a GeoJSON document, each yielded once it is decoded.
 
@@ -242,7 +263,7 @@ def _read_geojson_features(path: Path | str) -> Iterator[object]:
     FeatureCollection (RFC 7946 section 7.1) raise DataError, with the
     message a walk of the whole text gives. The type is known only at the
     end, as writers that sort keys put 'features' first, so the last two
-    wait for it.
+    wait for it. _json_items walks the object and 'features'.
     """
     try:
         f = open(path, "rb")
@@ -261,49 +282,24 @@ def _read_geojson_features(path: Path | str) -> Iterator[object]:
                 if src.next_char():
                     raise src.error("Extra data")
                 raise DataError(f"{path}: GeoJSON top level is not an object")
-            # the object walk of json.decoder.JSONObject, with the messages it raises
-            src.pos += 1
-            sep = src.next_char()
-            if sep == "}":
+            # the member walk of json.decoder.JSONObject, with the messages it raises
+            for first in _json_items(src, "}"):
+                if first != '"':
+                    raise src.error("Expecting property name enclosed in double quotes")
+                key = src.key()
+                if src.next_char() != ":":
+                    raise src.error("Expecting ':' delimiter")
                 src.pos += 1
-            else:
-                while True:
-                    if sep != '"':
-                        raise src.error("Expecting property name enclosed in double quotes")
-                    key = src.key()
-                    if src.next_char() != ":":
-                        raise src.error("Expecting ':' delimiter")
-                    src.pos += 1
-                    start = src.next_char()
-                    if key == "features" and key in members:
-                        # the first one's features may already be yielded
-                        raise DataError(f"{path}: duplicate 'features' member")
-                    if key == "features" and start == "[":
-                        members[key] = []  # streamed below, not kept
-                        src.pos += 1
-                        if src.next_char() == "]":
-                            src.pos += 1
-                        else:
-                            while True:
-                                yield src.value()
-                                sep = src.next_char()
-                                if sep == "]":
-                                    src.pos += 1
-                                    break
-                                if sep != ",":
-                                    raise src.error("Expecting ',' delimiter")
-                                src.pos += 1
-                                src.next_char()
-                    else:
-                        members[key] = src.value()
-                    sep = src.next_char()
-                    if sep == "}":
-                        src.pos += 1
-                        break
-                    if sep != ",":
-                        raise src.error("Expecting ',' delimiter")
-                    src.pos += 1
-                    sep = src.next_char()
+                start = src.next_char()
+                if key == "features" and key in members:
+                    # the first one's features may already be yielded
+                    raise DataError(f"{path}: duplicate 'features' member")
+                if key == "features" and start == "[":
+                    members[key] = []  # streamed, not kept
+                    for _ in _json_items(src, "]"):
+                        yield src.value()
+                else:
+                    members[key] = src.value()
             if src.next_char():
                 raise src.error("Extra data")
         except ValueError as exc:  # json.JSONDecodeError
@@ -388,25 +384,23 @@ def _project_line(coords: Sequence[Sequence[float]]) -> tuple[float, ...]:
     return tuple(line)
 
 
-def _project_ring(coords: Sequence[Sequence[float]]) -> list[float]:
-    """Flat projected coordinates (x0, y0, x1, y1, ...) of a ring's positions."""
-    flat = _project_positions(coords[:-1])
-    last = coords[-1]
-    if flat and last == coords[0]:
-        # the closing position repeats the first: reuse its coordinates
-        _lonlat(last)
-        flat += flat[:2]
-    else:
-        flat += project_lonlat(*_lonlat(last))
-    return flat
-
-
 def _project_rings(rings: Sequence[Sequence[Sequence[float]]]) -> list[list[float]]:
-    """The flat projected rings of a GeoJSON polygon's coordinates, exterior
-    first, each closed and checked as Polygon closes it."""
+    """The flat projected rings (x0, y0, x1, y1, ...) of a GeoJSON polygon's
+    coordinates, exterior first. A last position equal to the first is
+    checked, not projected: it reuses the first vertex. Once all are
+    projected, each is closed and checked as Polygon closes it."""
     if not rings:
         raise ValueError("polygon without rings")
-    flats = [_project_ring(r) for r in rings]
+    flats = []
+    for coords in rings:
+        flat = _project_positions(coords[:-1])
+        last = coords[-1]
+        if flat and last == coords[0]:
+            _lonlat(last)
+            flat += flat[:2]
+        else:
+            flat += project_lonlat(*_lonlat(last))
+        flats.append(flat)
     for flat in flats:
         close_flat(flat)
     return flats
@@ -461,48 +455,53 @@ def filter_motorable(roads: Iterable[RoadSegment]) -> list[RoadSegment]:
     return [r for r in roads if r.road_class in MOTORABLE_CLASSES]
 
 
-def _split_wkt_groups(body: str) -> list[str]:
-    """Split 'a,b),(c,d' style WKT bodies at top-level commas."""
-    groups: list[str] = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            groups.append(body[start:i])
-            start = i + 1
-    groups.append(body[start:])
-    return groups
-
-
-def _parse_wkt_ring(text: str) -> list[list[float]]:
-    ring = []
-    for pair in text.strip().strip("()").split(","):
-        xy = pair.split()
-        ring.append([float(xy[0]), float(xy[1])])
-    return ring
+# a WKT token: a parenthesis, a comma, or one of a position's numbers
+_WKT_TOKEN = re.compile(r"[(),]|[^\s(),]+")
 
 
 def parse_wkt_polygons(text: str) -> list[list[list[list[float]]]]:
-    """Parse WKT POLYGON/MULTIPOLYGON into GeoJSON-style coordinate arrays."""
+    """Parse WKT POLYGON/MULTIPOLYGON into GeoJSON-style coordinate arrays.
+
+    The parenthesised, comma-separated lists must nest as the type says (a
+    POLYGON's rings of positions, a MULTIPOLYGON's polygons of rings), with
+    nothing after them. A position's numbers after the first two (Z, M) are
+    ignored. Anything else raises ValueError.
+    """
     text = text.strip()
     upper = text.upper()
     if not upper.startswith(("MULTIPOLYGON", "POLYGON")):
         raise ValueError(f"unsupported WKT geometry: {text[:30]!r}")
-    start, end = text.find("("), text.rfind(")")
-    if start < 0 or end < start:
+    start = text.find("(")
+    if start < 0 or text.count("(", start) != text.count(")", start):
         raise ValueError(f"unbalanced parentheses in WKT geometry: {text[:30]!r}")
-    body = text[start + 1 : end]
-    if upper.startswith("POLYGON"):
-        return [[_parse_wkt_ring(ring) for ring in _split_wkt_groups(body)]]
-    polygons = []
-    for poly in _split_wkt_groups(body):
-        poly = poly.strip()[1:-1]  # drop the polygon's own parentheses
-        polygons.append([_parse_wkt_ring(ring) for ring in _split_wkt_groups(poly)])
-    return polygons
+    tokens = _WKT_TOKEN.findall(text, start)
+    malformed = f"malformed WKT geometry: {text[:30]!r}"
+    k = 0  # the next token; inside a list, as the parentheses balance, a ')' is left
+
+    def coords(depth: int) -> list:
+        # the coordinates at tokens[k], nested depth lists deep (0: a position)
+        nonlocal k
+        if depth == 0:
+            first = k
+            while tokens[k] not in "(),":
+                k += 1
+            if k - first < 2:
+                raise ValueError(f"WKT position needs two numbers, got {' '.join(tokens[first:k])!r}")
+            return [float(tokens[first]), float(tokens[first + 1])]
+        items = []
+        while tokens[k] == ("," if items else "("):
+            k += 1
+            items.append(coords(depth - 1))
+        if not items or tokens[k] != ")":
+            raise ValueError(malformed)
+        k += 1
+        return items
+
+    multi = upper.startswith("M")
+    polygons = coords(3 if multi else 2)
+    if k != len(tokens):
+        raise ValueError(malformed)
+    return polygons if multi else [polygons]
 
 
 def _geojson_polygons(geom: dict) -> list:
@@ -589,17 +588,13 @@ def _read_building_csv_rows(path: Path | str) -> Iterator[tuple[str, dict]]:
     try:
         with open(path, newline="", encoding="utf-8-sig") as f:
             reader = csv.DictReader(f)
-            fieldnames = [fn.strip().lower() for fn in reader.fieldnames or []]
-            geom_col = None
-            for candidate in ("geometry", "wkt"):
-                if candidate in fieldnames:
-                    geom_col = (reader.fieldnames or [])[fieldnames.index(candidate)]
-                    break
+            columns: dict[str, str] = {}  # folded name: the first column with that name
+            for name in reader.fieldnames or []:
+                columns.setdefault(name.strip().lower(), name)
+            geom_col = columns.get("geometry") or columns.get("wkt")
             if geom_col is None:
                 raise DataError(f"{path}: no 'geometry' or 'wkt' column")
-            conf_col = None
-            if "confidence" in fieldnames:
-                conf_col = (reader.fieldnames or [])[fieldnames.index("confidence")]
+            conf_col = columns.get("confidence")
             for row in reader:
                 confidence = row.get(conf_col) if conf_col else None
                 yield row.get(geom_col) or "", {"confidence": confidence}
@@ -619,19 +614,14 @@ def load_boundary(path: Path | str) -> Polygon:
     try:
         for feature in features:
             try:
-                geom, _ = _feature_parts(feature)
-            except ValueError:
-                continue
-            gtype = geom.get("type")
-            try:
-                if gtype == "Polygon":
-                    rings = _project_rings(geom["coordinates"])
-                elif gtype == "MultiPolygon" and len(geom["coordinates"]) == 1:
-                    rings = _project_rings(geom["coordinates"][0])
-                else:
-                    if gtype == "MultiPolygon" and not parts:
-                        parts = len(geom["coordinates"])
+                try:
+                    polygons = _geojson_polygons(_feature_parts(feature)[0])
+                except ValueError:  # not an object, or neither a Polygon nor a MultiPolygon
                     continue
+                if len(polygons) != 1:  # a MultiPolygon of several parts, or of none
+                    parts = parts or len(polygons)
+                    continue
+                rings = _project_rings(polygons[0])
                 poly = Polygon(rings[0], rings[1:])
             except (ValueError, TypeError, KeyError, IndexError, OverflowError) as exc:
                 raise DataError(f"{path}: malformed boundary polygon: {exc}") from exc

@@ -320,10 +320,9 @@ class PolygonIndex:
                 continue
             # a corner's side of the line is dx * (y - ay) - dy * (x - ax);
             # take the extremes of both terms over the four corners
+            # p <= q needs no swap: dx >= 0, as a is the left end, and y0 <= y1
             p = dx * (y0 - ay)
             q = dx * (y1 - ay)
-            if p > q:
-                p, q = q, p
             r = dy * (x0 - ax)
             t = dy * (x1 - ax)
             if r > t:

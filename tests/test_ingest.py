@@ -9,7 +9,7 @@ import pytest
 from roadaccess import ingest
 from roadaccess.cli import main
 from roadaccess.errors import DataError
-from roadaccess.geometry import PlanePoint, Polygon, point_in_rings
+from roadaccess.geometry import PlanePoint, Polygon, close_flat, point_in_rings
 from roadaccess.grid import CellId
 from roadaccess.ingest import (
     MOTORABLE_CLASSES,
@@ -209,6 +209,65 @@ def test_closing_position_must_be_numbers_even_when_equal_to_the_first(tmp_path)
     assert ext[0].hex() == ext[-2].hex() and ext[1].hex() == ext[-1].hex()
 
 
+def _two_step_project_ring(coords):
+    # the ring step _project_rings once called per ring, kept to check it against
+    flat = ingest._project_positions(coords[:-1])
+    last = coords[-1]
+    if flat and last == coords[0]:
+        ingest._lonlat(last)
+        flat += flat[:2]
+    else:
+        flat += project_lonlat(*ingest._lonlat(last))
+    return flat
+
+
+def _two_step_project_rings(rings):
+    if not rings:
+        raise ValueError("polygon without rings")
+    flats = [_two_step_project_ring(r) for r in rings]
+    for flat in flats:
+        close_flat(flat)
+    return flats
+
+
+# groups of positions that compare equal: int, float and -0.0 spellings, an
+# altitude, and bools, which equal 1 and 0 but are not numbers here
+_EQUAL_POSITIONS = [
+    [[0, 0], [0.0, 0.0], [-0.0, 0], [0, -0.0, 3]],
+    [[1, 0], [1.0, 0.0], [True, 0], [1, False]],
+    [[1.0001, 0], [1.0001, 0.0, 9.5]],
+    [[1.0001, 0.0001]],
+    [[0, 0.0001], [-0.0, 0.0001]],
+]
+_BAD_POSITIONS = [["1", 0], "12", [0.5], [], [200.0, 0.0], [0.0, float("nan")], None, [10**400, 0]]
+
+
+def _random_ring(rng):
+    if rng.random() < 0.03:
+        return rng.choice([7, "ab", None, []])
+    groups = [rng.randrange(len(_EQUAL_POSITIONS)) for _ in range(rng.randint(1, 5))]
+    ring = [rng.choice(_BAD_POSITIONS) if rng.random() < 0.05 else rng.choice(_EQUAL_POSITIONS[g]) for g in groups]
+    for p in (0.2, 0.6):  # a next-to-last position, then a last, that equal the first
+        if rng.random() < p:
+            ring.append(rng.choice(_EQUAL_POSITIONS[groups[0]]))
+    return ring
+
+
+def _ring_outcome(project, rings):
+    try:
+        return [[v.hex() for v in flat] for flat in project(rings)]
+    except (ValueError, TypeError, KeyError, IndexError, OverflowError) as exc:  # what the loaders skip
+        return type(exc), str(exc)
+
+
+def test_project_rings_matches_the_two_step_ring_projection():
+    # coordinates bit for bit, and the same exception first where several rings are bad
+    rng = random.Random(25)
+    for _ in range(20_000):
+        rings = [_random_ring(rng) for _ in range(rng.choice([0, 1, 1, 2, 2, 3]))]
+        assert _ring_outcome(ingest._project_rings, rings) == _ring_outcome(_two_step_project_rings, rings), rings
+
+
 def test_filter_motorable_class_list():
     def mk(cls):
         return RoadSegment(0, (0.0, 0.0, 1.0, 0.0), cls)
@@ -349,6 +408,34 @@ def test_bad_wkt_footprint_is_logged_with_the_parsers_message(tmp_path, capsys):
             "",
             "unbalanced parentheses in WKT geometry: 'POLYGON (0 0, 0.0001 0, 0.0001'",
         ),
+        # one ')' short, and one too many
+        (
+            "POLYGON ((0 0, 0.0001 0, 0.0001 0.0001, 0 0)",
+            "",
+            "unbalanced parentheses in WKT geometry: 'POLYGON ((0 0, 0.0001 0, 0.000'",
+        ),
+        (
+            "POLYGON ((0 0, 0.0001 0, 0.0001 0.0001, 0 0))) junk",
+            "",
+            "unbalanced parentheses in WKT geometry: 'POLYGON ((0 0, 0.0001 0, 0.000'",
+        ),
+        # text after the coordinates, an empty ring, and a nesting level missing
+        (
+            "POLYGON ((0 0, 0.0001 0, 0.0001 0.0001, 0 0)) junk",
+            "",
+            "malformed WKT geometry: 'POLYGON ((0 0, 0.0001 0, 0.000'",
+        ),
+        (
+            "POLYGON ((0 0, 0.0001 0, 0.0001 0.0001, 0 0), )",
+            "",
+            "malformed WKT geometry: 'POLYGON ((0 0, 0.0001 0, 0.000'",
+        ),
+        (
+            "MULTIPOLYGON ((0 0, 0.0001 0, 0.0001 0.0001, 0 0))",
+            "",
+            "malformed WKT geometry: 'MULTIPOLYGON ((0 0, 0.0001 0, '",
+        ),
+        ("POLYGON ((0 0, 0.0001, 0.0001 0.0001, 0 0))", "", "WKT position needs two numbers, got '0.0001'"),
         # filtered by its confidence before its WKT is read: loaded, as a valid row would be
         ("CIRCLE (1 2)", "0.1", None),
     ]
@@ -357,10 +444,21 @@ def test_bad_wkt_footprint_is_logged_with_the_parsers_message(tmp_path, capsys):
     capsys.readouterr()
     stats = LoadStats()
     assert len(load_buildings(path, min_confidence=0.5, stats=stats)) == 0
-    assert (stats.total, stats.loaded, stats.skipped) == (4, 1, 3)
+    assert (stats.total, stats.loaded, stats.skipped) == (len(rows), 1, len(rows) - 1)
     assert capsys.readouterr().err.splitlines() == [
         f"WARNING roadaccess.ingest: skipping building feature {n} in {path}: {message}"
-        for n, (_, _, message) in enumerate(rows[:3])
+        for n, (_, _, message) in enumerate(rows[:-1])
+    ]
+
+
+def test_wkt_keeps_the_first_two_numbers_of_each_position_however_spaced():
+    assert ingest.parse_wkt_polygons("POLYGON Z ((0 0 5, 1 0 5, 1 1 5, 0 0 5))") == [
+        [[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]]]
+    ]
+    holed = "MULTIPOLYGON(((0 0,1 0,1 1,0 0)),((2 2,3 2,3 3,2 2),( 2.1 2.1 , 2.2 2.1,2.2 2.2,2.1 2.1 )))"
+    assert ingest.parse_wkt_polygons(holed) == [
+        [[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]]],
+        [[[2.0, 2.0], [3.0, 2.0], [3.0, 3.0], [2.0, 2.0]], [[2.1, 2.1], [2.2, 2.1], [2.2, 2.2], [2.1, 2.1]]],
     ]
 
 
@@ -421,6 +519,14 @@ def test_load_boundary(tmp_path):
     path = geojson(tmp_path, "boundary.geojson", [polygon_feature([tiny_square(0.0, 0.0, d=0.01)])])
     boundary = load_boundary(path)
     assert boundary.bounds()[0] < boundary.bounds()[2]
+
+
+def test_one_part_multipolygon_boundary_loads_as_its_polygon(tmp_path):
+    rings = [tiny_square(0.0, 0.0, d=0.01), tiny_square(0.004, 0.004, d=0.002)]
+    multi = {"type": "Feature", "geometry": {"type": "MultiPolygon", "coordinates": [rings]}, "properties": {}}
+    boundary = load_boundary(geojson(tmp_path, "multi.geojson", [multi]))
+    assert boundary.rings == load_boundary(geojson(tmp_path, "one.geojson", [polygon_feature(rings)])).rings
+    assert len(boundary.rings) == 2
 
 
 def test_multipart_boundary_is_named_in_its_data_error(tmp_path):
@@ -600,6 +706,103 @@ def test_boundary_with_bad_text_after_its_polygon_is_data_error(tmp_path, tail):
         load_boundary(path)
     path.write_text('{"type": "FeatureCollection", "features": [' + polygon + "]}\n")
     assert isinstance(load_boundary(path), Polygon)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (
+            b'\xef\xbb\xbf{"type": "FeatureCollection", "features": []}',
+            "cannot read GeoJSON {path}: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+        ),
+        (b"[] x", "cannot read GeoJSON {path}: Extra data: line 1 column 4 (char 3)"),
+        (b"[]", "{path}: GeoJSON top level is not an object"),
+        (b"{}", "{path}: not a GeoJSON FeatureCollection, Feature, or geometry"),
+        (
+            # a multi-byte sequence cut short at byte 40: the message a read of the whole file gives
+            b'{"type": "FeatureCollection", "name": "a\xe2\x82(", "features": []}',
+            "cannot read GeoJSON {path}: 'utf-8' codec can't decode bytes in position 40-41: invalid continuation byte",
+        ),
+    ],
+    ids=["bom", "extra-data", "array", "empty-object", "cut-utf8"],
+)
+def test_top_level_documents_that_are_not_geojson_exit_3(tmp_path, data, message):
+    path = tmp_path / "b.geojson"
+    path.write_bytes(data)
+    for loader in (load_roads, load_buildings, load_boundary):
+        with pytest.raises(DataError) as err:
+            loader(path)
+        assert str(err.value) == message.format(path=path) and err.value.exit_code == 3
+
+
+def test_buildings_csv_without_a_geometry_column_is_data_error(tmp_path):
+    path = tmp_path / "b.csv"
+    path.write_text('confidence,shape\n0.9,"POLYGON ((0 0, 0.0001 0, 0.0001 0.0001, 0 0))"\n')
+    with pytest.raises(DataError) as err:
+        load_buildings(path)
+    assert str(err.value) == f"{path}: no 'geometry' or 'wkt' column" and err.value.exit_code == 3
+
+
+def test_point_and_ringless_polygon_features_are_skipped_with_their_reason(tmp_path, capsys):
+    features = [
+        {"type": "Feature", "geometry": {"type": "Point", "coordinates": [0.0, 0.0]}, "properties": {}},
+        polygon_feature([]),
+        polygon_feature([tiny_square(0.0, 0.0)]),
+    ]
+    path = geojson(tmp_path, "b.geojson", features)
+    capsys.readouterr()
+    stats = LoadStats()
+    assert len(load_buildings(path, stats=stats)) == 1
+    assert (stats.total, stats.loaded, stats.skipped) == (3, 1, 2)
+    assert capsys.readouterr().err.splitlines()[:2] == [
+        f"WARNING roadaccess.ingest: skipping building feature 0 in {path}: unsupported geometry type 'Point'",
+        f"WARNING roadaccess.ingest: skipping building feature 1 in {path}: polygon without rings",
+    ]
+
+
+def _walk_error_texts():
+    """GeoJSON texts that json.loads rejects at the top-level walk, keyed by the fault."""
+    one = json.dumps(polygon_feature([tiny_square(0.0, 0.0)]))
+    two = json.dumps(polygon_feature([tiny_square(0.01, 0.0)]))
+    return {
+        "missing-comma": '{"type": "FeatureCollection"\n "features": [' + one + "]}",
+        "missing-colon": '{"type": "FeatureCollection", "features" [' + one + "]}",
+        "non-string-key": '{"type": "FeatureCollection", 1: 2, "features": [' + one + "]}",
+        "bad-feature-separator": '{"type": "FeatureCollection", "features": [' + one + ";\n" + two + "]}",
+    }
+
+
+@pytest.mark.parametrize("block", [1, 7, None], ids=["block-1", "block-7", "default-block"])
+@pytest.mark.parametrize("fault", sorted(_walk_error_texts()))
+def test_top_level_walk_errors_read_as_json_loads_words_them(tmp_path, monkeypatch, block, fault):
+    if block is not None:
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block)
+    text = _walk_error_texts()[fault]
+    path = tmp_path / "b.geojson"
+    path.write_text(text)
+    with pytest.raises(json.JSONDecodeError) as whole:
+        json.loads(text)
+    with pytest.raises(DataError) as streamed:
+        load_buildings(path)
+    assert str(streamed.value) == f"cannot read GeoJSON {path}: {whole.value}"
+
+
+@pytest.mark.parametrize("block", [1, 7, None], ids=["block-1", "block-7", "default-block"])
+def test_trailing_comma_in_features_or_top_level_object_is_data_error(tmp_path, monkeypatch, block):
+    # only that it fails: Python 3.13 words a trailing comma differently from 3.11
+    if block is not None:
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block)
+    one = json.dumps(polygon_feature([tiny_square(0.0, 0.0)]))
+    path = tmp_path / "b.geojson"
+    for text in (
+        '{"type": "FeatureCollection", "features": [' + one + ",]}",
+        '{"type": "FeatureCollection", "features": [' + one + "],}",
+    ):
+        path.write_text(text)
+        with pytest.raises(DataError, match="cannot read GeoJSON"):
+            load_buildings(path)
+    path.write_text('{"type": "FeatureCollection", "features": [' + one + "]}")
+    assert len(load_buildings(path)) == 1
 
 
 def test_bare_feature_and_geometry_documents_still_load(tmp_path):
