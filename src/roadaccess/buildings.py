@@ -24,12 +24,12 @@ from collections.abc import Sequence
 from itertools import compress
 from typing import NamedTuple
 
-from .geometry import FlatRing, PlanePoint, Polygon, flat_bounds
+from .geometry import FlatRing, PlanePoint, flat_bounds
 
 
 class Building(NamedTuple):
     building_id: int
-    footprint: Polygon
+    footprint: tuple[tuple[float, ...], ...]  # closed flat rings, exterior first
     centroid: PlanePoint
 
 
@@ -59,8 +59,9 @@ class BuildingTable(Sequence):
         self.first_rings = array("q", [0])
 
     def append(self, building_id: int, rings: Sequence[FlatRing], x: float, y: float) -> None:
-        """Add a building after the last; its box is Polygon.bounds of rings,
-        and its rings are copied onto the end of the coordinate column."""
+        """Add a building after the last; its box is flat_bounds of the
+        exterior, and its rings are copied onto the end of the coordinate
+        column."""
         x0, y0, x1, y1 = flat_bounds(rings[0])
         self.ids.append(building_id)
         self.xs.append(x)
@@ -111,6 +112,6 @@ class BuildingTable(Sequence):
     def __getitem__(self, k: int) -> Building:
         k = range(len(self))[k]  # a negative k counts from the end
         coords, ends, first = self.coords, self.ring_ends, self.first_rings
-        rings = [coords[ends[r] : ends[r + 1]] for r in range(first[k], first[k + 1])]
-        return Building(self.ids[k], Polygon(rings[0], rings[1:]), PlanePoint(self.xs[k], self.ys[k]))
+        rings = tuple(tuple(coords[ends[r] : ends[r + 1]]) for r in range(first[k], first[k + 1]))
+        return Building(self.ids[k], rings, PlanePoint(self.xs[k], self.ys[k]))
 

@@ -8,6 +8,7 @@ absorb footprint digitization noise in formal areas.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple
 
 from .grid import CellAggregate, CellId
@@ -47,6 +48,7 @@ def classify_all(
     threshold: float = DEFAULT_OBSTRUCTION_THRESHOLD,
 ) -> list[ClassifiedCell]:
     """Classified cells for every built and empty cell, ordered by cell id."""
+    empty = (CellAggregate(cell, 0, None, None) for cell in empty_cells)
     cells = [
         ClassifiedCell(
             agg.cell,
@@ -55,12 +57,8 @@ def classify_all(
             agg.mean_obstruction,
             agg.modal_surface,
         )
-        for agg in aggregates.values()
+        for agg in chain(aggregates.values(), empty)
     ]
-    cells.extend(
-        ClassifiedCell(cell, DeprivationLevel.LOW, 0, None, None)
-        for cell in empty_cells
-    )
     cells.sort(key=lambda c: c.cell)
     return cells
 

@@ -20,6 +20,7 @@ from .classify import classify_all, distribution
 from .config import PipelineConfig, load_config
 from .errors import ConfigurationError, EvaluationError, Log, PipelineError
 from .evaluate import evaluation_report, ternary_proportions
+from .geometry import flat_bounds
 from .grid import MAX_CELLS, aggregate, box_cell_count, enumerate_empty_cells
 from .spatial_index import PolygonIndex, SegmentIndex
 
@@ -77,7 +78,7 @@ def _cell_aggregates(config: PipelineConfig, counts: dict) -> tuple:
     this returns, before the writers and the manifest's digests run.
     """
     buildings, motorable, boundary = _load_inputs(config, counts)
-    n_cells = box_cell_count(boundary.bounds(), config.cell_size)
+    n_cells = box_cell_count(flat_bounds(boundary[0]), config.cell_size)
     if n_cells > MAX_CELLS:
         raise ConfigurationError(
             f"cell_size {config.cell_size} m puts about {n_cells:.3g} cells in the boundary's box; "

@@ -37,10 +37,11 @@ class Segment(NamedTuple):
 
 # A flat ring is a sequence of coordinates, (x0, y0, x1, y1, ..., x0, y0): its
 # vertices in order, closed by repeating the first. Any float sequence will
-# do, as the predicates and measures only iterate, index or slice it. The
-# building table keeps every footprint ring back to back in one array('d'),
-# 8 bytes a coordinate and no float object each (see flat_column); Polygon
-# records, road lines and the boundary keep tuples, which hash.
+# do, as the predicates and measures only iterate, index or slice it. A
+# polygon is its closed flat rings, exterior first. The building table keeps
+# every footprint ring back to back in one array('d'), 8 bytes a coordinate
+# and no float object each (see flat_column); Building records, road lines
+# and the boundary keep tuples, which hash.
 FlatRing = Sequence[float]
 
 
@@ -54,35 +55,6 @@ def close_flat(flat: list[float] | tuple[float, ...]) -> list[float] | tuple[flo
     if len(flat) < 8:
         raise ValueError("closed ring needs at least three distinct vertices")
     return flat
-
-
-class Polygon:
-    """Polygon as a closed exterior ring plus optional hole rings.
-
-    Rings are given as flat coordinates (see FlatRing) and stored as flat
-    tuples, exterior first, in `rings`. Ring closure (first vertex == last
-    vertex) is enforced on construction; no further validity repair is
-    attempted.
-    """
-
-    __slots__ = ("rings",)
-
-    def __init__(self, exterior: FlatRing, holes: Iterable[FlatRing] = ()):
-        self.rings: tuple[tuple[float, ...], ...] = tuple(close_flat(tuple(r)) for r in (exterior, *holes))
-
-    @property
-    def exterior(self) -> tuple[float, ...]:
-        return self.rings[0]
-
-    @property
-    def holes(self) -> tuple[tuple[float, ...], ...]:
-        return self.rings[1:]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Polygon) and self.rings == other.rings
-
-    def bounds(self) -> Bounds:
-        return flat_bounds(self.rings[0])
 
 
 def flat_bounds(flat: Sequence[float]) -> Bounds:
@@ -117,14 +89,15 @@ def point_in_rings(x: float, y: float, rings: Iterable[FlatRing]) -> bool:
     return inside
 
 
-def segment_intersects_polygon(s: Segment, poly: Polygon) -> bool:
-    """True iff the closed segment shares at least one point with the polygon.
+def segment_intersects_polygon(s: Segment, rings: Sequence[FlatRing]) -> bool:
+    """True iff the closed segment shares at least one point with the
+    polygon of the closed flat rings, exterior first.
 
     Boundary contact counts as intersection: an edge of any ring touching or
     crossing the segment, or either endpoint inside the area.
     """
-    coords, ends = flat_column(poly.rings)
-    return segment_hits_span(s.a.x, s.a.y, s.b.x, s.b.y, coords, ends, 0, len(poly.rings))
+    coords, ends = flat_column(rings)
+    return segment_hits_span(s.a.x, s.a.y, s.b.x, s.b.y, coords, ends, 0, len(rings))
 
 
 def flat_column(rings: Sequence[FlatRing]) -> tuple[FlatRing, Sequence[int]]:
@@ -306,10 +279,10 @@ def _ring_area_centroid(ring: FlatRing) -> tuple[float, float, float]:
     return a2 / 2.0, x0 + cx / (3.0 * a2), y0 + cy / (3.0 * a2)
 
 
-def polygon_area(poly: Polygon) -> float:
-    """Unsigned area of exterior minus holes."""
-    area = abs(_ring_area_centroid(poly.exterior)[0])
-    for hole in poly.holes:
+def rings_area(rings: Sequence[FlatRing]) -> float:
+    """Unsigned area of a polygon's closed flat rings: exterior minus holes."""
+    area = abs(_ring_area_centroid(rings[0])[0])
+    for hole in rings[1:]:
         area -= abs(_ring_area_centroid(hole)[0])
     return area
 

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Container, Iterable, NamedTuple, Sequence
 
 from .buildings import BuildingTable
-from .geometry import Bounds, PlanePoint, Polygon, point_in_rings
+from .geometry import Bounds, FlatRing, PlanePoint, flat_bounds, point_in_rings
 from .levels import Surface
 
 DEFAULT_CELL_SIZE_M = 100.0
@@ -83,25 +83,24 @@ def aggregate(
 
 
 def enumerate_empty_cells(
-    boundary: Polygon,
-    occupied: Iterable[CellId] | Mapping[CellId, object],
+    boundary: Sequence[FlatRing],
+    occupied: Container[CellId],
     cell_size: float = DEFAULT_CELL_SIZE_M,
 ) -> list[CellId]:
-    """Cells inside the boundary (by cell center) that contain no buildings."""
-    occupied_set = set(occupied)
-    min_x, min_y, max_x, max_y = boundary.bounds()
+    """Cells whose center is inside the boundary (its closed flat rings)
+    and that are not in occupied, the cells with buildings."""
+    min_x, min_y, max_x, max_y = flat_bounds(boundary[0])
     i0 = math.floor(min_x / cell_size)
     i1 = math.floor(max_x / cell_size)
     j0 = math.floor(min_y / cell_size)
     j1 = math.floor(max_y / cell_size)
-    rings = boundary.rings
     empty: list[CellId] = []
     for i in range(i0, i1 + 1):
         cx = (i + 0.5) * cell_size
         for j in range(j0, j1 + 1):
             cell = CellId(i, j)
-            if cell in occupied_set:
+            if cell in occupied:
                 continue
-            if point_in_rings(cx, (j + 0.5) * cell_size, rings):
+            if point_in_rings(cx, (j + 0.5) * cell_size, boundary):
                 empty.append(cell)
     return empty

@@ -18,6 +18,7 @@ import io
 import json
 import math
 import re
+import sys
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -25,12 +26,12 @@ from .buildings import BuildingTable
 from .errors import DataError, Log
 from .geometry import (
     ZERO_AREA_EPS_M2,
-    Polygon,
+    FlatRing,
     box_near_rings,
     close_flat,
     flat_bounds,
     point_in_rings,
-    polygon_area,
+    rings_area,
     rings_centroid,
 )
 from .grid import CellId
@@ -191,8 +192,13 @@ class _BlockText:
                 cut = exc.msg.startswith("Unterminated string") or exc.pos > len(text) - _LOOKAHEAD
                 if self.eof or not cut:
                     raise
-            except ValueError:  # an integer too long to convert: its length may change
-                if self.eof:
+            except ValueError:  # an integer too long to convert (sys.set_int_max_str_digits)
+                # more text can change the error only where it may extend the
+                # number: text ends in its digits, maybe with a cut-off '.' or
+                # exponent that would make it a float
+                limit = sys.get_int_max_str_digits()
+                tail = text[-limit - 3 :].rstrip(".eE+-")
+                if self.eof or len(tail) - len(tail.rstrip("0123456789")) <= limit:
                     raise
             else:
                 if end <= len(text) - _LOOKAHEAD or self.eof:
@@ -388,7 +394,7 @@ def _project_rings(rings: Sequence[Sequence[Sequence[float]]]) -> list[list[floa
     """The flat projected rings (x0, y0, x1, y1, ...) of a GeoJSON polygon's
     coordinates, exterior first. A last position equal to the first is
     checked, not projected: it reuses the first vertex. Once all are
-    projected, each is closed and checked as Polygon closes it."""
+    projected, each is closed and checked by close_flat."""
     if not rings:
         raise ValueError("polygon without rings")
     flats = []
@@ -457,6 +463,10 @@ def filter_motorable(roads: Iterable[RoadSegment]) -> list[RoadSegment]:
 
 # a WKT token: a parenthesis, a comma, or one of a position's numbers
 _WKT_TOKEN = re.compile(r"[(),]|[^\s(),]+")
+# the type word and its dimension tag, before the first '(' (or the end)
+_WKT_TYPE = re.compile(r"(MULTI)?POLYGON\s*(ZM|Z|M)?\s*(?=\(|\Z)", re.IGNORECASE)
+# a decimal number: what float() reads, less its words (inf, nan) and '_'
+_WKT_NUMBER = re.compile(r"[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")
 
 
 def parse_wkt_polygons(text: str) -> list[list[list[list[float]]]]:
@@ -464,12 +474,13 @@ def parse_wkt_polygons(text: str) -> list[list[list[list[float]]]]:
 
     The parenthesised, comma-separated lists must nest as the type says (a
     POLYGON's rings of positions, a MULTIPOLYGON's polygons of rings), with
-    nothing after them. A position's numbers after the first two (Z, M) are
-    ignored. Anything else raises ValueError.
+    nothing after them. The type may carry a Z, M or ZM tag, and a position's
+    numbers after the first two (Z, M) are ignored. The first two must be
+    decimal numbers. Anything else raises ValueError.
     """
     text = text.strip()
-    upper = text.upper()
-    if not upper.startswith(("MULTIPOLYGON", "POLYGON")):
+    wkt_type = _WKT_TYPE.match(text)
+    if not wkt_type:
         raise ValueError(f"unsupported WKT geometry: {text[:30]!r}")
     start = text.find("(")
     if start < 0 or text.count("(", start) != text.count(")", start):
@@ -487,6 +498,9 @@ def parse_wkt_polygons(text: str) -> list[list[list[list[float]]]]:
                 k += 1
             if k - first < 2:
                 raise ValueError(f"WKT position needs two numbers, got {' '.join(tokens[first:k])!r}")
+            for token in tokens[first : first + 2]:
+                if not _WKT_NUMBER.fullmatch(token):
+                    raise ValueError(f"could not convert string to float: {token!r}")
             return [float(tokens[first]), float(tokens[first + 1])]
         items = []
         while tokens[k] == ("," if items else "("):
@@ -497,7 +511,7 @@ def parse_wkt_polygons(text: str) -> list[list[list[list[float]]]]:
         k += 1
         return items
 
-    multi = upper.startswith("M")
+    multi = wkt_type[1] is not None  # the MULTI prefix
     polygons = coords(3 if multi else 2)
     if k != len(tokens):
         raise ValueError(malformed)
@@ -606,9 +620,9 @@ def _read_building_csv_rows(path: Path | str) -> Iterator[tuple[str, dict]]:
         csv.field_size_limit(limit)
 
 
-def load_boundary(path: Path | str) -> Polygon:
-    """Load the analysis boundary polygon: the first Polygon feature, or
-    MultiPolygon of one part."""
+def load_boundary(path: Path | str) -> tuple[tuple[float, ...], ...]:
+    """Load the analysis boundary polygon, the first Polygon feature or
+    MultiPolygon of one part, as its closed flat rings, exterior first."""
     features = _read_geojson_features(path)
     parts = 0  # of the first MultiPolygon with several, named if no polygon is found
     try:
@@ -621,13 +635,12 @@ def load_boundary(path: Path | str) -> Polygon:
                 if len(polygons) != 1:  # a MultiPolygon of several parts, or of none
                     parts = parts or len(polygons)
                     continue
-                rings = _project_rings(polygons[0])
-                poly = Polygon(rings[0], rings[1:])
+                rings = tuple(map(tuple, _project_rings(polygons[0])))
             except (ValueError, TypeError, KeyError, IndexError, OverflowError) as exc:
                 raise DataError(f"{path}: malformed boundary polygon: {exc}") from exc
-            if polygon_area(poly) < ZERO_AREA_EPS_M2:
+            if rings_area(rings) < ZERO_AREA_EPS_M2:
                 raise DataError(f"{path}: boundary polygon has no area")
-            return poly
+            return rings
         if parts:
             raise DataError(f"{path}: boundary MultiPolygon has {parts} parts; one polygon is required")
         raise DataError(f"{path}: no Polygon feature found for the boundary")
@@ -641,9 +654,9 @@ def load_boundary(path: Path | str) -> Polygon:
 def clip_to_boundary(
     buildings: BuildingTable,
     roads: Iterable[RoadSegment],
-    boundary: Polygon,
+    boundary: Sequence[FlatRing],
 ) -> tuple[BuildingTable, list[RoadSegment]]:
-    """Clip inputs to the boundary.
+    """Clip inputs to the boundary, the closed flat rings load_boundary gives.
 
     Buildings are kept iff their centroid falls inside the boundary polygon;
     the table is compacted in place and returned. Roads are kept while their
@@ -651,9 +664,8 @@ def clip_to_boundary(
     (box_near_rings), so segments just outside still serve nearest-road
     queries at the edge.
     """
-    rings = boundary.rings
-    buildings.compact([point_in_rings(x, y, rings) for x, y in zip(buildings.xs, buildings.ys)])
-    kept_roads = [r for r in roads if box_near_rings(flat_bounds(r.geometry), rings, ROAD_CLIP_MARGIN_M)]
+    buildings.compact([point_in_rings(x, y, boundary) for x, y in zip(buildings.xs, buildings.ys)])
+    kept_roads = [r for r in roads if box_near_rings(flat_bounds(r.geometry), boundary, ROAD_CLIP_MARGIN_M)]
     return buildings, kept_roads
 
 

@@ -11,9 +11,10 @@ Buildings made here get their centroids from reference_centroid, a copy
 of the area-weighted centroid arithmetic kept apart from
 roadaccess.geometry.rings_centroid. Tests hand the core a BuildingTable
 (building_table); the oracles iterate the records, as a table makes a new
-Polygon each time a record is read.
-Tests build a Polygon from rings of points with polygon, which flattens
-them.
+footprint each time a record is read. A polygon, such as a footprint or the
+boundary, is a tuple of closed flat rings (x0, y0, ..., x0, y0), exterior
+first; tests build one from rings of points with polygon, which flattens
+and closes them.
 The forward Mollweide projection has a reference here too: the GeoPoint +
 Newton-solve path as it was before roadaccess.projection inlined it,
 sharing no code with that module.
@@ -36,12 +37,15 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from roadaccess.buildings import Building, BuildingTable
-from roadaccess.geometry import PlanePoint, Polygon, Segment
+from roadaccess.geometry import PlanePoint, Segment, close_flat
 from roadaccess.ingest import MOTORABLE_CLASSES, RoadSegment
 from roadaccess.levels import Surface, normalize_surface
 from roadaccess.projection import clamp_to_bounds, inverse_lonlat, project_lonlat
 
 SURFACE_CHOICES = (Surface.PAVED, Surface.UNPAVED, Surface.UNKNOWN)
+
+# a polygon: closed flat rings, exterior first
+Rings = tuple[tuple[float, ...], ...]
 
 
 def _reference_ring_area_centroid(ring: list[PlanePoint]) -> tuple[float, float, float]:
@@ -65,27 +69,27 @@ def _reference_ring_area_centroid(ring: list[PlanePoint]) -> tuple[float, float,
     return a2 / 2.0, o.x + cx / (3.0 * a2), o.y + cy / (3.0 * a2)
 
 
-def reference_centroid(poly: Polygon) -> PlanePoint:
+def reference_centroid(poly: Rings) -> PlanePoint:
     """Area-weighted centroid of the exterior minus the holes; the mean of
     the exterior's vertices (the closing one once) below 1e-9 m^2 net area."""
-    area, cx, cy = _reference_ring_area_centroid(ring_points(poly.exterior))
+    area, cx, cy = _reference_ring_area_centroid(ring_points(poly[0]))
     net = abs(area)
     wx = abs(area) * cx
     wy = abs(area) * cy
-    for hole in poly.holes:
+    for hole in poly[1:]:
         area, cx, cy = _reference_ring_area_centroid(ring_points(hole))
         net -= abs(area)
         wx -= abs(area) * cx
         wy -= abs(area) * cy
     if abs(net) < 1e-9:
-        vertices = ring_points(poly.exterior)[:-1]
+        vertices = ring_points(poly[0])[:-1]
         return PlanePoint(
             sum(p.x for p in vertices) / len(vertices), sum(p.y for p in vertices) / len(vertices)
         )
     return PlanePoint(wx / net, wy / net)
 
 
-def make_building(building_id: int, footprint: Polygon) -> Building:
+def make_building(building_id: int, footprint: Rings) -> Building:
     """A building record, its centroid from reference_centroid."""
     return Building(building_id, footprint, reference_centroid(footprint))
 
@@ -95,7 +99,7 @@ def building_table(buildings) -> BuildingTable:
     centroids as given."""
     table = BuildingTable()
     for b in sorted(buildings, key=lambda b: b.building_id):
-        table.append(b.building_id, b.footprint.rings, b.centroid.x, b.centroid.y)
+        table.append(b.building_id, b.footprint, b.centroid.x, b.centroid.y)
     return table
 
 
@@ -104,10 +108,10 @@ def flat_line(points) -> tuple[float, ...]:
     return tuple(c for p in points for c in p)
 
 
-def polygon(exterior, holes=()) -> Polygon:
-    """The Polygon of rings given as (x, y) pairs, such as PlanePoints:
-    each ring flattened by flat_line."""
-    return Polygon(flat_line(exterior), [flat_line(hole) for hole in holes])
+def polygon(exterior, holes=()) -> Rings:
+    """The polygon of rings given as (x, y) pairs, such as PlanePoints:
+    each ring flattened by flat_line and closed by close_flat."""
+    return tuple(close_flat(flat_line(ring)) for ring in (exterior, *holes))
 
 
 def random_building(rng: random.Random, building_id: int, span: float = 2000.0) -> Building:
@@ -248,10 +252,10 @@ def ring_points(ring: tuple[float, ...]) -> list[PlanePoint]:
     return [PlanePoint(ring[i], ring[i + 1]) for i in range(0, len(ring), 2)]
 
 
-def _inside(p: PlanePoint, poly: Polygon) -> bool:
+def _inside(p: PlanePoint, poly: Rings) -> bool:
     """Even-odd ray crossing over every ring."""
     inside = False
-    for ring in map(ring_points, poly.rings):
+    for ring in map(ring_points, poly):
         for i in range(len(ring) - 1):
             a = ring[i]
             b = ring[i + 1]
@@ -261,13 +265,13 @@ def _inside(p: PlanePoint, poly: Polygon) -> bool:
     return inside
 
 
-def reference_segment_intersects_polygon(s: Segment, poly: Polygon) -> bool:
+def reference_segment_intersects_polygon(s: Segment, poly: Rings) -> bool:
     """Closed segment touches the polygon: a four-orientation test per ring edge.
 
     Boundary contact counts, as does either endpoint inside the area.
     """
-    xs = poly.exterior[0::2]
-    ys = poly.exterior[1::2]
+    xs = poly[0][0::2]
+    ys = poly[0][1::2]
     if (
         max(s.a.x, s.b.x) < min(xs)
         or min(s.a.x, s.b.x) > max(xs)
@@ -275,7 +279,7 @@ def reference_segment_intersects_polygon(s: Segment, poly: Polygon) -> bool:
         or min(s.a.y, s.b.y) > max(ys)
     ):
         return False
-    for ring in map(ring_points, poly.rings):
+    for ring in map(ring_points, poly):
         for i in range(len(ring) - 1):
             if _segments_intersect(s.a, s.b, ring[i], ring[i + 1]):
                 return True
@@ -358,10 +362,10 @@ def brute_metrics(
 # end-to-end reference: input files to cells.csv and aggregates.csv rows
 
 
-def reference_polygon(rings) -> Polygon:
-    """The projected Polygon of a GeoJSON polygon's lon/lat rings."""
-    flat = [[c for lon, lat in ring for c in project_lonlat(lon, lat)] for ring in rings]
-    return Polygon(flat[0], flat[1:])
+def reference_polygon(rings) -> Rings:
+    """The projected polygon of a GeoJSON polygon's lon/lat rings, each
+    ring closed by close_flat."""
+    return tuple(close_flat(tuple(c for lon, lat in ring for c in project_lonlat(lon, lat))) for ring in rings)
 
 
 def _reference_box(points: list[PlanePoint]) -> tuple[float, float, float, float]:
@@ -373,16 +377,16 @@ def _reference_box(points: list[PlanePoint]) -> tuple[float, float, float, float
     )
 
 
-def _reference_rect_polygon_distance(box, poly: Polygon) -> float:
+def _reference_rect_polygon_distance(box, poly: Rings) -> float:
     """Distance from an axis-aligned box to a polygon's area, edge by edge."""
     x0, y0, x1, y1 = box
     corners = [PlanePoint(x0, y0), PlanePoint(x1, y0), PlanePoint(x1, y1), PlanePoint(x0, y1)]
     if any(_inside(c, poly) for c in corners):
         return 0.0
-    if any(x0 <= p.x <= x1 and y0 <= p.y <= y1 for p in ring_points(poly.exterior)):
+    if any(x0 <= p.x <= x1 and y0 <= p.y <= y1 for p in ring_points(poly[0])):
         return 0.0
     best = math.inf
-    for ring in map(ring_points, poly.rings):
+    for ring in map(ring_points, poly):
         for a, b in zip(ring, ring[1:]):
             for c, d in zip(corners, corners[1:] + corners[:1]):
                 if _segments_intersect(a, b, c, d):
@@ -459,8 +463,8 @@ def reference_cells(
         sums[cell][2] += surface[road_id] is Surface.PAVED
         sums[cell][3] += surface[road_id] is Surface.UNPAVED
 
-    xs = boundary.exterior[0::2]
-    ys = boundary.exterior[1::2]
+    xs = boundary[0][0::2]
+    ys = boundary[0][1::2]
     cells = []
     aggregates = []
     for i in range(math.floor(min(xs) / cell_size), math.floor(max(xs) / cell_size) + 1):

@@ -279,6 +279,7 @@ def test_every_override_flag_wins_over_the_file(tmp_path, formal_fixture, monkey
         pytest.param({"threshold": "1"}, [], id="threshold-string"),
         pytest.param({"threshold": True}, [], id="threshold-bool"),
         pytest.param({"threshold": 0}, [], id="threshold-zero"),
+        pytest.param({"threshold": 10**400}, [], id="threshold-int-beyond-float-range"),
         pytest.param({"cell_size": float("inf")}, [], id="cell_size-inf"),
         pytest.param({"cell_size": -100.0}, [], id="cell_size-negative"),
         pytest.param({"min_confidence": float("nan")}, [], id="min_confidence-nan"),
@@ -341,6 +342,40 @@ def test_empty_out_flag_exits_with_configuration_error(tmp_path, formal_fixture,
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["configuration-error: output_dir must be a non-empty path string, got '' from --out"]
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_config_that_is_no_object_or_no_file_exits_with_configuration_error(tmp_path, capsys):
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    assert main(["run", "--config", str(listed)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"configuration-error: config {listed} must be a JSON object"]
+    assert main(["run", "--config", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"configuration-error: cannot read config {tmp_path}: [Errno {errno.EISDIR}] Is a directory")
+
+
+def test_evaluate_with_a_missing_validations_file_exits_with_configuration_error(
+    tmp_path, formal_fixture, capsys
+):
+    _, files = formal_fixture
+    missing = tmp_path / "votes.csv"
+    cfg = write_config(tmp_path, files, validations=str(missing))
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"configuration-error: validations file not found: {missing}"]
+
+
+def test_evaluate_with_unreadable_cells_csv_exits_with_data_error(tmp_path, formal_fixture, capsys):
+    _, files = formal_fixture
+    votes = tmp_path / "votes.csv"
+    votes.write_text("cell_i,cell_j,validator_id,level\n0,0,a,low\n")
+    cfg = write_config(tmp_path, files, validations=str(votes))
+    out = tmp_path / "out"
+    (out / "cells.csv").mkdir(parents=True)
+    (out / "manifest.json").write_text(json.dumps({"parameters": {"cell_size": 100.0}}))
+    assert main(["evaluate", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"data-error: cannot read cells CSV {out / 'cells.csv'}: ")
 
 
 def test_evaluate_before_run_exits_with_configuration_error(tmp_path, formal_fixture):

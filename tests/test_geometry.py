@@ -10,18 +10,19 @@ from hypothesis import strategies as st
 
 from roadaccess.geometry import (
     PlanePoint,
-    Polygon,
     Segment,
     box_near_rings,
+    flat_bounds,
     flat_column,
     point_in_rings,
-    polygon_area,
+    rings_area,
     rings_centroid,
     segment_hits_span,
     segment_intersects_polygon,
 )
 
 from _scenes import (
+    Rings,
     _reference_rect_polygon_distance,
     _segments_intersect,
     nearest_point_on_segment,
@@ -46,14 +47,14 @@ def square(x0, y0, x1, y1):
 def test_polygon_enforces_ring_closure():
     ring = [PlanePoint(0, 0), PlanePoint(1, 0), PlanePoint(0, 1)]
     poly = polygon(ring)
-    assert poly.exterior[:2] == poly.exterior[-2:]
-    assert len(poly.exterior) == 8
+    assert poly[0][:2] == poly[0][-2:]
+    assert len(poly[0]) == 8
     with pytest.raises(ValueError):
         polygon([PlanePoint(0, 0), PlanePoint(1, 0)])
 
 
 def centroid_of(poly):
-    return PlanePoint(*rings_centroid(poly.rings))
+    return PlanePoint(*rings_centroid(poly))
 
 
 def test_unit_square_centroid():
@@ -91,7 +92,7 @@ def test_centroid_with_hole():
     c = centroid_of(poly)
     assert c.x == pytest.approx(29.5 / 15.0, abs=1e-12)
     assert c.y == pytest.approx(29.5 / 15.0, abs=1e-12)
-    assert polygon_area(poly) == pytest.approx(15.0)
+    assert rings_area(poly) == pytest.approx(15.0)
 
 
 def test_centroid_of_convex_polygon_lies_inside():
@@ -110,7 +111,7 @@ def test_centroid_of_convex_polygon_lies_inside():
         ]
         poly = polygon(ring)
         c = centroid_of(poly)
-        assert point_in_rings(c.x, c.y, poly.rings)
+        assert point_in_rings(c.x, c.y, poly)
 
 
 def test_nearest_point_on_segment_examples():
@@ -180,13 +181,13 @@ def test_segment_in_hole_does_not_intersect():
     )
 
 
-def _sampled_intersects(seg: Segment, poly: Polygon, n: int = 10_000) -> bool:
+def _sampled_intersects(seg: Segment, poly: Rings, n: int = 10_000) -> bool:
     """Dense-sampling oracle: point-in-polygon over n points along seg."""
     ts = np.linspace(0.0, 1.0, n)
     xs = seg.a.x + ts * (seg.b.x - seg.a.x)
     ys = seg.a.y + ts * (seg.b.y - seg.a.y)
     inside = np.zeros(n, dtype=bool)
-    for ring in map(ring_points, poly.rings):
+    for ring in map(ring_points, poly):
         crossings = np.zeros(n, dtype=np.int64)
         for k in range(len(ring) - 1):
             a, b = ring[k], ring[k + 1]
@@ -198,10 +199,10 @@ def _sampled_intersects(seg: Segment, poly: Polygon, n: int = 10_000) -> bool:
     return bool(inside.any())
 
 
-def _clearance(seg: Segment, poly: Polygon) -> float:
+def _clearance(seg: Segment, poly: Rings) -> float:
     """Distance from the segment to the polygon's rings (0 when they touch)."""
     best = math.inf
-    for ring in map(ring_points, poly.rings):
+    for ring in map(ring_points, poly):
         for a, b in zip(ring, ring[1:]):
             if _segments_intersect(seg.a, seg.b, a, b):
                 return 0.0
@@ -243,7 +244,7 @@ def _lattice_rect(step: float, x0: int, y0: int, x1: int, y1: int) -> list[Plane
     return [PlanePoint(x * step, y * step) for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]
 
 
-def _lattice_polygon(rng: random.Random, step: float) -> Polygon:
+def _lattice_polygon(rng: random.Random, step: float) -> Rings:
     """A rectangle (a third with a hole, inside or touching its edge) or a
     3-6 vertex lattice ring, which may be concave, self-crossing or have
     collinear and repeated vertices."""
@@ -265,10 +266,10 @@ def _lattice_polygon(rng: random.Random, step: float) -> Polygon:
             continue
 
 
-def _lattice_segment(rng: random.Random, step: float, poly: Polygon) -> Segment:
+def _lattice_segment(rng: random.Random, step: float, poly: Rings) -> Segment:
     """A random, zero-length, vertex-anchored or edge-collinear segment."""
     kind = rng.randrange(4)
-    ring = ring_points(rng.choice(poly.rings))
+    ring = ring_points(rng.choice(poly))
     if kind == 0:
         return Segment(_lattice_point(rng, step), _lattice_point(rng, step))
     if kind == 1:  # zero length, on a vertex or anywhere
@@ -296,7 +297,7 @@ def test_segment_polygon_predicate_matches_reference_on_lattices():
         for _ in range(12):
             seg = _lattice_segment(rng, step, poly)
             want = reference_segment_intersects_polygon(seg, poly)
-            assert segment_intersects_polygon(seg, poly) == want, (seg, poly.exterior, poly.holes)
+            assert segment_intersects_polygon(seg, poly) == want, (seg, poly)
             cases += 1
             hits += want
     assert cases >= 20_000
@@ -304,8 +305,7 @@ def test_segment_polygon_predicate_matches_reference_on_lattices():
 
 
 def test_rect_polygon_distance():
-    poly = square(0, 0, 1000, 1000)
-    rings = poly.rings
+    poly = rings = square(0, 0, 1000, 1000)
     nextafter = math.nextafter
     assert box_near_rings((100, 100, 200, 200), rings, 0.0)  # inside
     assert box_near_rings((900, 900, 1100, 1100), rings, 0.0)  # overlap
@@ -320,20 +320,20 @@ def test_rect_polygon_distance():
     # rect containing the whole polygon
     assert box_near_rings((-10, -10, 1010, 1010), rings, 0.0)
     # a box inside a hole is measured to the hole's ring
-    holed = Polygon(rings[0], [square(300, 300, 700, 700).exterior])
-    assert not box_near_rings((450, 450, 550, 550), holed.rings, nextafter(150.0, 0.0))
-    assert box_near_rings((450, 450, 550, 550), holed.rings, 150.0)
-    assert box_near_rings((450, 450, 550, 550), holed.rings[:1], 0.0)
+    holed = (rings[0], square(300, 300, 700, 700)[0])
+    assert not box_near_rings((450, 450, 550, 550), holed, nextafter(150.0, 0.0))
+    assert box_near_rings((450, 450, 550, 550), holed, 150.0)
+    assert box_near_rings((450, 450, 550, 550), holed[:1], 0.0)
 
     # margin-0 boxes against the top edge (0, 0)-(2, 0) of a square: a
     # T-touch, an end touch, collinear overlaps and a zero-width box crossing
     # the square with both ends 1 m outside count; 1 m apart does not
     below = square(0, -2, 2, 0)
     for box in ((1, 0, 1, 1), (2, 0, 3, 5), (1, 0, 3, 0), (0.5, 0, 1.5, 0), (1, -3, 1, 1)):
-        assert box_near_rings(box, below.rings, 0.0), box
+        assert box_near_rings(box, below, 0.0), box
     for box in ((0, 1, 2, 1), (3, 0, 4, 0)):
-        assert not box_near_rings(box, below.rings, 0.0), box
-        assert box_near_rings(box, below.rings, 1.0), box
+        assert not box_near_rings(box, below, 0.0), box
+        assert box_near_rings(box, below, 1.0), box
 
     # the reference measures the same distances
     assert _reference_rect_polygon_distance((1300, 0, 1400, 100), poly) == 300.0
@@ -341,7 +341,7 @@ def test_rect_polygon_distance():
     assert _reference_rect_polygon_distance((1, -3, 1, 1), below) == 0.0
 
 
-def _star_polygon(rng: random.Random, n: int, holed: bool) -> Polygon:
+def _star_polygon(rng: random.Random, n: int, holed: bool) -> Rings:
     """A star of n vertices around the origin or at a city's projected
     coordinates, 1.5-6 km out, optionally with a 3-12 vertex hole of radius
     300-500 m at its center."""
@@ -362,12 +362,12 @@ def _star_polygon(rng: random.Random, n: int, holed: bool) -> Polygon:
     return polygon(exterior, holes)
 
 
-def _star_boxes(rng: random.Random, poly: Polygon):
+def _star_boxes(rng: random.Random, poly: Rings):
     """Boxes anywhere near the star, zero-width or zero-height ones among
     them, boxes in and around the hole, boxes with a corner on a vertex,
     and boxes 500 m to the right of the rightmost vertex and one ulp either
     side of that."""
-    x0, y0, x1, y1 = poly.bounds()
+    x0, y0, x1, y1 = flat_bounds(poly[0])
 
     def size():
         return rng.choice((0.0, rng.uniform(0.0, 50.0), rng.uniform(0.0, 1_500.0)))
@@ -376,14 +376,14 @@ def _star_boxes(rng: random.Random, poly: Polygon):
         bx = rng.uniform(x0 - 1_200.0, x1 + 1_200.0)
         by = rng.uniform(y0 - 1_200.0, y1 + 1_200.0)
         yield (bx, by, bx + size(), by + size())
-    if poly.holes:
-        hx, hy = rings_centroid(poly.holes[:1])
+    if len(poly) > 1:
+        hx, hy = rings_centroid(poly[1:2])
         for _ in range(3):
             bx = hx + rng.uniform(-250.0, 250.0)
             by = hy + rng.uniform(-250.0, 250.0)
             w = rng.uniform(0.0, 200.0)
             yield (bx - w, by - w, bx + w, by + rng.choice((0.0, w)))
-    ring = poly.exterior
+    ring = poly[0]
     k = rng.randrange(len(ring) // 2 - 1)
     vx, vy = ring[2 * k], ring[2 * k + 1]
     yield (vx, vy, vx + size(), vy + size())
@@ -418,18 +418,17 @@ def test_box_near_rings_matches_the_reference_distance():
                 scenes.append((poly, list(_star_boxes(rng, poly))))
     cases = hits = exact = 0
     for poly, boxes in scenes:
-        rings = poly.rings
         for box in boxes:
             d = _reference_rect_polygon_distance(box, poly)
             for m in (0.0, 100.0, 500.0):
-                got = box_near_rings(box, rings, m)
-                assert got == (d <= m), (box, m, d, poly.exterior, poly.holes)
+                got = box_near_rings(box, poly, m)
+                assert got == (d <= m), (box, m, d, poly)
                 cases += 1
                 hits += got
             if 0.0 < d < math.inf:
                 # the predicate turns true exactly at the distance
-                assert box_near_rings(box, rings, d), (box, d, poly.exterior, poly.holes)
-                assert not box_near_rings(box, rings, math.nextafter(d, 0.0)), (box, d)
+                assert box_near_rings(box, poly, d), (box, d, poly)
+                assert not box_near_rings(box, poly, math.nextafter(d, 0.0)), (box, d)
                 exact += 1
     assert cases >= 20_000
     assert 0.2 * cases < hits < 0.8 * cases

@@ -74,7 +74,7 @@ def test_unread_imports_finds_what_is_never_read():
 
 # Defined in src/roadaccess and read by no module there: an API the README
 # documents, and what only the benchmark's traced re-enactment
-# (perfbench/traced.py) calls. ROADMAP item 3 deletes the latter once the
+# (perfbench/traced.py) calls. ROADMAP item 2 deletes the latter once the
 # benchmark reads the CLI's own stats, and must shrink this set as it does.
 DOCUMENTED_API = {"synth.generate"}
 TRACED_ONLY = {

@@ -9,7 +9,7 @@ import pytest
 from roadaccess import ingest
 from roadaccess.cli import main
 from roadaccess.errors import DataError
-from roadaccess.geometry import PlanePoint, Polygon, close_flat, point_in_rings
+from roadaccess.geometry import PlanePoint, close_flat, flat_bounds, point_in_rings
 from roadaccess.grid import CellId
 from roadaccess.ingest import (
     MOTORABLE_CLASSES,
@@ -33,6 +33,11 @@ def geojson(tmp_path, name, features):
     path = tmp_path / name
     path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
     return path
+
+
+def is_closed_rings(rings):
+    """A polygon as load_boundary gives it: a tuple of closed tuple rings."""
+    return type(rings) is tuple and all(type(r) is tuple and r[:2] == r[-2:] for r in rings)
 
 
 def line_feature(coords, **props):
@@ -165,7 +170,7 @@ def test_non_object_features_are_skipped_with_conservation(tmp_path):
     assert len(buildings) == 1
     assert (stats.total, stats.loaded, stats.skipped) == (7, 1, 6)
     boundary = polygon_feature([tiny_square(0.0, 0.0, d=0.01)])
-    assert isinstance(load_boundary(geojson(tmp_path, "a.geojson", bad + [boundary])), Polygon)
+    assert is_closed_rings(load_boundary(geojson(tmp_path, "a.geojson", bad + [boundary])))
 
 
 @pytest.mark.parametrize(
@@ -321,7 +326,7 @@ def test_load_buildings_geojson(tmp_path):
     buildings = load_buildings(geojson(tmp_path, "b.geojson", features))
     assert [b.building_id for b in buildings] == [0, 1, 2]
     for b in buildings:
-        assert point_in_rings(b.centroid.x, b.centroid.y, b.footprint.rings)
+        assert point_in_rings(b.centroid.x, b.centroid.y, b.footprint)
 
 
 def test_load_buildings_confidence_filter(tmp_path):
@@ -436,18 +441,28 @@ def test_bad_wkt_footprint_is_logged_with_the_parsers_message(tmp_path, capsys):
             "malformed WKT geometry: 'MULTIPOLYGON ((0 0, 0.0001 0, '",
         ),
         ("POLYGON ((0 0, 0.0001, 0.0001 0.0001, 0 0))", "", "WKT position needs two numbers, got '0.0001'"),
-        # filtered by its confidence before its WKT is read: loaded, as a valid row would be
+        # a tag other than Z, M or ZM, and a number float() reads but WKT does not
+        ("POLYGONXYZ ((0 0, 0.0001 0, 0.0001 0.0001, 0 0))", "", "unsupported WKT geometry: 'POLYGONXYZ ((0 0, 0.0001 0, 0.'"),
+        (
+            "POLYGON EMPTY junk ((0 0, 0.0001 0, 0.0001 0.0001, 0 0))",
+            "",
+            "unsupported WKT geometry: 'POLYGON EMPTY junk ((0 0, 0.00'",
+        ),
+        ("POLYGON ((0 0, 1_0 0, 0.0001 0.0001, 0 0))", "", "could not convert string to float: '1_0'"),
+        # loaded: a ZM tag, and a row filtered by its confidence before its
+        # WKT is read, counted as a valid row would be
+        ("POLYGON ZM ((0 0 1 2, 0.0001 0 1 2, 0.0001 0.0001 1 2, 0 0 1 2))", "", None),
         ("CIRCLE (1 2)", "0.1", None),
     ]
     path = tmp_path / "b.csv"
     path.write_text("geometry,confidence\n" + "".join(f'"{wkt}",{conf}\n' for wkt, conf, _ in rows))
     capsys.readouterr()
     stats = LoadStats()
-    assert len(load_buildings(path, min_confidence=0.5, stats=stats)) == 0
-    assert (stats.total, stats.loaded, stats.skipped) == (len(rows), 1, len(rows) - 1)
+    assert len(load_buildings(path, min_confidence=0.5, stats=stats)) == 1
+    assert (stats.total, stats.loaded, stats.skipped) == (len(rows), 2, len(rows) - 2)
     assert capsys.readouterr().err.splitlines() == [
         f"WARNING roadaccess.ingest: skipping building feature {n} in {path}: {message}"
-        for n, (_, _, message) in enumerate(rows[:-1])
+        for n, (_, _, message) in enumerate(rows[:-2])
     ]
 
 
@@ -518,15 +533,17 @@ def test_buildings_csv_footprint_of_any_size_loads_as_from_geojson(tmp_path):
 def test_load_boundary(tmp_path):
     path = geojson(tmp_path, "boundary.geojson", [polygon_feature([tiny_square(0.0, 0.0, d=0.01)])])
     boundary = load_boundary(path)
-    assert boundary.bounds()[0] < boundary.bounds()[2]
+    assert is_closed_rings(boundary) and len(boundary) == 1
+    x0, _, x1, _ = flat_bounds(boundary[0])
+    assert x0 < x1
 
 
 def test_one_part_multipolygon_boundary_loads_as_its_polygon(tmp_path):
     rings = [tiny_square(0.0, 0.0, d=0.01), tiny_square(0.004, 0.004, d=0.002)]
     multi = {"type": "Feature", "geometry": {"type": "MultiPolygon", "coordinates": [rings]}, "properties": {}}
     boundary = load_boundary(geojson(tmp_path, "multi.geojson", [multi]))
-    assert boundary.rings == load_boundary(geojson(tmp_path, "one.geojson", [polygon_feature(rings)])).rings
-    assert len(boundary.rings) == 2
+    assert boundary == load_boundary(geojson(tmp_path, "one.geojson", [polygon_feature(rings)]))
+    assert len(boundary) == 2
 
 
 def test_multipart_boundary_is_named_in_its_data_error(tmp_path):
@@ -551,7 +568,7 @@ def test_load_boundary_zero_area_is_data_error(tmp_path):
 
 
 def _building_rows(buildings):
-    return [(b.building_id, b.footprint.rings, b.centroid) for b in buildings]
+    return [(b.building_id, b.footprint, b.centroid) for b in buildings]
 
 
 @pytest.mark.parametrize("sort_keys", [True, False], ids=["features-first", "type-first"])
@@ -657,13 +674,13 @@ def test_clip_keeps_holed_and_multipart_rings_bit_for_bit(tmp_path):
         return [[c.hex() for c in ring] for ring in rings]
 
     assert [b.building_id for b in table] == keep
-    assert [hexed(b.footprint.rings) for b in table] == [hexed(whole[k].footprint.rings) for k in keep]
-    assert [len(b.footprint.rings) for b in table] == [2, 2, 2, 1, 2]
+    assert [hexed(b.footprint) for b in table] == [hexed(whole[k].footprint) for k in keep]
+    assert [len(b.footprint) for b in table] == [2, 2, 2, 1, 2]
     # the columns hold the kept rings alone, back to back, in row order
     assert list(table.first_rings) == [0, 2, 4, 6, 7, 9]
     assert table.ring_ends[0] == 0 and table.ring_ends[-1] == len(table.coords)
     assert [c.hex() for c in table.coords] == [
-        c.hex() for k in keep for ring in whole[k].footprint.rings for c in ring
+        c.hex() for k in keep for ring in whole[k].footprint for c in ring
     ]
 
 
@@ -705,7 +722,7 @@ def test_boundary_with_bad_text_after_its_polygon_is_data_error(tmp_path, tail):
     with pytest.raises(DataError, match="cannot read GeoJSON"):
         load_boundary(path)
     path.write_text('{"type": "FeatureCollection", "features": [' + polygon + "]}\n")
-    assert isinstance(load_boundary(path), Polygon)
+    assert is_closed_rings(load_boundary(path))
 
 
 @pytest.mark.parametrize(
@@ -787,6 +804,55 @@ def test_top_level_walk_errors_read_as_json_loads_words_them(tmp_path, monkeypat
     assert str(streamed.value) == f"cannot read GeoJSON {path}: {whole.value}"
 
 
+# numbers around int()'s default cap of 4,300 digits (sys.set_int_max_str_digits)
+OVER_LONG_NUMBERS = {
+    "5000-digit-int": "7" * 5000,
+    "5000-digit-float": "7" * 5000 + ".5",
+    "5000-digit-exponent": "7" * 5000 + "e2",
+    "negative-4301-digit-int": "-" + "9" * 4301,
+    "4300-digit-int": "9" * 4300,
+}
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096, 65536, "digits", "digits+1"])
+@pytest.mark.parametrize("case", sorted(OVER_LONG_NUMBERS))
+def test_an_over_long_integer_fails_as_json_loads_does_holding_no_more_text(tmp_path, monkeypatch, block, case):
+    # A number cut off by the end of the text read so far is decoded again
+    # with more, as more digits, a '.' or an exponent may follow; an integer
+    # that is whole and too long fails at once, and the rest of the file is
+    # read without being held. The features after it outweigh the bound.
+    number = OVER_LONG_NUMBERS[case]
+    head = '{"type": "FeatureCollection", "features": [{"type": "Feature", "properties": {"n": '
+    if isinstance(block, str):
+        # the first read ends just after the number's sign and digits, or one character later
+        block = len(head) + len(number) - len(number.lstrip("-0123456789")) + (block == "digits+1")
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", block)
+    bound = 2 * block + 20_000
+    geometry = json.dumps(polygon_feature([tiny_square(0.0, 0.0)])["geometry"])
+    rest = json.dumps(polygon_feature([tiny_square(0.001, 0.0)]))
+    n_rest = 4 * bound // len(rest)
+    text = head + number + '}, "geometry": ' + geometry + "}" + f", {rest}" * n_rest + "]}"
+    path = tmp_path / "b.geojson"
+    path.write_text(text)
+    held = []
+    more = ingest._BlockText.more
+
+    def recording_more(src):
+        more(src)
+        held.append(len(src.text))
+
+    monkeypatch.setattr(ingest._BlockText, "more", recording_more)
+    try:
+        json.loads(text)
+    except ValueError as exc:
+        with pytest.raises(DataError) as streamed:
+            load_buildings(path)
+        assert str(streamed.value) == f"cannot read GeoJSON {path}: {exc}"
+    else:
+        assert len(load_buildings(path)) == 1 + n_rest
+    assert len(text) > 2 * bound and max(held) <= bound
+
+
 @pytest.mark.parametrize("block", [1, 7, None], ids=["block-1", "block-7", "default-block"])
 def test_trailing_comma_in_features_or_top_level_object_is_data_error(tmp_path, monkeypatch, block):
     # only that it fails: Python 3.13 words a trailing comma differently from 3.11
@@ -847,7 +913,7 @@ def test_clip_to_boundary_rules():
     assert [b.building_id for b in buildings] == [0]
     assert [r.road_id for r in roads] == [0, 1]
     for b in buildings:
-        assert point_in_rings(b.centroid.x, b.centroid.y, boundary.rings)
+        assert point_in_rings(b.centroid.x, b.centroid.y, boundary)
 
 
 def validation_csv(tmp_path, rows):
@@ -1048,7 +1114,7 @@ def test_a_feature_many_blocks_long_loads(tmp_path, monkeypatch):
     whole = load_buildings(path)
     monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64)
     assert list(load_buildings(path)) == list(whole)
-    assert len(whole) == 2 and len(whole[0].footprint.exterior) == 1002
+    assert len(whole) == 2 and len(whole[0].footprint[0]) == 1002
 
 
 def _wkt_rings(rings):
@@ -1085,6 +1151,7 @@ def test_table_records_equal_the_reference_buildings(tmp_path):
     for path in (geojson(tmp_path, "b.geojson", features), csv_path):
         table = load_buildings(path)
         assert list(table) == expected
+        assert set(table) == set(expected)  # a record's footprint is tuples, so records hash
         # confidences 0.9, none, 0.5, and none for the three parts: at 0.9
         # the courtyard goes, and just above 0.9 the first square too
         for min_confidence, gone in ((0.9, {2}), (math.nextafter(0.9, 1.0), {0, 2})):
@@ -1092,14 +1159,14 @@ def test_table_records_equal_the_reference_buildings(tmp_path):
             assert [b.footprint for b in kept] == [b.footprint for k, b in enumerate(expected) if k not in gone]
         for k, b in enumerate(expected):
             assert table[k] == b and table[k - len(expected)] == b
-            assert (table.x0s[k], table.y0s[k], table.x1s[k], table.y1s[k]) == b.footprint.bounds()
+            assert (table.x0s[k], table.y0s[k], table.x1s[k], table.y1s[k]) == flat_bounds(b.footprint[0])
             assert (table.xs[k], table.ys[k]) == tuple(b.centroid)
             assert table.position(b.building_id) == k
-            assert table.first_rings[k + 1] - table.first_rings[k] == len(b.footprint.rings)
+            assert table.first_rings[k + 1] - table.first_rings[k] == len(b.footprint)
 
         # the clip compacts the table in place, keeping the rows in order
         boundary = plane_square(table.x0s[2] - 1.0, table.y0s[2] - 1.0, 150.0)
         clipped, _ = clip_to_boundary(table, [], boundary)
         assert clipped is table
-        assert list(table) == [b for b in expected if point_in_rings(*b.centroid, boundary.rings)]
+        assert list(table) == [b for b in expected if point_in_rings(*b.centroid, boundary)]
         assert 0 < len(table) < len(expected)

@@ -241,7 +241,7 @@ def test_translation_invariance_of_counts():
 
     moved_buildings = [
         make_building(
-            b.building_id, polygon([shift_point(p) for p in ring_points(b.footprint.exterior)[:-1]])
+            b.building_id, polygon([shift_point(p) for p in ring_points(b.footprint[0])[:-1]])
         )
         for b in buildings
     ]
@@ -274,7 +274,7 @@ def test_uniform_scaling_invariance_of_counts():
 
     scaled_buildings = [
         make_building(
-            b.building_id, polygon([scale_point(p) for p in ring_points(b.footprint.exterior)[:-1]])
+            b.building_id, polygon([scale_point(p) for p in ring_points(b.footprint[0])[:-1]])
         )
         for b in buildings
     ]

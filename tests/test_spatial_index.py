@@ -456,7 +456,7 @@ def test_public_candidate_test_pair_equals_fused_count_and_oracle(tmp_path):
     for lon0, lat0 in ((36.8, -1.28), (169.9, 0.0)):
         scenes.append(_holes_and_parts_scene(tmp_path, rng, lon0, lat0, 200))
     assert scenes[-1][0][0].centroid.x > 1.69e7
-    assert any(len(b.footprint.rings) > 1 for b in scenes[-1][0])
+    assert any(len(b.footprint) > 1 for b in scenes[-1][0])
     pairs = 0
     for buildings, roads in scenes:
         road_index = SegmentIndex(roads)
